@@ -18,11 +18,9 @@ from .fock import (
     beamsplitter,
     expectation,
     normalize,
-    partial_trace,
     pure_loss,
     quadratures,
     sv_fock,
-    tensor,
     variance,
 )
 from .gaussian import GaussianState, avg_x_std, loss_gaussian, splitter_gaussian, sv_gaussian

@@ -16,11 +16,12 @@ row.  Cells that do not apply to a scheme stay empty.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -71,28 +72,37 @@ class UsageError(Exception):
     """Bad flags, bad config file, or an unusable scenario; exits with code 2."""
 
 
+def _setting(key: str, default, help_text: Optional[str] = None):
+    """A request field set by config key ``key`` or flag ``--key`` (``_`` as ``-``)."""
+    return field(default=default, metadata={"key": key, "help": help_text})
+
+
 @dataclass(frozen=True)
 class SweepRequest:
     command: str
-    nodes: int = 4
-    mean_photons: float = 0.04
-    eta: float = 0.5
-    scissors: int = 2
+    nodes: int = _setting("M", 4, "number of sensor nodes")
+    mean_photons: float = _setting("ns", 0.04, "source mean photon number")
+    eta: float = _setting("eta", 0.5, "channel transmissivity")
+    scissors: int = _setting("scissors", 2, "quantum scissors per amplifier")
     # 8 is the smallest cap where the default sweep's high-gain end is
     # truncation-converged (at 5 the amplified six-photon tail is missing and
     # the upper sensitivity curve visibly shifts)
-    cutoff: int = 8
-    g_min: float = 1.0
-    g_max: float = 3.0
-    g_steps: int = 41
-    eta_min: float = 0.1
-    eta_max: float = 1.0
-    eta_steps: int = 10
-    out: Optional[str] = None
-    precision: int = 10
-    jobs: int = 1
+    cutoff: int = _setting("cutoff", 8, "per-mode photon cap")
+    g_min: float = _setting("g_min", 1.0)
+    g_max: float = _setting("g_max", 3.0)
+    g_steps: int = _setting("g_steps", 41)
+    eta_min: float = _setting("eta_min", 0.1)
+    eta_max: float = _setting("eta_max", 1.0)
+    eta_steps: int = _setting("eta_steps", 10)
+    out: Optional[str] = _setting("out", None, "output CSV path (default: stdout)")
+    precision: int = _setting("precision", 10, "float digits, 3..17")
+    jobs: int = _setting("jobs", 1, "concurrent sweep evaluations")
 
     def __post_init__(self):
+        for setting in fields(self):
+            value = getattr(self, setting.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"{setting.metadata['key']} must be finite, got {value}")
         if self.nodes < 1:
             raise UsageError(f"M must be at least 1, got {self.nodes}")
         if self.mean_photons < 0:
@@ -123,6 +133,20 @@ class SweepRequest:
 
     def eta_grid(self) -> np.ndarray:
         return np.linspace(self.eta_min, self.eta_max, self.eta_steps)
+
+
+# config key -> (field name, value type, flag help), in flag order; the
+# optional output path parses as str
+_HINTS = get_type_hints(SweepRequest)
+_SETTINGS = {
+    f.metadata["key"]: (
+        f.name,
+        _HINTS[f.name] if _HINTS[f.name] in (int, float) else str,
+        f.metadata["help"],
+    )
+    for f in fields(SweepRequest)
+    if f.metadata
+}
 
 
 # ---------------------------------------------------------------------------
@@ -243,62 +267,43 @@ def build_nla_rows(req: SweepRequest) -> list[dict]:
         point = simulate_practical(_practical_config(req, gain))
         return {"g": gain, "p_success": point.p_success, "probe_power": point.probe_power}
 
-    rows = _map_grid(req, one, req.gain_grid())
-    rows.sort(key=lambda row: row["g"])
-    return rows
+    # the grid ascends and _map_grid keeps its order, so the rows are sorted by g
+    return _map_grid(req, one, req.gain_grid())
 
 
 def build_bounds_rows(req: SweepRequest) -> list[dict]:
-    rows = []
-    for eta in req.eta_grid():
-        eta = float(eta)
-        rows.append(
-            {
-                "eta": eta,
-                "crlb_entangled": crlb_entangled(req.nodes, req.mean_photons, eta),
-                "crlb_product": crlb_product(req.nodes, req.mean_photons, eta),
-                "delta_alpha_entangled": delta_alpha_entangled(req.nodes, req.mean_photons, eta),
-                "delta_alpha_product": delta_alpha_product(
-                    req.nodes, req.mean_photons, eta_local=eta
-                ),
-            }
-        )
-    rows.sort(key=lambda row: row["eta"])
-    return rows
+    nodes, ns = req.nodes, req.mean_photons
+    return [
+        {
+            "eta": eta,
+            "crlb_entangled": crlb_entangled(nodes, ns, eta),
+            "crlb_product": crlb_product(nodes, ns, eta),
+            "delta_alpha_entangled": delta_alpha_entangled(nodes, ns, eta),
+            "delta_alpha_product": delta_alpha_product(nodes, ns, eta_local=eta),
+        }
+        for eta in map(float, req.eta_grid())  # ascending, so sorted by eta
+    ]
 
 
-def _emit(req: SweepRequest, text: str) -> None:
-    if req.out is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(req.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write {req.out!r}: {exc}") from exc
+def _csv_runner(columns, build_rows):
+    """A command that writes ``build_rows(req)`` as CSV to ``req.out`` or stdout."""
 
+    def run(req: SweepRequest) -> int:
+        try:
+            text = render_csv(columns, build_rows(req), req.precision)
+        except TruncationError as exc:
+            raise UsageError(str(exc)) from exc
+        if req.out is None:
+            sys.stdout.write(text)
+            return 0
+        try:
+            with open(req.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {req.out!r}: {exc}") from exc
+        return 0
 
-def run_sweep_sensitivity(req: SweepRequest) -> int:
-    try:
-        rows = build_sensitivity_rows(req)
-    except TruncationError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit(req, render_csv(SENSITIVITY_COLUMNS, rows, req.precision))
-    return 0
-
-
-def run_sweep_nla(req: SweepRequest) -> int:
-    try:
-        rows = build_nla_rows(req)
-    except TruncationError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit(req, render_csv(NLA_COLUMNS, rows, req.precision))
-    return 0
-
-
-def run_bounds(req: SweepRequest) -> int:
-    _emit(req, render_csv(BOUNDS_COLUMNS, build_bounds_rows(req), req.precision))
-    return 0
+    return run
 
 
 def run_validate(req: SweepRequest) -> int:
@@ -314,44 +319,27 @@ def run_validate(req: SweepRequest) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+# subcommand -> (help, runner), in --help order
+_COMMANDS = {
+    "sweep-sensitivity": (
+        "rms error vs probe power for all four schemes over a gain grid",
+        _csv_runner(SENSITIVITY_COLUMNS, build_sensitivity_rows),
+    ),
+    "sweep-nla": (
+        "joint heralding probability and probe power over a gain grid",
+        _csv_runner(NLA_COLUMNS, build_nla_rows),
+    ),
+    "bounds": (
+        "Cramer-Rao bounds over a transmissivity grid",
+        _csv_runner(BOUNDS_COLUMNS, build_bounds_rows),
+    ),
+    "validate": ("run the self-validation suite", run_validate),
+}
+
+
 # ---------------------------------------------------------------------------
 # configuration handling
 # ---------------------------------------------------------------------------
-
-_KEY_TYPES = {
-    "M": int,
-    "ns": float,
-    "eta": float,
-    "scissors": int,
-    "cutoff": int,
-    "g_min": float,
-    "g_max": float,
-    "g_steps": int,
-    "eta_min": float,
-    "eta_max": float,
-    "eta_steps": int,
-    "out": str,
-    "precision": int,
-    "jobs": int,
-}
-
-_KEY_TO_FIELD = {
-    "M": "nodes",
-    "ns": "mean_photons",
-    "eta": "eta",
-    "scissors": "scissors",
-    "cutoff": "cutoff",
-    "g_min": "g_min",
-    "g_max": "g_max",
-    "g_steps": "g_steps",
-    "eta_min": "eta_min",
-    "eta_max": "eta_max",
-    "eta_steps": "eta_steps",
-    "out": "out",
-    "precision": "precision",
-    "jobs": "jobs",
-}
-
 
 def parse_config_text(text: str) -> dict:
     """Parse a line-oriented ``key = value`` config; '#' starts a comment."""
@@ -365,10 +353,11 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KEY_TYPES:
+        if key not in _SETTINGS:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
+        name, kind, _ = _SETTINGS[key]
         try:
-            values[_KEY_TO_FIELD[key]] = _KEY_TYPES[key](value)
+            values[name] = kind(value)
         except ValueError as exc:
             raise UsageError(f"config line {lineno}: bad value for {key!r}: {value!r}") from exc
     return values
@@ -384,20 +373,9 @@ def load_config_file(path: str) -> dict:
 
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--M", type=int, default=None, help="number of sensor nodes")
-    shared.add_argument("--ns", type=float, default=None, help="source mean photon number")
-    shared.add_argument("--eta", type=float, default=None, help="channel transmissivity")
-    shared.add_argument("--scissors", type=int, default=None, help="quantum scissors per amplifier")
-    shared.add_argument("--cutoff", type=int, default=None, help="per-mode photon cap")
-    shared.add_argument("--g-min", type=float, default=None, dest="g_min")
-    shared.add_argument("--g-max", type=float, default=None, dest="g_max")
-    shared.add_argument("--g-steps", type=int, default=None, dest="g_steps")
-    shared.add_argument("--eta-min", type=float, default=None, dest="eta_min")
-    shared.add_argument("--eta-max", type=float, default=None, dest="eta_max")
-    shared.add_argument("--eta-steps", type=int, default=None, dest="eta_steps")
-    shared.add_argument("--out", type=str, default=None, help="output CSV path (default: stdout)")
-    shared.add_argument("--precision", type=int, default=None, help="float digits, 3..17")
-    shared.add_argument("--jobs", type=int, default=None, help="concurrent sweep evaluations")
+    for key, (name, kind, help_text) in _SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        shared.add_argument(flag, type=kind, dest=name, metavar=key.upper(), help=help_text)
     shared.add_argument("--config", type=str, default=None, help="key = value config file")
 
     parser = argparse.ArgumentParser(
@@ -405,59 +383,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Distributed-quantum-sensing sweeps with noiseless-linear-amplifier repeaters",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "sweep-sensitivity",
-        parents=[shared],
-        help="rms error vs probe power for all four schemes over a gain grid",
-    )
-    sub.add_parser(
-        "sweep-nla",
-        parents=[shared],
-        help="joint heralding probability and probe power over a gain grid",
-    )
-    sub.add_parser("bounds", parents=[shared], help="Cramer-Rao bounds over a transmissivity grid")
-    sub.add_parser("validate", parents=[shared], help="run the self-validation suite")
+    for command, (help_text, _) in _COMMANDS.items():
+        sub.add_parser(command, parents=[shared], help=help_text)
     return parser
 
 
 def build_request(argv) -> SweepRequest:
-    args = _build_parser().parse_args(argv)
-    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    args = vars(_build_parser().parse_args(argv))
+    config_path = args["config"] or os.environ.get(CONFIG_ENV_VAR)
     values: dict = {}
     if config_path:
         values.update(load_config_file(config_path))
-    flag_values = {
-        "nodes": args.M,
-        "mean_photons": args.ns,
-        "eta": args.eta,
-        "scissors": args.scissors,
-        "cutoff": args.cutoff,
-        "g_min": args.g_min,
-        "g_max": args.g_max,
-        "g_steps": args.g_steps,
-        "eta_min": args.eta_min,
-        "eta_max": args.eta_max,
-        "eta_steps": args.eta_steps,
-        "out": args.out,
-        "precision": args.precision,
-        "jobs": args.jobs,
-    }
-    values.update({name: value for name, value in flag_values.items() if value is not None})
-    return SweepRequest(command=args.command, **values)
-
-
-_COMMANDS = {
-    "sweep-sensitivity": run_sweep_sensitivity,
-    "sweep-nla": run_sweep_nla,
-    "bounds": run_bounds,
-    "validate": run_validate,
-}
+    for name, _, _ in _SETTINGS.values():
+        if args[name] is not None:
+            values[name] = args[name]
+    return SweepRequest(command=args["command"], **values)
 
 
 def main(argv=None) -> int:
     try:
         request = build_request(argv)
-        return _COMMANDS[request.command](request)
+        return _COMMANDS[request.command][1](request)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

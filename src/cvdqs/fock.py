@@ -414,43 +414,6 @@ def variance(op: Union[np.ndarray, ModeOperator], state: State) -> float:
     return float(var.real)
 
 
-def tensor(a: State, b: State) -> State:
-    """Tensor product of two states of the same kind and cutoff."""
-    if a.cutoff != b.cutoff:
-        raise ValueError("cutoffs differ")
-    if isinstance(a, FockVector) and isinstance(b, FockVector):
-        return FockVector(a.cutoff, np.multiply.outer(a.amplitudes, b.amplitudes))
-    if isinstance(a, FockDensity) and isinstance(b, FockDensity):
-        modes = a.mode_count + b.mode_count
-        d1 = a.cutoff.dim
-        ta = a.as_tensor()
-        tb = b.as_tensor()
-        out = np.multiply.outer(ta, tb)
-        # outer gives (ket_a, bra_a, ket_b, bra_b); regroup to (ket_a, ket_b, bra_a, bra_b)
-        ket_b = list(range(2 * a.mode_count, 2 * a.mode_count + b.mode_count))
-        out = np.moveaxis(out, ket_b, list(range(a.mode_count, modes)))
-        return FockDensity(a.cutoff, modes, out.reshape(d1**modes, d1**modes))
-    raise TypeError("cannot tensor a vector with a density")
-
-
-def partial_trace(rho: FockDensity, keep: Sequence[int]) -> FockDensity:
-    """Trace out all modes not listed in ``keep`` (result keeps original order)."""
-    keep_sorted = sorted(set(int(m) for m in keep))
-    if not keep_sorted:
-        raise ValueError("must keep at least one mode")
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= rho.mode_count:
-        raise ValueError(f"keep={keep} out of range for {rho.mode_count} mode(s)")
-    mode_count = rho.mode_count
-    letters = "abcdefghijklmnopqrstuvwx"
-    ket = [letters[m] for m in range(mode_count)]
-    bra = [letters[mode_count + m] if m in keep_sorted else ket[m] for m in range(mode_count)]
-    out_sub = "".join(ket[m] for m in keep_sorted) + "".join(bra[m] for m in keep_sorted)
-    tens = np.einsum("".join(ket) + "".join(bra) + "->" + out_sub, rho.as_tensor())
-    d1 = rho.cutoff.dim
-    kept = len(keep_sorted)
-    return FockDensity(rho.cutoff, kept, tens.reshape(d1**kept, d1**kept))
-
-
 def normalize(state: State) -> tuple[State, float]:
     """Rescale to unit norm/trace; returns (state, pre-normalisation weight).
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,3 +297,65 @@ def test_error_rows_render_with_empty_values():
         fields = line.split(",")
         assert fields[6] == "" and fields[7] == "" and fields[8] == ""  # power/dalpha/p empty
         assert "unphysical NLA gain" in line
+
+
+# ---------------------------------------------------------------------------
+# settings table: flags, config keys and non-finite numbers
+# ---------------------------------------------------------------------------
+
+# (config key, flag, field, non-default value, another non-default value)
+SETTINGS = [
+    ("M", "--M", "nodes", 3, 5),
+    ("ns", "--ns", "mean_photons", 0.1, 0.2),
+    ("eta", "--eta", "eta", 0.7, 0.8),
+    ("scissors", "--scissors", "scissors", 1, 3),
+    ("cutoff", "--cutoff", "cutoff", 6, 7),
+    ("g_min", "--g-min", "g_min", 1.5, 2.0),
+    ("g_max", "--g-max", "g_max", 2.5, 2.0),
+    ("g_steps", "--g-steps", "g_steps", 5, 7),
+    ("eta_min", "--eta-min", "eta_min", 0.2, 0.3),
+    ("eta_max", "--eta-max", "eta_max", 0.9, 0.8),
+    ("eta_steps", "--eta-steps", "eta_steps", 4, 6),
+    ("out", "--out", "out", "a.csv", "b.csv"),
+    ("precision", "--precision", "precision", 6, 12),
+    ("jobs", "--jobs", "jobs", 2, 3),
+]
+FLOAT_SETTINGS = [(key, flag) for key, flag, _, value, _ in SETTINGS if isinstance(value, float)]
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "conf"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_settings_cover_every_request_field():
+    names = [f.name for f in dataclasses.fields(SweepRequest) if f.name != "command"]
+    assert names == [name for _, _, name, _, _ in SETTINGS]
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert "`" + ", ".join(key for key, _, _, _, _ in SETTINGS) + "`" in readme
+
+
+@pytest.mark.parametrize("key,flag,name,value,other", SETTINGS, ids=[s[0] for s in SETTINGS])
+def test_flag_and_config_key_build_the_same_request(tmp_path, key, flag, name, value, other):
+    by_flag = cli.build_request(["bounds", flag, str(value)])
+    by_config = cli.build_request(["bounds", "--config", _config(tmp_path, f"{key} = {value}\n")])
+    assert by_flag == by_config
+    assert getattr(by_flag, name) == value
+    assert by_flag != SweepRequest(command="bounds")
+    both = cli.build_request(
+        ["bounds", "--config", _config(tmp_path, f"{key} = {value}\n"), flag, str(other)]
+    )
+    assert getattr(both, name) == other
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key,flag", FLOAT_SETTINGS, ids=[key for key, _ in FLOAT_SETTINGS])
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, key, flag, text):
+    assert main(["bounds", f"{flag}={text}"]) == 2
+    assert key in capsys.readouterr().err
+    assert main(["bounds", "--config", _config(tmp_path, f"{key} = {text}\n")]) == 2
+    assert key in capsys.readouterr().err

@@ -15,11 +15,9 @@ from cvdqs.fock import (
     expectation,
     normalize,
     number_operator,
-    partial_trace,
     pure_loss,
     quadratures,
     sv_fock,
-    tensor,
     vacuum_vector,
     variance,
 )
@@ -342,32 +340,6 @@ def test_channels_preserve_hermiticity_and_positivity():
 # ---------------------------------------------------------------------------
 # manipulation set
 # ---------------------------------------------------------------------------
-
-def test_tensor_of_vacua():
-    two = tensor(vacuum_vector(1, 3), vacuum_vector(1, 3))
-    assert two.mode_count == 2
-    assert two.amplitudes[0, 0] == 1.0
-    assert np.sum(np.abs(two.amplitudes)) == 1.0
-
-
-def test_partial_trace_of_product_state():
-    rho = density_from_vector(basis_vector((1, 0), 4))
-    kept = partial_trace(rho, keep=[0])
-    expected = np.zeros((5, 5))
-    expected[1, 1] = 1.0
-    assert np.max(np.abs(kept.entries - expected)) < 1e-12
-
-
-def test_partial_trace_density_tensor_roundtrip():
-    rng = np.random.default_rng(29)
-    rho_a = random_density(rng, 1, 3)
-    rho_b = random_density(rng, 1, 3)
-    joint = tensor(rho_a, rho_b)
-    back_a = partial_trace(joint, keep=[0])
-    back_b = partial_trace(joint, keep=[1])
-    assert np.max(np.abs(back_a.entries - rho_a.entries)) < 1e-12
-    assert np.max(np.abs(back_b.entries - rho_b.entries)) < 1e-12
-
 
 def test_normalize_reports_weight():
     rho = density_from_vector(vacuum_vector(1, 3))
