@@ -87,7 +87,7 @@ class SweepRequest:
     # 8 is the smallest cap where the default sweep's high-gain end is
     # truncation-converged (at 5 the amplified six-photon tail is missing and
     # the upper sensitivity curve visibly shifts)
-    cutoff: int = _setting("cutoff", 8, "per-mode photon cap")
+    cutoff: int = _setting("cutoff", 8, "source photon cap")
     g_min: float = _setting("g_min", 1.0)
     g_max: float = _setting("g_max", 3.0)
     g_steps: int = _setting("g_steps", 41)
@@ -248,7 +248,7 @@ def _map_grid(req: SweepRequest, worker, grid) -> list:
     values = [float(g) for g in grid]
     if req.jobs <= 1 or len(values) <= 1:
         return [worker(g) for g in values]
-    # evaluate the first point alone so the cached source state is built once
+    # evaluate the first point alone so the threads find the loss Kraus operators cached
     head = worker(values[0])
     with ThreadPoolExecutor(max_workers=req.jobs) as pool:
         tail = list(pool.map(worker, values[1:]))

@@ -337,7 +337,7 @@ def balanced_splitter(mode_count: int, state: State) -> State:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _loss_kraus_set(eta: float, n_max: int) -> tuple[np.ndarray, ...]:
     d1 = n_max + 1
     ops = []

@@ -14,11 +14,16 @@ comparing schemes.  The product baseline generates its squeezed states
 locally, so by default it suffers no distribution loss (``eta_local`` exists
 for equal-loss comparisons).
 
-The numerical pipeline represents the lossy source as its pure Kraus
+The numerical pipelines represent the lossy source as its pure Kraus
 branches rather than one dense multimode density matrix; both routes are
 algebraically identical (loss commutes with the balanced splitter when every
 mode sees the same transmissivity) and the regression tests pin them against
 each other, but branches keep the memory footprint linear in the basis size.
+``cutoff`` caps the photon number of the single-mode source.  The
+amplifier-free pipeline spreads each branch over a dense ``(cutoff+1)^M``
+tensor.  The practical pipeline does not: its amplifier is zero above ``N``
+photons per mode and an even split has closed-form amplitudes, so each
+heralded branch is built directly on ``{0..N+1}^M``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .fock import (
     Cutoff,
     CutoffLike,
     FockVector,
+    ModeOperator,
     TruncationError,
     apply_mode_operator,
     as_cutoff,
@@ -237,25 +243,29 @@ def ideal_gain_for_power(nodes: int, mean_photons: float, eta: float, target_pow
 # Fock pipeline (pure Kraus branches of the lossy split source)
 # ---------------------------------------------------------------------------
 
+def _lossy_source(mean_photons: float, eta: float, cutoff: Cutoff) -> tuple[list[np.ndarray], float]:
+    """Non-empty Kraus branches of loss on the normalised single-mode source.
+
+    Loss is applied to the single source mode before splitting; with equal
+    per-mode transmissivity this is exactly equivalent to splitting first
+    (pinned by a regression test) and needs one mode instead of M.  Also
+    returns the source's truncation deficit.
+    """
+    source = sv_fock(mean_photons, cutoff)
+    unit, _ = normalize(source)
+    amps = [kraus @ unit.amplitudes for kraus in loss_kraus_operators(eta, cutoff)]
+    return [amp for amp in amps if float(np.vdot(amp, amp).real) > 1e-300], source.norm_deficit
+
+
 @lru_cache(maxsize=32)
 def _lossy_split_branches(
     nodes: int, mean_photons: float, eta: float, n_max: int
 ) -> tuple[tuple[FockVector, ...], float]:
-    """Kraus branches of source-mode loss, each spread over the node modes.
-
-    Loss is applied to the single source mode before splitting; with equal
-    per-mode transmissivity this is exactly equivalent to splitting first
-    (pinned by a regression test) and needs one mode instead of M.
-    """
+    """Kraus branches of source-mode loss, each spread over the node modes."""
     cutoff = Cutoff(n_max)
-    source = sv_fock(mean_photons, cutoff)
-    deficit = source.norm_deficit
-    unit, _ = normalize(source)
+    amps, deficit = _lossy_source(mean_photons, eta, cutoff)
     branches = []
-    for kraus in loss_kraus_operators(eta, cutoff):
-        amp = kraus @ unit.amplitudes
-        if float(np.vdot(amp, amp).real) <= 1e-300:
-            continue
+    for amp in amps:
         spread = np.zeros((cutoff.dim,) * nodes, dtype=complex)
         spread[(slice(None),) + (0,) * (nodes - 1)] = amp
         branch = fock.balanced_splitter(nodes, FockVector(cutoff, spread))
@@ -340,6 +350,26 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     )
 
 
+def _split_amplifier_factor(nodes: int, amplifier: ModeOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Photon total and split-times-amplifier amplitude of each occupation.
+
+    Splitting ``s`` photons evenly over ``M`` modes puts amplitude
+    ``sqrt(s! / prod n_i!) * M^(-s/2)`` on occupation ``(n_1, ..., n_M)``, all
+    positive in the sign convention of ``fock.balanced_splitter``; the
+    amplifier then multiplies it by ``prod_i t[n_i]`` with ``t`` its diagonal.
+    """
+    dim = amplifier.cutoff.dim
+    occupations = np.indices((dim,) * nodes)
+    total = occupations.sum(axis=0)
+    log_factorial = np.array([math.lgamma(n + 1.0) for n in range(nodes * (dim - 1) + 1)])
+    split = np.exp(
+        0.5 * (log_factorial[total] - log_factorial[occupations].sum(axis=0))
+        - 0.5 * math.log(nodes) * total
+    )
+    diag = np.diag(amplifier.entries).real
+    return total, split * np.prod(diag[occupations], axis=0)
+
+
 def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     """Run the practical-amplifier pipeline on the Fock kernel.
 
@@ -347,6 +377,11 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     one heralded amplifier per node; the reported probability is the joint
     one (every node must herald) and probe power is measured on the
     post-selected state.
+
+    The amplifier is diagonal and zero above ``N`` photons per mode, so each
+    heralded loss branch is built directly on ``{0..N+1}^M`` (the empty top
+    level holds the x ladder) from the single-mode branch amplitudes; the
+    source cap ``cutoff`` is the only truncation.
     """
     if cfg.scheme != SCHEME_PRACTICAL_NLA:
         raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
@@ -355,18 +390,17 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
         raise ValueError(
             f"cutoff n_max={cfg.cutoff.n_max} cannot hold the {spec.scissors}-photon scissor truncation"
         )
-    branches, deficit = _lossy_split_branches(
-        cfg.nodes, cfg.mean_photons, cfg.eta, cfg.cutoff.n_max
-    )
+    amps, deficit = _lossy_source(cfg.mean_photons, cfg.eta, cfg.cutoff)
     _require_converged(deficit, cfg.trunc_tol, cfg.cutoff)
-    amplifier = nla_operator(spec.scissors, spec.gain, cfg.cutoff)
-    amplified = []
-    for branch in branches:
-        out = branch
-        for mode in range(cfg.nodes):
-            out = apply_mode_operator(amplifier, mode, out)
-        amplified.append(out)
-    moments = _mixture_moments(amplified, cfg.nodes, cfg.cutoff)
+    basis = Cutoff(spec.scissors + 1)
+    total, factor = _split_amplifier_factor(cfg.nodes, nla_operator(spec.scissors, spec.gain, basis))
+    # photon totals above the source cap keep amplitude zero
+    sectors = np.zeros(max(int(total.max()), cfg.cutoff.n_max) + 1, dtype=complex)
+    branches = []
+    for amp in amps:
+        sectors[: cfg.cutoff.dim] = amp
+        branches.append(FockVector(basis, sectors[total] * factor))
+    moments = _mixture_moments(branches, cfg.nodes, basis)
     _require_unbiased(moments)
     return SensitivityPoint(
         scheme=SCHEME_PRACTICAL_NLA,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -85,6 +86,24 @@ def test_sensitivity_csv_schema_and_determinism(tmp_path):
     # sorted by (scheme, g)
     keys = [(row.split(",")[0], float(row.split(",")[4])) for row in lines[1:]]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["sweep-sensitivity"], "84fc5f32b5cf51cae2ee4cd95ca7ff7387c864a0ce9b1b335612fd51f0be006f"),
+        (
+            ["sweep-nla", "--M", "5", "--g-steps", "3"],
+            "b5698cf315fc0e95dc7b41bb587609b449038cd5300070a277749efeeb349b78",
+        ),
+    ],
+)
+def test_golden_csv_bytes(tmp_path, argv, digest):
+    # SHA-256 of the default-settings CSVs, recorded before the practical engine
+    # moved off the dense (cutoff+1)^M tensor; an engine change must keep them
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == digest
 
 
 def test_sensitivity_rows_match_simulation_rerun():

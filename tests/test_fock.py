@@ -357,3 +357,12 @@ def test_normalize_rejects_zero_state():
 def test_expectation_shape_mismatch():
     with pytest.raises(ValueError):
         expectation(np.eye(3), vacuum_vector(1, 3))
+
+
+def test_loss_kraus_cache_is_bounded():
+    # each distinct transmissivity adds an entry; an unbounded cache keeps them all
+    for eta in np.linspace(0.01, 0.99, 100):
+        fock.loss_kraus_operators(float(eta), 4)
+    info = fock._loss_kraus_set.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize

@@ -184,18 +184,20 @@ def test_no_nla_pipeline_matches_both_engines():
 
 
 def test_practical_vacuum_source():
-    cfg = ScenarioConfig(
-        nodes=4,
-        mean_photons=0.0,
-        eta=0.5,
-        scheme=SCHEME_PRACTICAL_NLA,
-        cutoff=4,
-        nla=NlaSpec.practical(2.0, 2),
-    )
-    point = simulate_practical(cfg)
-    assert point.delta_alpha == pytest.approx(0.25, abs=1e-12)
-    assert point.probe_power == pytest.approx(0.0, abs=1e-12)
-    assert point.p_success == pytest.approx((1.0 / 25.0) ** 4, rel=1e-12)
+    # at M=8 a dense (cutoff+1)^M branch would need ~0.7 GB
+    for nodes, cutoff in ((4, 4), (8, 8)):
+        cfg = ScenarioConfig(
+            nodes=nodes,
+            mean_photons=0.0,
+            eta=0.5,
+            scheme=SCHEME_PRACTICAL_NLA,
+            cutoff=cutoff,
+            nla=NlaSpec.practical(2.0, 2),
+        )
+        point = simulate_practical(cfg)
+        assert point.delta_alpha == pytest.approx(1.0 / (2.0 * math.sqrt(nodes)), rel=1e-13)
+        assert point.probe_power == 0.0
+        assert point.p_success == pytest.approx((1.0 / 5.0) ** (2 * nodes), rel=1e-13)
 
 
 def test_practical_requires_capacity_and_scheme():
@@ -246,9 +248,13 @@ def _taylor_expm(matrix):
     return out
 
 
-def _oracle_practical(nodes, mean_photons, eta, scissors, gain, n_max):
+def _oracle_practical(nodes, mean_photons, eta, scissors, gain, n_max, source_cap=None):
     """From-scratch dense recomputation: explicit basis enumeration, series
-    exponentials, loss applied after the splitter, factorial formula inline."""
+    exponentials, loss applied after the splitter, factorial formula inline.
+
+    The source is cut at ``source_cap`` photons (default ``n_max``), so a
+    basis cap above it leaves room for the x ladder."""
+    source_cap = n_max if source_cap is None else source_cap
     dim_single = n_max + 1
     basis = list(itertools.product(range(dim_single), repeat=nodes))
     index = {occ: i for i, occ in enumerate(basis)}
@@ -271,7 +277,7 @@ def _oracle_practical(nodes, mean_photons, eta, scissors, gain, n_max):
     # squeezed source amplitudes straight from the law
     r = math.asinh(math.sqrt(mean_photons))
     source = np.zeros(dim_single)
-    for k in range(n_max // 2 + 1):
+    for k in range(source_cap // 2 + 1):
         source[2 * k] = (
             (-math.tanh(r)) ** k
             * math.sqrt(math.factorial(2 * k))
@@ -326,23 +332,40 @@ def _oracle_practical(nodes, mean_photons, eta, scissors, gain, n_max):
     return math.sqrt(mean_xx - mean_x**2), power, p_success
 
 
-def test_practical_pipeline_matches_independent_oracle():
-    nodes, mean_photons, eta, scissors, gain, n_max = 2, 0.02, 0.7, 1, 1.5, 6
+def _assert_matches_oracle(nodes, mean_photons, eta, scissors, gain, cutoff):
     cfg = ScenarioConfig(
         nodes=nodes,
         mean_photons=mean_photons,
         eta=eta,
         scheme=SCHEME_PRACTICAL_NLA,
-        cutoff=n_max,
+        cutoff=cutoff,
         nla=NlaSpec.practical(gain, scissors),
+        trunc_tol=1e-2,
     )
     point = simulate_practical(cfg)
     want_da, want_power, want_p = _oracle_practical(
-        nodes, mean_photons, eta, scissors, gain, n_max
+        nodes, mean_photons, eta, scissors, gain, max(cutoff, scissors + 1), source_cap=cutoff
     )
     assert point.delta_alpha == pytest.approx(want_da, abs=1e-8)
     assert point.probe_power == pytest.approx(want_power, abs=1e-8)
     assert point.p_success == pytest.approx(want_p, rel=1e-8)
+
+
+def test_practical_pipeline_matches_independent_oracle():
+    # (M, ns, eta, scissors, g, cutoff); the second has cutoff below M * scissors
+    for case in (
+        (2, 0.02, 0.7, 1, 1.5, 6),
+        (3, 0.04, 0.5, 2, 1.7, 3),
+        (2, 0.04, 1.0, 2, 2.0, 5),
+        (3, 0.1, 0.6, 1, 1.0, 4),
+    ):
+        _assert_matches_oracle(*case)
+
+
+def test_practical_cutoff_equal_to_scissors():
+    # the source fills every level up to N, and x still raises N to N+1
+    for nodes in (1, 2):
+        _assert_matches_oracle(nodes, 0.1, 1.0, 2, 3.0, 2)
 
 
 def test_practical_reference_point_frozen():
