@@ -235,7 +235,7 @@ def _unitary_from_generator(generator: np.ndarray) -> np.ndarray:
     return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _two_mode_bs_unitary(theta: float, n_max: int) -> np.ndarray:
     """exp(theta (a^dag b - a b^dag)) on two truncated modes, kron(a-basis, b-basis)."""
     a1 = annihilation_matrix(n_max)

@@ -21,9 +21,12 @@ mode sees the same transmissivity) and the regression tests pin them against
 each other, but branches keep the memory footprint linear in the basis size.
 ``cutoff`` caps the photon number of the single-mode source.  The
 amplifier-free pipeline spreads each branch over a dense ``(cutoff+1)^M``
-tensor.  The practical pipeline does not: its amplifier is zero above ``N``
-photons per mode and an even split has closed-form amplitudes, so each
-heralded branch is built directly on ``{0..N+1}^M``.
+tensor.  The practical pipeline forms no ``M``-mode tensor at all: its
+amplifier is zero above ``N`` photons per mode, an even split has closed-form
+amplitudes, and the heralded state is symmetric under permuting the nodes, so
+its moments come from the one- and two-mode marginals on ``{0..N+1}``.  Its
+cost grows with ``M`` only through the polynomial powers ``f^(M-1)`` and
+``f^(M-2)`` that sum out the other modes.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .fock import (
     FockVector,
     ModeOperator,
     TruncationError,
+    annihilation_matrix,
     apply_mode_operator,
     as_cutoff,
     loss_kraus_operators,
@@ -350,24 +354,13 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     )
 
 
-def _split_amplifier_factor(nodes: int, amplifier: ModeOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Photon total and split-times-amplifier amplitude of each occupation.
-
-    Splitting ``s`` photons evenly over ``M`` modes puts amplitude
-    ``sqrt(s! / prod n_i!) * M^(-s/2)`` on occupation ``(n_1, ..., n_M)``, all
-    positive in the sign convention of ``fock.balanced_splitter``; the
-    amplifier then multiplies it by ``prod_i t[n_i]`` with ``t`` its diagonal.
-    """
-    dim = amplifier.cutoff.dim
-    occupations = np.indices((dim,) * nodes)
-    total = occupations.sum(axis=0)
-    log_factorial = np.array([math.lgamma(n + 1.0) for n in range(nodes * (dim - 1) + 1)])
-    split = np.exp(
-        0.5 * (log_factorial[total] - log_factorial[occupations].sum(axis=0))
-        - 0.5 * math.log(nodes) * total
-    )
-    diag = np.diag(amplifier.entries).real
-    return total, split * np.prod(diag[occupations], axis=0)
+def _power_series(poly: np.ndarray, power: int, length: int) -> np.ndarray:
+    """The first ``length`` coefficients of ``poly(z) ** power``, lowest order first."""
+    out = np.zeros(length)
+    out[0] = 1.0
+    for _ in range(power):
+        out = np.convolve(out, poly)[:length]
+    return out
 
 
 def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
@@ -378,29 +371,85 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     one (every node must herald) and probe power is measured on the
     post-selected state.
 
-    The amplifier is diagonal and zero above ``N`` photons per mode, so each
-    heralded loss branch is built directly on ``{0..N+1}^M`` (the empty top
-    level holds the x ladder) from the single-mode branch amplitudes; the
-    source cap ``cutoff`` is the only truncation.
+    The heralded state is symmetric under permuting the nodes, so
+    ``Var(xbar) = [<x_1^2> + (M-1) <x_1 x_2>] / M`` and the power is
+    ``M <n_1>``: only the one- and two-mode marginals are needed, and no
+    ``M``-mode tensor is formed.  Splitting ``s`` photons evenly puts amplitude
+    ``sqrt(s!) M^(-s/2) prod_i 1/sqrt(n_i!)`` on occupation ``(n_1, ..., n_M)``
+    (all positive in the sign convention of ``fock.balanced_splitter``), and
+    the amplifier multiplies it by ``prod_i t[n_i]``, ``t`` its diagonal.  So
+    a heralded loss branch is ``beta_k[s] prod_i amp[n_i]`` with
+    ``beta_k[s] = b_k[s] sqrt(s!) M^(-s/2)`` and ``amp[n] = t[n] / sqrt(n!)``.
+    Summing out ``p`` modes whose photons total ``r`` leaves the coefficient
+    ``[z^r] f(z)^p`` with ``f(z) = sum_n amp[n]^2 z^n``, and summing the
+    branches leaves the source density ``R[s, s'] = sum_k beta_k[s] beta_k[s']``.
+    The x ladders act on ``amp`` (one mode) and ``amp x amp`` (two modes) on
+    ``{0..N+1}``; each shifts the source total by a known one, which picks
+    the entry of ``R``.  The source cap ``cutoff`` is the only truncation.
     """
     if cfg.scheme != SCHEME_PRACTICAL_NLA:
         raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
-    spec = cfg.nla
-    if cfg.cutoff.n_max < spec.scissors:
-        raise ValueError(
-            f"cutoff n_max={cfg.cutoff.n_max} cannot hold the {spec.scissors}-photon scissor truncation"
-        )
+    spec, nodes, cap = cfg.nla, cfg.nodes, cfg.cutoff.n_max
     amps, deficit = _lossy_source(cfg.mean_photons, cfg.eta, cfg.cutoff)
     _require_converged(deficit, cfg.trunc_tol, cfg.cutoff)
+
+    s = np.arange(cap + 1)
+    log_factorial = np.array([math.lgamma(n + 1.0) for n in s])
+    beta = np.array(amps) * np.exp(0.5 * log_factorial - 0.5 * math.log(nodes) * s)
+    # offset by one and zero-padded, so that source totals from -1 up to a
+    # pair's top total plus the cap plus one read zero outside 0..cap
     basis = Cutoff(spec.scissors + 1)
-    total, factor = _split_amplifier_factor(cfg.nodes, nla_operator(spec.scissors, spec.gain, basis))
-    # photon totals above the source cap keep amplitude zero
-    sectors = np.zeros(max(int(total.max()), cfg.cutoff.n_max) + 1, dtype=complex)
-    branches = []
-    for amp in amps:
-        sectors[: cfg.cutoff.dim] = amp
-        branches.append(FockVector(basis, sectors[total] * factor))
-    moments = _mixture_moments(branches, cfg.nodes, basis)
+    size = 2 * basis.dim + cap + 1
+    density = np.zeros((size, size), dtype=complex)
+    density[1 : cap + 2, 1 : cap + 2] = beta.conj().T @ beta
+
+    # amp is scaled by t[0] so f^p stays finite at any M; the scale t[0]^(2M)
+    # is common to every moment and comes back in the herald probability
+    t = np.diag(nla_operator(spec.scissors, spec.gain, basis).entries).real
+    amp = t / t[0] / np.sqrt([math.factorial(n) for n in range(basis.dim)])
+    f = amp**2
+    rest = _power_series(f, max(nodes - 2, 0), cap + 1)
+    rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest
+    lower = ModeOperator(basis, annihilation_matrix(basis))
+    upper = ModeOperator(basis, lower.entries.conj().T)
+
+    def overlap(bra, ket, coefficients):
+        """sum_k <bra|ket> over the loss branches and the summed-out modes.
+
+        ``bra`` and ``ket`` are ``(tensor, shift)``: the marginal amplitude
+        and how far its source total lies above the tensor's photon total.
+        """
+        (bra_amps, bra_shift), (ket_amps, ket_shift) = bra, ket
+        totals = sum(np.indices(bra_amps.shape))
+        r = np.arange(len(coefficients))
+        sector = np.arange(totals.max() + 1)[:, None] + r + 1
+        weights = density[sector + bra_shift, sector + ket_shift] @ coefficients
+        return float(np.vdot(bra_amps, ket_amps * weights[totals]).real)
+
+    def ladders(state, mode):
+        """x = (a + a^dag)/2 on one mode: a lowers the tensor, so its source sits one above."""
+        return [
+            (apply_mode_operator(lower, mode, state).amplitudes, 1),
+            (apply_mode_operator(upper, mode, state).amplitudes, -1),
+        ]
+
+    one = FockVector(basis, amp)
+    x_one = ladders(one, 0)
+    weight = overlap((amp, 0), (amp, 0), rest_of_one)
+    mean_x = sum(overlap((amp, 0), ket, rest_of_one) for ket in x_one) / (2.0 * weight)
+    x_sq = sum(overlap(bra, ket, rest_of_one) for bra in x_one for ket in x_one) / (4.0 * weight)
+    mean_n = overlap(x_one[0], x_one[0], rest_of_one) / weight
+    x_pair = 0.0
+    if nodes > 1:
+        pair = FockVector(basis, np.outer(amp, amp))
+        x_first, x_second = ladders(pair, 0), ladders(pair, 1)
+        x_pair = sum(overlap(bra, ket, rest) for bra in x_first for ket in x_second) / (4.0 * weight)
+    moments = _MixtureMoments(
+        weight * float(t[0]) ** (2 * nodes),
+        np.array([mean_x]),
+        (x_sq + (nodes - 1) * x_pair) / nodes - mean_x**2,
+        nodes * mean_n,
+    )
     _require_unbiased(moments)
     return SensitivityPoint(
         scheme=SCHEME_PRACTICAL_NLA,

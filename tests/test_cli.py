@@ -96,14 +96,30 @@ def test_sensitivity_csv_schema_and_determinism(tmp_path):
             ["sweep-nla", "--M", "5", "--g-steps", "3"],
             "b5698cf315fc0e95dc7b41bb587609b449038cd5300070a277749efeeb349b78",
         ),
+        (
+            ["sweep-nla", "--M", "6", "--g-steps", "2"],
+            "44777e0bab8ab8fdf5be73c84ddae15868bd7860dc668f0b75ca73305b7fcf1a",
+        ),
     ],
 )
 def test_golden_csv_bytes(tmp_path, argv, digest):
     # SHA-256 of the default-settings CSVs, recorded before the practical engine
-    # moved off the dense (cutoff+1)^M tensor; an engine change must keep them
+    # changed (the M=6 one before it moved to the two-mode marginal); an engine
+    # change must keep them
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(read(out)).hexdigest() == digest
+
+
+def test_cutoff_below_scissors(tmp_path, capsys):
+    # the practical engine's basis is N+1 whatever the source cap, so a cap
+    # below N computes; a cap too coarse for the source fails the truncation guard
+    out = tmp_path / "out.csv"
+    argv = ["sweep-nla", "--cutoff", "2", "--scissors", "3", "--g-steps", "2"]
+    assert main(argv + ["--ns", "0.0001", "--out", str(out)]) == 0
+    assert len(read(out).splitlines()) == 3
+    assert main(["sweep-nla", "--cutoff", "1", "--scissors", "2"]) == 2
+    assert "increase the cutoff" in capsys.readouterr().err
 
 
 def test_sensitivity_rows_match_simulation_rerun():

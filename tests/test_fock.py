@@ -366,3 +366,15 @@ def test_loss_kraus_cache_is_bounded():
     info = fock._loss_kraus_set.cache_info()
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize
+
+
+def test_beamsplitter_cache_is_bounded():
+    # the scissor circuit mixes at an angle set by the gain, so each distinct
+    # gain adds an entry; an unbounded cache keeps them all
+    from cvdqs.nla import scissor_kraus
+
+    for gain in np.linspace(1.0, 3.0, 100):
+        scissor_kraus(float(gain), 2)
+    info = fock._two_mode_bs_unitary.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize

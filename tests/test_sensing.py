@@ -6,8 +6,10 @@ import pytest
 
 from cvdqs import fock, gaussian
 from cvdqs.fock import Cutoff, TruncationError
-from cvdqs.nla import NlaSpec, UnphysicalGainError
+from cvdqs.nla import NlaSpec, UnphysicalGainError, nla_operator
 from cvdqs.sensing import (
+    _lossy_source,
+    _mixture_moments,
     SCHEME_NO_NLA,
     SCHEME_PRACTICAL_NLA,
     ScenarioConfig,
@@ -184,8 +186,9 @@ def test_no_nla_pipeline_matches_both_engines():
 
 
 def test_practical_vacuum_source():
-    # at M=8 a dense (cutoff+1)^M branch would need ~0.7 GB
-    for nodes, cutoff in ((4, 4), (8, 8)):
+    # at M=100 an M-mode tensor could not be stored even on {0..N+1}^M; at
+    # M=1000 the herald probability underflows to 0 but the moments hold
+    for nodes, cutoff in ((1, 8), (4, 4), (8, 8), (100, 8), (1000, 8)):
         cfg = ScenarioConfig(
             nodes=nodes,
             mean_photons=0.0,
@@ -201,17 +204,9 @@ def test_practical_vacuum_source():
 
 
 def test_practical_requires_capacity_and_scheme():
-    with pytest.raises(ValueError):
-        simulate_practical(
-            ScenarioConfig(
-                nodes=2,
-                mean_photons=0.02,
-                eta=0.5,
-                scheme=SCHEME_PRACTICAL_NLA,
-                cutoff=1,
-                nla=NlaSpec.practical(1.5, 2),
-            )
-        )
+    # a source cap below N computes: the amplifier's basis does not depend on it
+    for case in ((2, 0.1, 1.0, 2, 3.0, 1), (3, 0.04, 0.5, 2, 1.7, 1)):
+        _assert_matches_oracle(*case, trunc_tol=0.1)
     with pytest.raises(ValueError):
         ScenarioConfig(nodes=2, mean_photons=0.02, eta=0.5, scheme=SCHEME_PRACTICAL_NLA)
 
@@ -332,7 +327,7 @@ def _oracle_practical(nodes, mean_photons, eta, scissors, gain, n_max, source_ca
     return math.sqrt(mean_xx - mean_x**2), power, p_success
 
 
-def _assert_matches_oracle(nodes, mean_photons, eta, scissors, gain, cutoff):
+def _assert_matches_oracle(nodes, mean_photons, eta, scissors, gain, cutoff, trunc_tol=1e-2):
     cfg = ScenarioConfig(
         nodes=nodes,
         mean_photons=mean_photons,
@@ -340,7 +335,7 @@ def _assert_matches_oracle(nodes, mean_photons, eta, scissors, gain, cutoff):
         scheme=SCHEME_PRACTICAL_NLA,
         cutoff=cutoff,
         nla=NlaSpec.practical(gain, scissors),
-        trunc_tol=1e-2,
+        trunc_tol=trunc_tol,
     )
     point = simulate_practical(cfg)
     want_da, want_power, want_p = _oracle_practical(
@@ -366,6 +361,50 @@ def test_practical_cutoff_equal_to_scissors():
     # the source fills every level up to N, and x still raises N to N+1
     for nodes in (1, 2):
         _assert_matches_oracle(nodes, 0.1, 1.0, 2, 3.0, 2)
+
+
+def _multinomial_oracle(nodes, mean_photons, eta, scissors, gain, cutoff):
+    """Every heralded loss branch written out on ``{0..N+1}^M``: the branch
+    amplitude ``b_k[s]`` times the split amplitude ``sqrt(s!/prod n_i!) M^(-s/2)``
+    times ``prod_i t[n_i]``, zero where ``s`` exceeds the source cap; moments
+    from the dense per-mode ladder passes of ``_mixture_moments``."""
+    basis = Cutoff(scissors + 1)
+    occupations = np.indices((basis.dim,) * nodes)
+    total = occupations.sum(axis=0)
+    log_factorial = np.array([math.lgamma(n + 1.0) for n in range(total.max() + 1)])
+    split = np.exp(
+        0.5 * (log_factorial[total] - log_factorial[occupations].sum(axis=0))
+        - 0.5 * math.log(nodes) * total
+    )
+    diag = np.diag(nla_operator(scissors, gain, basis).entries).real
+    factor = split * np.prod(diag[occupations], axis=0)
+    amps, _ = _lossy_source(mean_photons, eta, Cutoff(cutoff))
+    sectors = np.zeros(max(total.max(), cutoff) + 1, dtype=complex)
+
+    def branches():  # one branch alive at a time
+        for amp in amps:
+            sectors[: cutoff + 1] = amp
+            yield fock.FockVector(basis, sectors[total] * factor)
+
+    moments = _mixture_moments(branches(), nodes, basis)
+    return math.sqrt(moments.xbar_variance), moments.total_photons, moments.weight
+
+
+def test_practical_matches_multinomial_oracle_at_many_nodes():
+    for nodes, gain, scissors in itertools.product((4, 5, 6, 8), (1.0, 1.7, 3.0), (1, 2, 3)):
+        cfg = ScenarioConfig(
+            nodes=nodes,
+            mean_photons=0.04,
+            eta=0.5,
+            scheme=SCHEME_PRACTICAL_NLA,
+            cutoff=8,
+            nla=NlaSpec.practical(gain, scissors),
+        )
+        point = simulate_practical(cfg)
+        want_da, want_power, want_p = _multinomial_oracle(nodes, 0.04, 0.5, scissors, gain, 8)
+        assert point.delta_alpha == pytest.approx(want_da, rel=1e-12)
+        assert point.probe_power == pytest.approx(want_power, rel=1e-12)
+        assert point.p_success == pytest.approx(want_p, rel=1e-12)
 
 
 def test_practical_reference_point_frozen():
