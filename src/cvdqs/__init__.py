@@ -25,12 +25,10 @@ from .fock import (
 )
 from .gaussian import GaussianState, avg_x_std, loss_gaussian, splitter_gaussian, sv_gaussian
 from .nla import (
-    EffectiveChannel,
     NlaSpec,
     UnphysicalGainError,
     apply_practical_nla,
     clipped_gain_operator,
-    effective_channel,
     effective_gain,
     effective_sv_photons,
     effective_transmissivity,

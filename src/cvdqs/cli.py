@@ -21,6 +21,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -371,7 +372,9 @@ def load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config {path!r}: {exc}") from exc
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; ``parse_args`` leaves it unchanged, so one serves every call."""
     shared = argparse.ArgumentParser(add_help=False)
     for key, (name, kind, help_text) in _SETTINGS.items():
         flag = "--" + key.replace("_", "-")

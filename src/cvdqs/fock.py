@@ -30,11 +30,6 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 
-#: Default declared truncation tolerance: probability weight lost to the
-#: photon cap beyond this is considered an error unless the caller declares
-#: a looser tolerance.
-DEFAULT_TRUNC_TOL = 1e-6
-
 
 class TruncationError(RuntimeError):
     """Probability weight lost to the photon cutoff exceeds the declared tolerance."""

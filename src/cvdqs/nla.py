@@ -76,14 +76,6 @@ class NlaSpec:
         return NlaSpec(PRACTICAL, gain, scissors)
 
 
-@dataclass(frozen=True)
-class EffectiveChannel:
-    """Loss-then-amplifier rewritten as amplifier-then-weaker-loss."""
-
-    gain_eff: float
-    eta_eff: float
-
-
 def effective_gain(gain: float, eta: float) -> float:
     """Gain of the equivalent source-side amplifier: sqrt(1 + (g^2 - 1) eta)."""
     _check_gain_eta(gain, eta)
@@ -98,10 +90,6 @@ def effective_transmissivity(gain: float, eta: float) -> float:
     """
     _check_gain_eta(gain, eta)
     return gain * gain * eta / (1.0 + (gain * gain - 1.0) * eta)
-
-
-def effective_channel(gain: float, eta: float) -> EffectiveChannel:
-    return EffectiveChannel(effective_gain(gain, eta), effective_transmissivity(gain, eta))
 
 
 def _check_gain_eta(gain: float, eta: float) -> None:
@@ -139,16 +127,12 @@ def _pi_coefficient(scissors: int, n: int) -> float:
     return math.factorial(scissors) / (math.factorial(scissors - n) * scissors**n)
 
 
-def projector_pi(scissors: int, gain: float, cutoff: CutoffLike, *, coefficient_shift: float = 0.0) -> ModeOperator:
+def projector_pi(scissors: int, gain: float, cutoff: CutoffLike) -> ModeOperator:
     """Scissor-count projector: diagonal, zero above ``scissors`` photons.
 
     Entry n is ``(1/(g^2+1))^(N/2) * N! / ((N-n)! N^n)`` for n <= N.  At fixed
     n the coefficient rises monotonically to 1 as the scissor count grows, so
     the practical amplifier approaches the ideal one.
-
-    ``coefficient_shift`` perturbs the one-photon coefficient; it exists only
-    as a fault-injection hook for the self-validation suite and must stay 0
-    in real use.
     """
     c = as_cutoff(cutoff)
     if scissors < 1:
@@ -162,10 +146,7 @@ def projector_pi(scissors: int, gain: float, cutoff: CutoffLike, *, coefficient_
     prefactor = (1.0 / (gain * gain + 1.0)) ** (scissors / 2.0)
     diag = np.zeros(c.dim)
     for n in range(scissors + 1):
-        coeff = _pi_coefficient(scissors, n)
-        if n == 1:
-            coeff += coefficient_shift
-        diag[n] = prefactor * coeff
+        diag[n] = prefactor * _pi_coefficient(scissors, n)
     return ModeOperator(c, np.diag(diag).astype(complex))
 
 
@@ -173,13 +154,13 @@ def gain_diagonal(gain: float, cutoff: CutoffLike) -> np.ndarray:
     return np.power(float(gain), np.arange(as_cutoff(cutoff).dim, dtype=float))
 
 
-def nla_operator(scissors: int, gain: float, cutoff: CutoffLike, *, coefficient_shift: float = 0.0) -> ModeOperator:
+def nla_operator(scissors: int, gain: float, cutoff: CutoffLike) -> ModeOperator:
     """Practical amplifier Kraus element: scissor-count projector times g^n.
 
     Sub-normalised by construction; applied via ``apply_practical_nla`` the
     leftover weight is exactly the heralding probability.
     """
-    pi = projector_pi(scissors, gain, cutoff, coefficient_shift=coefficient_shift)
+    pi = projector_pi(scissors, gain, cutoff)
     return ModeOperator(pi.cutoff, pi.entries * gain_diagonal(gain, pi.cutoff)[None, :])
 
 

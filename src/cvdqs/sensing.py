@@ -91,12 +91,7 @@ class ScenarioConfig:
     trunc_tol: float = DEFAULT_PIPELINE_TRUNC_TOL
 
     def __post_init__(self):
-        if self.nodes < 1:
-            raise ValueError(f"node count must be at least 1, got {self.nodes}")
-        if self.mean_photons < 0:
-            raise ValueError(f"mean photon number must be non-negative, got {self.mean_photons}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"transmissivity must lie in (0, 1], got {self.eta}")
+        _check_scenario(self.nodes, self.mean_photons, self.eta)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
         if self.trunc_tol <= 0:
@@ -214,33 +209,27 @@ def _check_scenario(nodes: int, mean_photons: float, eta: float) -> None:
 def ideal_gain_for_power(nodes: int, mean_photons: float, eta: float, target_power: float) -> float:
     """Invert the ideal-amplifier probe-power map: find g with N_eff eta_eff = target.
 
-    The map is strictly increasing in g, so a bisection suffices.  Raises if
-    the target lies outside what physical gains can reach.
+    With ``a = g_eff^2`` and ``c = N/(N+1)`` the power is
+    ``c a (a - 1 + eta) / (1 - c a^2)``, so ``a`` is the positive root of
+    ``c (1 + P) a^2 + c (eta - 1) a - P = 0`` and ``g = sqrt(1 + (a - 1)/eta)``.
+    Raises if the target lies below the gain-1 power ``N eta`` or needs a gain
+    within 1e-12 of the physicality boundary.
     """
     _check_scenario(nodes, mean_photons, eta)
-
-    def power(gain: float) -> float:
-        g_eff = effective_gain(gain, eta)
-        return effective_sv_photons(mean_photons, g_eff) * effective_transmissivity(gain, eta)
-
     if mean_photons == 0:
         raise ValueError("a vacuum source has zero probe power at any gain")
-    lo, p_lo = 1.0, power(1.0)
+    p_lo = mean_photons * eta
     if target_power < p_lo:
         raise ValueError(f"target power {target_power} below the gain-1 power {p_lo:.6g}")
+    c = mean_photons / (mean_photons + 1.0)
+    quad, lin = c * (1.0 + target_power), c * (eta - 1.0)
+    a = (math.sqrt(lin * lin + 4.0 * quad * target_power) - lin) / (2.0 * quad)
+    gain = math.sqrt(1.0 + max(a - 1.0, 0.0) / eta)
     # physicality boundary in g for this brightness and channel
     lam_cap = math.sqrt((mean_photons + 1.0) / mean_photons)
-    g_cap_sq = 1.0 + (lam_cap - 1.0) / eta
-    hi = math.sqrt(g_cap_sq) * (1.0 - 1e-12)
-    if target_power > power(hi):
+    if gain > math.sqrt(1.0 + (lam_cap - 1.0) / eta) * (1.0 - 1e-12):
         raise ValueError(f"target power {target_power} unreachable below the physicality boundary")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if power(mid) < target_power:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return gain
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +352,11 @@ def _power_series(poly: np.ndarray, power: int, length: int) -> np.ndarray:
     return out
 
 
+def _sqrt_factorial(n: int) -> float:
+    """sqrt(n!), exact to rounding while n! fits a float, from lgamma above."""
+    return math.sqrt(math.factorial(n)) if n < 171 else math.exp(0.5 * math.lgamma(n + 1.0))
+
+
 def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     """Run the practical-amplifier pipeline on the Fock kernel.
 
@@ -406,7 +400,7 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     # amp is scaled by t[0] so f^p stays finite at any M; the scale t[0]^(2M)
     # is common to every moment and comes back in the herald probability
     t = np.diag(nla_operator(spec.scissors, spec.gain, basis).entries).real
-    amp = t / t[0] / np.sqrt([math.factorial(n) for n in range(basis.dim)])
+    amp = t / t[0] / np.array([_sqrt_factorial(n) for n in range(basis.dim)])
     f = amp**2
     rest = _power_series(f, max(nodes - 2, 0), cap + 1)
     rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvdqs import cli
+from cvdqs import cli, nla
 from cvdqs.cli import (
     SENSITIVITY_COLUMNS,
     SweepRequest,
@@ -109,6 +109,24 @@ def test_golden_csv_bytes(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(read(out)).hexdigest() == digest
+
+
+def test_many_scissors_exit_zero(tmp_path):
+    # sqrt(n!) beyond int64 (n >= 21) and beyond a float (n >= 171) in the amplifier amplitudes
+    out = tmp_path / "out.csv"
+    for scissors in ("20", "25", "200"):
+        assert main(["sweep-nla", "--scissors", scissors, "--g-steps", "2", "--out", str(out)]) == 0
+        assert len(read(out).splitlines()) == 3
+
+
+def test_help_works_twice(capsys):
+    # the parser is built once and reused; printing help must leave it usable
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-nla", "--help"])
+        assert exc.value.code == 0
+        assert "--scissors SCISSORS" in capsys.readouterr().out
+    assert main(["bounds", "--eta-steps", "3"]) == 0
 
 
 def test_cutoff_below_scissors(tmp_path, capsys):
@@ -291,11 +309,23 @@ def test_validation_suite_passes_clean():
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
 
-def test_validation_suite_catches_injected_fault():
-    results = run_validation_suite(pi_coefficient_shift=1e-3)
+def test_validation_suite_catches_injected_fault(monkeypatch):
+    # corrupt the one-photon projector coefficient behind the closed-form
+    # operator: exactly the two checks that compare it against an independent
+    # route must fail, and the other eight must not notice
+    exact = nla._pi_coefficient
+
+    def shifted(scissors, n):
+        return exact(scissors, n) + (1e-3 if n == 1 else 0.0)
+
+    monkeypatch.setattr(nla, "_pi_coefficient", shifted)
+    results = run_validation_suite()
     failed = {r.name for r in results if not r.passed}
-    assert "scissor circuit reproduces the amplifier operator" in failed
-    assert "projector coefficients follow the scissor-count law" in failed
+    assert failed == {
+        "scissor circuit reproduces the amplifier operator",
+        "projector coefficients follow the scissor-count law",
+    }
+    assert len(results) == 10
 
 
 def test_validate_command_exit_codes(capsys):

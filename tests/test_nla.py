@@ -11,7 +11,6 @@ from cvdqs.nla import (
     ZeroSuccessError,
     apply_practical_nla,
     clipped_gain_operator,
-    effective_channel,
     effective_gain,
     effective_sv_photons,
     effective_transmissivity,
@@ -56,18 +55,12 @@ def test_effective_gain_values():
 
 
 def test_effective_transmissivity_values():
-    assert effective_transmissivity(2.5, 0.5) == pytest.approx(0.862069, abs=1e-6)
+    assert effective_transmissivity(2.5, 0.5) == pytest.approx(0.8620689655172413, abs=1e-12)
     assert effective_transmissivity(1.0, 0.37) == pytest.approx(0.37, abs=1e-15)
     assert effective_transmissivity(2.2, 1.0) == pytest.approx(1.0, abs=1e-15)
     for g in (1.3, 2.0, 3.0):
         for eta in (0.2, 0.5, 0.9):
             assert effective_transmissivity(g, eta) > eta
-
-
-def test_effective_channel_bundle():
-    channel = effective_channel(2.5, 0.5)
-    assert channel.gain_eff == pytest.approx(1.9039432764659772, abs=1e-12)
-    assert channel.eta_eff == pytest.approx(0.8620689655172413, abs=1e-12)
 
 
 def test_effective_domain_errors():

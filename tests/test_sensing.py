@@ -187,20 +187,22 @@ def test_no_nla_pipeline_matches_both_engines():
 
 def test_practical_vacuum_source():
     # at M=100 an M-mode tensor could not be stored even on {0..N+1}^M; at
-    # M=1000 the herald probability underflows to 0 but the moments hold
-    for nodes, cutoff in ((1, 8), (4, 4), (8, 8), (100, 8), (1000, 8)):
+    # M=1000 the herald probability underflows to 0 but the moments hold; at
+    # N=25 the amplifier amplitudes divide by sqrt(n!) with n! beyond int64
+    cases = ((1, 8, 2), (4, 4, 2), (8, 8, 2), (100, 8, 2), (1000, 8, 2), (4, 8, 25))
+    for nodes, cutoff, scissors in cases:
         cfg = ScenarioConfig(
             nodes=nodes,
             mean_photons=0.0,
             eta=0.5,
             scheme=SCHEME_PRACTICAL_NLA,
             cutoff=cutoff,
-            nla=NlaSpec.practical(2.0, 2),
+            nla=NlaSpec.practical(2.0, scissors),
         )
         point = simulate_practical(cfg)
         assert point.delta_alpha == pytest.approx(1.0 / (2.0 * math.sqrt(nodes)), rel=1e-13)
         assert point.probe_power == 0.0
-        assert point.p_success == pytest.approx((1.0 / 5.0) ** (2 * nodes), rel=1e-13)
+        assert point.p_success == pytest.approx((1.0 / 5.0) ** (scissors * nodes), rel=1e-13)
 
 
 def test_practical_requires_capacity_and_scheme():
@@ -518,6 +520,30 @@ def test_benefit_ordering_at_matched_power():
         no_nla = delta_alpha_entangled(4, power / 0.5, 0.5)
         assert ideal.delta_alpha <= practical.delta_alpha
         assert practical.delta_alpha < no_nla
+
+
+def test_practical_approaches_ideal_limit():
+    # Pi_N g^n tends to g^n as N grows, and at fixed N each node carries fewer
+    # photons as M grows, so the scissor engine must close in on the
+    # effective-channel closed form, which shares no code with it
+    def deviation(nodes, scissors):
+        cfg = ScenarioConfig(
+            nodes=nodes,
+            mean_photons=0.04,
+            eta=0.5,
+            scheme=SCHEME_PRACTICAL_NLA,
+            cutoff=40,
+            nla=NlaSpec.practical(1.5, scissors),
+        )
+        ideal = delta_alpha_ideal_nla(nodes, 0.04, 0.5, 1.5).delta_alpha
+        return abs(simulate_practical(cfg).delta_alpha - ideal) / ideal
+
+    in_scissors = [deviation(4, scissors) for scissors in (2, 8, 32)]
+    for coarse, fine in zip(in_scissors, in_scissors[1:]):
+        assert fine < coarse / 3.0
+    in_nodes = [deviation(nodes, 2) for nodes in (4, 10, 30, 100)]
+    assert all(fine < coarse for coarse, fine in zip(in_nodes, in_nodes[1:]))
+    assert in_nodes[-1] < 2e-3
 
 
 def test_scenario_config_validation():
