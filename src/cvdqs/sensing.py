@@ -19,22 +19,25 @@ branches rather than one dense multimode density matrix; both routes are
 algebraically identical (loss commutes with the balanced splitter when every
 mode sees the same transmissivity) and the regression tests pin them against
 each other, but branches keep the memory footprint linear in the basis size.
-``cutoff`` caps the photon number of the single-mode source.  The
-amplifier-free pipeline spreads each branch over a dense ``(cutoff+1)^M``
-tensor.  The practical pipeline forms no ``M``-mode tensor at all: its
-amplifier is zero above ``N`` photons per mode, an even split has closed-form
-amplitudes, and the heralded state is symmetric under permuting the nodes, so
-its moments come from the one- and two-mode marginals on ``{0..N+1}``.  Its
-cost grows with ``M`` only through the polynomial powers ``f^(M-1)`` and
-``f^(M-2)`` that sum out the other modes.
+``cutoff`` caps the photon number of the single-mode source.  Both pipelines
+sum the branches into one source density ``R`` indexed by the source's photon
+total, and read every moment off as overlaps weighted by ``R`` in the sector
+of each side (``_overlap``).  The amplifier-free pipeline splits one comb of
+photon numbers over the dense ``(cutoff+1)^M`` tensor, once per point rather
+than once per branch.  The practical pipeline forms no ``M``-mode tensor at
+all: its amplifier is zero above ``N`` photons per mode, an even split has
+closed-form amplitudes, and the heralded state is symmetric under permuting
+the nodes, so its moments come from the one- and two-mode marginals on
+``{0..N+1}``.  Its cost grows with ``M`` only through the polynomial powers
+``f^(M-1)`` and ``f^(M-2)`` that sum out the other modes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -50,7 +53,6 @@ from .fock import (
     as_cutoff,
     loss_kraus_operators,
     normalize,
-    number_operator,
     quadratures,
     sv_fock,
 )
@@ -250,20 +252,47 @@ def _lossy_source(mean_photons: float, eta: float, cutoff: Cutoff) -> tuple[list
     return [amp for amp in amps if float(np.vdot(amp, amp).real) > 1e-300], source.norm_deficit
 
 
-@lru_cache(maxsize=32)
-def _lossy_split_branches(
-    nodes: int, mean_photons: float, eta: float, n_max: int
-) -> tuple[tuple[FockVector, ...], float]:
-    """Kraus branches of source-mode loss, each spread over the node modes."""
-    cutoff = Cutoff(n_max)
-    amps, deficit = _lossy_source(mean_photons, eta, cutoff)
-    branches = []
-    for amp in amps:
-        spread = np.zeros((cutoff.dim,) * nodes, dtype=complex)
-        spread[(slice(None),) + (0,) * (nodes - 1)] = amp
-        branch = fock.balanced_splitter(nodes, FockVector(cutoff, spread))
-        branches.append(branch)
-    return tuple(branches), deficit
+def _source_density(cfg: ScenarioConfig, scale: np.ndarray, top: int) -> tuple[np.ndarray, float]:
+    """``R[s, s'] = sum_k conj(c_k[s]) c_k[s']`` over ``c_k = scale * b_k``, ``b_k`` the lossy source.
+
+    ``R[s, s']`` sits at ``[s + 1, s' + 1]`` of a zero matrix, so source totals
+    from -1 to ``top + 1`` read zero outside ``0..cutoff``.  Raises on a
+    truncation deficit beyond the scenario tolerance.
+    """
+    amps, deficit = _lossy_source(cfg.mean_photons, cfg.eta, cfg.cutoff)
+    _require_converged(deficit, cfg.trunc_tol, cfg.cutoff)
+    cap = cfg.cutoff.n_max
+    branches = np.array(amps) * scale
+    density = np.zeros((top + 3, top + 3), dtype=complex)
+    density[1 : cap + 2, 1 : cap + 2] = branches.conj().T @ branches
+    return density, deficit
+
+
+def _photon_totals(dim: int, modes: int) -> np.ndarray:
+    """Total photon number of every occupation of ``modes`` modes on ``{0..dim-1}``."""
+    return functools.reduce(np.add.outer, [np.arange(dim)] * modes)
+
+
+def _overlap(density, totals, bra, ket, coefficients) -> float:
+    """sum_k <bra|ket> over the loss branches and over the summed-out modes.
+
+    ``bra`` and ``ket`` are ``(tensor, shift)``: an amplitude tensor whose
+    entry at photon total ``totals`` carries the source total
+    ``totals + shift``.  ``coefficients[r]`` weighs the part where the
+    summed-out modes hold ``r`` photons between them.
+    """
+    (bra_amps, bra_shift), (ket_amps, ket_shift) = bra, ket
+    sector = np.arange(totals.max() + 1)[:, None] + np.arange(len(coefficients)) + 1
+    weights = density[sector + bra_shift, sector + ket_shift] @ coefficients
+    return float(np.vdot(bra_amps, ket_amps * weights[totals]).real)
+
+
+def _ladders(state: FockVector, mode: int, lower: ModeOperator, upper: ModeOperator) -> list:
+    """x = (a + a^dag)/2 on one mode: a lowers the tensor, so its source sits one above."""
+    return [
+        (apply_mode_operator(lower, mode, state).amplitudes, 1),
+        (apply_mode_operator(upper, mode, state).amplitudes, -1),
+    ]
 
 
 @dataclass(frozen=True)
@@ -272,35 +301,6 @@ class _MixtureMoments:
     mode_x_means: np.ndarray
     xbar_variance: float
     total_photons: float
-
-
-def _mixture_moments(branches: Sequence[FockVector], nodes: int, cutoff: Cutoff) -> _MixtureMoments:
-    """Moments of an (unnormalised) mixture of pure branches."""
-    x_op, _ = quadratures(cutoff)
-    n_op = number_operator(cutoff)
-    weight = 0.0
-    mean_x = np.zeros(nodes)
-    xbar_first = 0.0
-    xbar_second = 0.0
-    photons = 0.0
-    for branch in branches:
-        amps = branch.amplitudes
-        weight += float(np.vdot(amps, amps).real)
-        xbar = np.zeros_like(amps)
-        for mode in range(nodes):
-            x_applied = apply_mode_operator(x_op, mode, branch).amplitudes
-            mean_x[mode] += float(np.vdot(amps, x_applied).real)
-            xbar += x_applied
-            photons += float(
-                np.vdot(amps, apply_mode_operator(n_op, mode, branch).amplitudes).real
-            )
-        xbar /= nodes
-        xbar_first += float(np.vdot(amps, xbar).real)
-        xbar_second += float(np.vdot(xbar, xbar).real)
-    if weight <= 0.0:
-        raise ValueError("mixture has zero weight")
-    var = xbar_second / weight - (xbar_first / weight) ** 2
-    return _MixtureMoments(weight, mean_x / weight, var, photons / weight)
 
 
 def _require_unbiased(moments: _MixtureMoments) -> None:
@@ -320,25 +320,49 @@ def _require_converged(deficit: float, tol: float, cutoff: Cutoff) -> None:
 
 
 def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
-    """Run the amplifier-free pipeline on the Fock kernel.
+    """Run the amplifier-free pipeline on the dense ``(cutoff+1)^M`` Fock tensor.
 
     Cross-engine validation path: must agree with both the closed form and
-    the Gaussian engine.
+    the Gaussian engine.  The source is split once: ``fock.balanced_splitter``
+    spreads the comb with amplitude 1 on every ``|s, 0, ..., 0>`` into ``Phi``.
+    The splitter conserves photon number, so loss branch ``b_k`` splits into
+    ``Phi[n] b_k[T(n)]``, ``T`` the photon total, and ``a_i`` (``a_i^dag``) of
+    it is ``(a_i Phi)[n] b_k[T(n) + 1]`` (``b_k[T(n) - 1]``), truncation edge
+    included; every moment is an ``_overlap`` of these tensors.
     """
     if cfg.scheme != SCHEME_NO_NLA:
         raise ValueError(f"expected scheme {SCHEME_NO_NLA!r}, got {cfg.scheme!r}")
-    branches, deficit = _lossy_split_branches(
-        cfg.nodes, cfg.mean_photons, cfg.eta, cfg.cutoff.n_max
-    )
-    _require_converged(deficit, cfg.trunc_tol, cfg.cutoff)
-    moments = _mixture_moments(branches, cfg.nodes, cfg.cutoff)
+    nodes, cutoff = cfg.nodes, cfg.cutoff
+    density, deficit = _source_density(cfg, np.ones(cutoff.dim), nodes * cutoff.n_max)
+    comb = np.zeros((cutoff.dim,) * nodes, dtype=complex)
+    comb[(slice(None),) + (0,) * (nodes - 1)] = 1.0
+    split = fock.balanced_splitter(nodes, FockVector(cutoff, comb))
+    overlap = functools.partial(_overlap, density, _photon_totals(cutoff.dim, nodes), coefficients=np.ones(1))
+    phi = (split.amplitudes, 0)
+    lower = ModeOperator(cutoff, annihilation_matrix(cutoff))
+    upper = ModeOperator(cutoff, lower.entries.conj().T)
+
+    weight = overlap(phi, phi)
+    mean_x = np.zeros(nodes)
+    photons = 0.0
+    # sum_i a_i Phi and sum_i a_i^dag Phi, one mode at a time
+    summed = [np.zeros_like(comb), np.zeros_like(comb)]
+    for mode in range(nodes):
+        x_mode = _ladders(split, mode, lower, upper)
+        mean_x[mode] = sum(overlap(phi, ket) for ket in x_mode) / (2.0 * weight)
+        photons += overlap(x_mode[0], x_mode[0])
+        for mode_sum, (amps, _) in zip(summed, x_mode):
+            mode_sum += amps
+    x_sum = [(summed[0], 1), (summed[1], -1)]
+    xbar_sq = sum(overlap(bra, ket) for bra in x_sum for ket in x_sum) / (4.0 * nodes**2 * weight)
+    moments = _MixtureMoments(weight, mean_x, xbar_sq - float(np.mean(mean_x)) ** 2, photons / weight)
     _require_unbiased(moments)
     return SensitivityPoint(
         scheme=SCHEME_NO_NLA,
         probe_power=moments.total_photons,
         delta_alpha=math.sqrt(moments.xbar_variance),
         p_success=1.0,
-        cutoff=cfg.cutoff.n_max,
+        cutoff=cutoff.n_max,
         trunc_deficit=deficit,
     )
 
@@ -384,18 +408,12 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     if cfg.scheme != SCHEME_PRACTICAL_NLA:
         raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
     spec, nodes, cap = cfg.nla, cfg.nodes, cfg.cutoff.n_max
-    amps, deficit = _lossy_source(cfg.mean_photons, cfg.eta, cfg.cutoff)
-    _require_converged(deficit, cfg.trunc_tol, cfg.cutoff)
-
     s = np.arange(cap + 1)
     log_factorial = np.array([math.lgamma(n + 1.0) for n in s])
-    beta = np.array(amps) * np.exp(0.5 * log_factorial - 0.5 * math.log(nodes) * s)
-    # offset by one and zero-padded, so that source totals from -1 up to a
-    # pair's top total plus the cap plus one read zero outside 0..cap
     basis = Cutoff(spec.scissors + 1)
-    size = 2 * basis.dim + cap + 1
-    density = np.zeros((size, size), dtype=complex)
-    density[1 : cap + 2, 1 : cap + 2] = beta.conj().T @ beta
+    split = np.exp(0.5 * log_factorial - 0.5 * math.log(nodes) * s)
+    # a pair's top photon total plus up to cap photons in the summed-out modes
+    density, deficit = _source_density(cfg, split, 2 * basis.n_max + cap)
 
     # amp is scaled by t[0] so f^p stays finite at any M; the scale t[0]^(2M)
     # is common to every moment and comes back in the herald probability
@@ -406,38 +424,20 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest
     lower = ModeOperator(basis, annihilation_matrix(basis))
     upper = ModeOperator(basis, lower.entries.conj().T)
-
-    def overlap(bra, ket, coefficients):
-        """sum_k <bra|ket> over the loss branches and the summed-out modes.
-
-        ``bra`` and ``ket`` are ``(tensor, shift)``: the marginal amplitude
-        and how far its source total lies above the tensor's photon total.
-        """
-        (bra_amps, bra_shift), (ket_amps, ket_shift) = bra, ket
-        totals = sum(np.indices(bra_amps.shape))
-        r = np.arange(len(coefficients))
-        sector = np.arange(totals.max() + 1)[:, None] + r + 1
-        weights = density[sector + bra_shift, sector + ket_shift] @ coefficients
-        return float(np.vdot(bra_amps, ket_amps * weights[totals]).real)
-
-    def ladders(state, mode):
-        """x = (a + a^dag)/2 on one mode: a lowers the tensor, so its source sits one above."""
-        return [
-            (apply_mode_operator(lower, mode, state).amplitudes, 1),
-            (apply_mode_operator(upper, mode, state).amplitudes, -1),
-        ]
+    on_one = functools.partial(_overlap, density, _photon_totals(basis.dim, 1), coefficients=rest_of_one)
 
     one = FockVector(basis, amp)
-    x_one = ladders(one, 0)
-    weight = overlap((amp, 0), (amp, 0), rest_of_one)
-    mean_x = sum(overlap((amp, 0), ket, rest_of_one) for ket in x_one) / (2.0 * weight)
-    x_sq = sum(overlap(bra, ket, rest_of_one) for bra in x_one for ket in x_one) / (4.0 * weight)
-    mean_n = overlap(x_one[0], x_one[0], rest_of_one) / weight
+    x_one = _ladders(one, 0, lower, upper)
+    weight = on_one((amp, 0), (amp, 0))
+    mean_x = sum(on_one((amp, 0), ket) for ket in x_one) / (2.0 * weight)
+    x_sq = sum(on_one(bra, ket) for bra in x_one for ket in x_one) / (4.0 * weight)
+    mean_n = on_one(x_one[0], x_one[0]) / weight
     x_pair = 0.0
     if nodes > 1:
         pair = FockVector(basis, np.outer(amp, amp))
-        x_first, x_second = ladders(pair, 0), ladders(pair, 1)
-        x_pair = sum(overlap(bra, ket, rest) for bra in x_first for ket in x_second) / (4.0 * weight)
+        on_pair = functools.partial(_overlap, density, _photon_totals(basis.dim, 2), coefficients=rest)
+        x_first, x_second = _ladders(pair, 0, lower, upper), _ladders(pair, 1, lower, upper)
+        x_pair = sum(on_pair(bra, ket) for bra in x_first for ket in x_second) / (4.0 * weight)
     moments = _MixtureMoments(
         weight * float(t[0]) ** (2 * nodes),
         np.array([mean_x]),

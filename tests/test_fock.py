@@ -240,6 +240,25 @@ def test_balanced_splitter_single_photon_uniform():
     assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_balanced_splitter_comb_has_multinomial_amplitudes():
+    # amplitude 1 on every |s, 0, ..., 0> comes out as sqrt(s!/prod n_i!) M^(-s/2),
+    # all positive, in every sector s up to the cap and zero above it: the
+    # sign convention both Fock pipelines rely on
+    cap = 6
+    for modes in range(1, 6):
+        comb = np.zeros((cap + 1,) * modes, dtype=complex)
+        comb[(slice(None),) + (0,) * (modes - 1)] = 1.0
+        out = balanced_splitter(modes, FockVector(Cutoff(cap), comb)).amplitudes
+        want = np.zeros(out.shape)
+        for occ in np.ndindex(out.shape):
+            total = sum(occ)
+            if total <= cap:
+                want[occ] = math.sqrt(
+                    math.factorial(total) / math.prod(math.factorial(n) for n in occ)
+                ) * modes ** (-total / 2.0)
+        assert np.max(np.abs(out - want)) <= 1e-13
+
+
 def test_balanced_splitter_rejects_zero_modes():
     with pytest.raises(ValueError):
         fock.balanced_splitter_thetas(0)

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from cvdqs import fock, gaussian
+from cvdqs import fock, gaussian, sensing
 from cvdqs.fock import Cutoff, TruncationError
 from cvdqs.nla import NlaSpec, UnphysicalGainError, nla_operator
 from cvdqs.sensing import (
     _lossy_source,
-    _mixture_moments,
     SCHEME_NO_NLA,
     SCHEME_PRACTICAL_NLA,
     ScenarioConfig,
@@ -183,6 +182,105 @@ def test_no_nla_pipeline_matches_both_engines():
         assert abs(gauss - closed) < 1e-8
         assert point.p_success == 1.0
         assert point.probe_power == pytest.approx(0.04 * eta, abs=1e-6)
+
+
+def _mixture_moments(branches, nodes, cutoff):
+    """Moments of an (unnormalised) mixture of pure branches, from dense
+    per-mode x and n passes over each branch."""
+    x_op, _ = fock.quadratures(cutoff)
+    n_op = fock.number_operator(cutoff)
+    weight = 0.0
+    mean_x = np.zeros(nodes)
+    xbar_first = 0.0
+    xbar_second = 0.0
+    photons = 0.0
+    for branch in branches:
+        amps = branch.amplitudes
+        weight += float(np.vdot(amps, amps).real)
+        xbar = np.zeros_like(amps)
+        for mode in range(nodes):
+            x_applied = fock.apply_mode_operator(x_op, mode, branch).amplitudes
+            mean_x[mode] += float(np.vdot(amps, x_applied).real)
+            xbar += x_applied
+            photons += float(
+                np.vdot(amps, fock.apply_mode_operator(n_op, mode, branch).amplitudes).real
+            )
+        xbar /= nodes
+        xbar_first += float(np.vdot(amps, xbar).real)
+        xbar_second += float(np.vdot(xbar, xbar).real)
+    var = xbar_second / weight - (xbar_first / weight) ** 2
+    return sensing._MixtureMoments(weight, mean_x / weight, var, photons / weight)
+
+
+def _per_branch_oracle(nodes, mean_photons, eta, cutoff):
+    """Each loss branch of the source spread over the dense ``(cutoff+1)^M``
+    tensor by its own ``fock.balanced_splitter`` call, then dense ladder passes."""
+    amps, _ = _lossy_source(mean_photons, eta, Cutoff(cutoff))
+
+    def branches():
+        for amp in amps:
+            spread = np.zeros((cutoff + 1,) * nodes, dtype=complex)
+            spread[(slice(None),) + (0,) * (nodes - 1)] = amp
+            yield fock.balanced_splitter(nodes, fock.FockVector(Cutoff(cutoff), spread))
+
+    return _mixture_moments(branches(), nodes, Cutoff(cutoff))
+
+
+def test_no_nla_pipeline_matches_per_branch_splits(monkeypatch):
+    # the moments the engine checks for bias hold its weight and per-mode means
+    seen = []
+    check = sensing._require_unbiased
+
+    def recording(moments):
+        seen.append(moments)
+        check(moments)
+
+    monkeypatch.setattr(sensing, "_require_unbiased", recording)
+    # trunc_tol=1 lets the low caps run: a guard on the input, not a tolerance
+    for nodes, cutoff, mean_photons, eta in itertools.product(
+        range(1, 6), (2, 4, 6, 8), (0.0, 0.01, 0.04, 0.3), (0.1, 0.5, 0.7, 1.0)
+    ):
+        cfg = ScenarioConfig(
+            nodes=nodes,
+            mean_photons=mean_photons,
+            eta=eta,
+            scheme=SCHEME_NO_NLA,
+            cutoff=cutoff,
+            trunc_tol=1.0,
+        )
+        point = simulate_no_nla_fock(cfg)
+        moments = seen.pop()
+        want = _per_branch_oracle(nodes, mean_photons, eta, cutoff)
+        assert moments.weight == pytest.approx(want.weight, rel=1e-12)
+        assert point.delta_alpha == pytest.approx(math.sqrt(want.xbar_variance), rel=1e-12)
+        assert point.probe_power == pytest.approx(want.total_photons, rel=1e-12)
+        assert np.max(np.abs(moments.mode_x_means - want.mode_x_means)) <= 1e-12
+
+
+def test_no_nla_vacuum_source():
+    for nodes in (1, 2, 4):
+        cfg = ScenarioConfig(nodes=nodes, mean_photons=0.0, eta=0.5, scheme=SCHEME_NO_NLA)
+        point = simulate_no_nla_fock(cfg)
+        assert point.delta_alpha == pytest.approx(1.0 / (2.0 * math.sqrt(nodes)), rel=1e-13)
+        assert point.probe_power == 0.0
+
+
+def test_no_nla_splits_the_source_once_per_call(monkeypatch):
+    # a cache of split states would hide the split from a repeated point
+    calls = []
+    split = fock.balanced_splitter
+
+    def counting(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(fock, "balanced_splitter", counting)
+    for mean_photons, eta in ((0.04, 0.5), (0.1, 0.7), (0.04, 0.5)):
+        before = len(calls)
+        simulate_no_nla_fock(
+            ScenarioConfig(nodes=4, mean_photons=mean_photons, eta=eta, scheme=SCHEME_NO_NLA)
+        )
+        assert len(calls) == before + 1
 
 
 def test_practical_vacuum_source():
