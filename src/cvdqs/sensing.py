@@ -56,7 +56,7 @@ from .fock import (
     quadratures,
     sv_fock,
 )
-from .gaussian import GaussianState, quadrature_sum_variance
+from .gaussian import FOCK_P_VARIANCE_SCALE, GaussianState, quadrature_sum_variance
 from .nla import (
     PRACTICAL,
     NlaSpec,
@@ -70,7 +70,6 @@ SCHEME_NO_NLA = "entangled_no_nla"
 SCHEME_IDEAL_NLA = "entangled_ideal_nla"
 SCHEME_PRACTICAL_NLA = "entangled_practical_nla"
 SCHEME_PRODUCT = "product_optimal"
-SCHEMES = (SCHEME_NO_NLA, SCHEME_IDEAL_NLA, SCHEME_PRACTICAL_NLA, SCHEME_PRODUCT)
 
 #: Default ceiling on probability weight the photon cap may swallow.  Loose
 #: enough for quick cutoff-5 runs of the standard four-node scenarios (their
@@ -82,7 +81,7 @@ _MEAN_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete description of one sensing experiment."""
+    """Complete description of one simulated experiment: amplifier-free or practical NLA."""
 
     nodes: int
     mean_photons: float
@@ -94,11 +93,16 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_scenario(self.nodes, self.mean_photons, self.eta)
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        if self.scheme not in (SCHEME_NO_NLA, SCHEME_PRACTICAL_NLA):
+            raise ValueError(
+                f"no engine simulates scheme {self.scheme!r}; "
+                f"expected {SCHEME_NO_NLA!r} or {SCHEME_PRACTICAL_NLA!r}"
+            )
         if self.trunc_tol <= 0:
             raise ValueError("truncation tolerance must be positive")
         object.__setattr__(self, "cutoff", as_cutoff(self.cutoff))
+        if self.scheme == SCHEME_NO_NLA and self.nla is not None:
+            raise ValueError("the amplifier-free scheme takes no NlaSpec")
         if self.scheme == SCHEME_PRACTICAL_NLA and (self.nla is None or self.nla.kind != PRACTICAL):
             raise ValueError("practical-amplifier scheme needs a practical NlaSpec")
 
@@ -476,7 +480,7 @@ def qfi_pure_displacement(state: Union[FockVector, GaussianState]) -> float:
     """
     if isinstance(state, GaussianState):
         # symmetric-convention variance, rescaled to the Fock p normalisation
-        return 16.0 * quadrature_sum_variance(state, "p")
+        return 4.0 * FOCK_P_VARIANCE_SCALE * quadrature_sum_variance(state, "p")
     unit, _ = normalize(state)
     _, p_op = quadratures(unit.cutoff)
     amps = unit.amplitudes

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvdqs import cli, nla
+from cvdqs import cli, fock, gaussian, nla, sensing
 from cvdqs.cli import (
     SENSITIVITY_COLUMNS,
     SweepRequest,
@@ -309,22 +309,58 @@ def test_validation_suite_passes_clean():
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
 
-def test_validation_suite_catches_injected_fault(monkeypatch):
-    # corrupt the one-photon projector coefficient behind the closed-form
-    # operator: exactly the two checks that compare it against an independent
-    # route must fail, and the other eight must not notice
-    exact = nla._pi_coefficient
+GAUSSIAN = "gaussian engine matches closed-form sensitivity"
+FOCK = "fock pipeline matches closed-form sensitivity"
+COMMUTES = "ideal gain operator commutes with the splitter"
+WITNESS = "truncated amplifier visibly fails to commute"
+SCISSOR = "scissor circuit reproduces the amplifier operator"
+PROJECTOR = "projector coefficients follow the scissor-count law"
+CLIPPED = "clipped gain after loss matches the effective channel"
+BOUNDS = "bounds sit below the achieved errors, equal at eta=1"
 
-    def shifted(scissors, n):
-        return exact(scissors, n) + (1e-3 if n == 1 else 0.0)
 
-    monkeypatch.setattr(nla, "_pi_coefficient", shifted)
+def _scaled_at(values, n):
+    # values times 1.001 at photon number n (the column n of an operator)
+    return values * np.where(np.arange(values.shape[-1]) == n, 1.001, 1.0)
+
+
+def _untruncated(pi):
+    # the projector forgets its scissor truncation, so Pi_N g^n becomes a
+    # multiple of g^n and commutes with the splitter like the ideal gain
+    return fock.ModeOperator(pi.cutoff, pi.entries[0, 0] * np.eye(pi.cutoff.dim))
+
+
+@pytest.mark.parametrize(
+    "module, attr, corrupt, failing",
+    [
+        pytest.param(
+            sensing, "delta_alpha_entangled", lambda v: v * (1 + 1e-3), {GAUSSIAN, FOCK, BOUNDS},
+            id="closed_form_sensitivity",
+        ),
+        pytest.param(gaussian, "avg_x_std", lambda v: v * (1 + 1e-6), {GAUSSIAN}, id="gaussian"),
+        pytest.param(
+            nla, "effective_transmissivity", lambda v: v * 1.01, {CLIPPED}, id="effective_eta"
+        ),
+        pytest.param(sensing, "crlb_entangled", lambda v: v * 1.001, {BOUNDS}, id="crlb"),
+        pytest.param(
+            nla, "gain_diagonal", lambda d: _scaled_at(d, 2), {CLIPPED, COMMUTES}, id="gain_diagonal"
+        ),
+        pytest.param(
+            nla, "projector_pi", lambda pi: fock.ModeOperator(pi.cutoff, _scaled_at(pi.entries, 1)),
+            {SCISSOR, PROJECTOR}, id="projector_coefficient",
+        ),
+        pytest.param(
+            nla, "projector_pi", _untruncated, {WITNESS, SCISSOR, PROJECTOR}, id="projector_truncation"
+        ),
+    ],
+)
+def test_validation_suite_catches_injected_fault(monkeypatch, module, attr, corrupt, failing):
+    # each fault corrupts one function's output and must break exactly the
+    # checks that compare it against an independent route
+    exact = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args: corrupt(exact(*args)))
     results = run_validation_suite()
-    failed = {r.name for r in results if not r.passed}
-    assert failed == {
-        "scissor circuit reproduces the amplifier operator",
-        "projector coefficients follow the scissor-count law",
-    }
+    assert {r.name for r in results if not r.passed} == failing
     assert len(results) == 10
 
 
