@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,10 +33,6 @@ from .fock import (
     beamsplitter,
 )
 
-IDEAL = "ideal"
-PRACTICAL = "practical"
-
-
 class UnphysicalGainError(ValueError):
     """The requested amplification cannot be realised on this source brightness."""
 
@@ -47,33 +43,27 @@ class ZeroSuccessError(RuntimeError):
 
 @dataclass(frozen=True)
 class NlaSpec:
-    """Amplifier description: ideal, or practical with a scissor count."""
+    """A practical amplifier: amplitude gain and scissor count.
 
-    kind: str
+    The ideal amplifier needs no spec: it enters results only through the
+    effective-channel algebra below.
+    """
+
     gain: float
-    scissors: Optional[int] = None
+    scissors: int
 
     def __post_init__(self):
-        if self.kind not in (IDEAL, PRACTICAL):
-            raise ValueError(f"kind must be '{IDEAL}' or '{PRACTICAL}', got {self.kind!r}")
         if self.gain < 1.0:
             raise ValueError(
                 f"amplitude gain must be >= 1 (noiseless attenuation unsupported), got {self.gain}"
             )
-        if self.kind == PRACTICAL:
-            if self.scissors is None or int(self.scissors) < 1:
-                raise ValueError("practical amplifier needs a scissor count >= 1")
-            object.__setattr__(self, "scissors", int(self.scissors))
-        elif self.scissors is not None:
-            raise ValueError("ideal amplifier takes no scissor count")
-
-    @staticmethod
-    def ideal(gain: float) -> "NlaSpec":
-        return NlaSpec(IDEAL, gain)
+        if self.scissors is None or int(self.scissors) < 1:
+            raise ValueError("practical amplifier needs a scissor count >= 1")
+        object.__setattr__(self, "scissors", int(self.scissors))
 
     @staticmethod
     def practical(gain: float, scissors: int) -> "NlaSpec":
-        return NlaSpec(PRACTICAL, gain, scissors)
+        return NlaSpec(gain, scissors)
 
 
 def effective_gain(gain: float, eta: float) -> float:
@@ -185,11 +175,6 @@ def apply_practical_nla(rho: FockDensity, specs: Sequence[NlaSpec]) -> tuple[Foc
     """
     if len(specs) != rho.mode_count:
         raise ValueError(f"need one amplifier spec per mode ({rho.mode_count}), got {len(specs)}")
-    if any(spec.kind != PRACTICAL for spec in specs):
-        raise ValueError(
-            "only practical amplifiers can be applied numerically; "
-            "ideal ones enter through the effective-channel algebra"
-        )
     diag = np.ones(1)
     for spec in specs:
         t = nla_operator(spec.scissors, spec.gain, rho.cutoff)

@@ -22,14 +22,17 @@ each other, but branches keep the memory footprint linear in the basis size.
 ``cutoff`` caps the photon number of the single-mode source.  Both pipelines
 sum the branches into one source density ``R`` indexed by the source's photon
 total, and read every moment off as overlaps weighted by ``R`` in the sector
-of each side (``_overlap``).  The amplifier-free pipeline splits one comb of
-photon numbers over the dense ``(cutoff+1)^M`` tensor, once per point rather
-than once per branch.  The practical pipeline forms no ``M``-mode tensor at
-all: its amplifier is zero above ``N`` photons per mode, an even split has
-closed-form amplitudes, and the heralded state is symmetric under permuting
-the nodes, so its moments come from the one- and two-mode marginals on
-``{0..N+1}``.  Its cost grows with ``M`` only through the polynomial powers
-``f^(M-1)`` and ``f^(M-2)`` that sum out the other modes.
+of each side (``_overlap``).  Both probe states are symmetric under permuting
+the nodes, so both pipelines read ``Var(xbar)`` and the power off the x
+ladders of modes 0 and 1 through one formula (``_symmetric_moments``).  The
+amplifier-free pipeline splits one comb of photon numbers over the dense
+``(cutoff+1)^M`` tensor, once per point rather than once per branch, and
+applies the ladders to its first two modes.  The practical pipeline forms no
+``M``-mode tensor at all: its amplifier is zero above ``N`` photons per mode
+and an even split has closed-form amplitudes, so its ladders act on the one-
+and two-mode marginals on ``{0..N+1}``.  Its cost grows with ``M`` only
+through the polynomial powers ``f^(M-1)`` and ``f^(M-2)`` that sum out the
+other modes.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ from .fock import (
 )
 from .gaussian import FOCK_P_VARIANCE_SCALE, GaussianState, quadrature_sum_variance
 from .nla import (
-    PRACTICAL,
     NlaSpec,
     effective_gain,
     effective_sv_photons,
@@ -103,8 +105,8 @@ class ScenarioConfig:
         object.__setattr__(self, "cutoff", as_cutoff(self.cutoff))
         if self.scheme == SCHEME_NO_NLA and self.nla is not None:
             raise ValueError("the amplifier-free scheme takes no NlaSpec")
-        if self.scheme == SCHEME_PRACTICAL_NLA and (self.nla is None or self.nla.kind != PRACTICAL):
-            raise ValueError("practical-amplifier scheme needs a practical NlaSpec")
+        if self.scheme == SCHEME_PRACTICAL_NLA and self.nla is None:
+            raise ValueError("practical-amplifier scheme needs an NlaSpec")
 
 
 @dataclass(frozen=True)
@@ -299,20 +301,31 @@ def _ladders(state: FockVector, mode: int, lower: ModeOperator, upper: ModeOpera
     ]
 
 
-@dataclass(frozen=True)
-class _MixtureMoments:
-    weight: float
-    mode_x_means: np.ndarray
-    xbar_variance: float
-    total_photons: float
-
-
-def _require_unbiased(moments: _MixtureMoments) -> None:
-    worst = float(np.max(np.abs(moments.mode_x_means)))
-    if worst > _MEAN_TOL:
+def _require_unbiased(mean_x: float) -> None:
+    if abs(mean_x) > _MEAN_TOL:
         raise AssertionError(
-            f"probe state has non-zero x mean ({worst:.3e}); averaged-x error would be biased"
+            f"probe state has non-zero x mean ({abs(mean_x):.3e}); averaged-x error would be biased"
         )
+
+
+def _symmetric_moments(nodes, on_one, state, x_one, on_pair, x_pair) -> tuple[float, float, float]:
+    """Weight, ``Var(xbar)`` and power of a state symmetric under permuting the nodes.
+
+    ``Var(xbar) = [<x_1^2> + (M-1) <x_1 x_2>] / M - <x_1>^2`` and the power is
+    ``M <n_1>``.  ``on_one`` overlaps ``state`` and ``x_one``, the two ladders
+    of mode 0 on it; ``on_pair`` overlaps ``x_pair``, the ladders of modes 0
+    and 1 on a state holding both, which only ``M > 1`` reads.
+    """
+    weight = on_one(state, state)
+    mean_x = sum(on_one(state, ket) for ket in x_one) / (2.0 * weight)
+    _require_unbiased(mean_x)
+    x_sq = sum(on_one(bra, ket) for bra in x_one for ket in x_one) / (4.0 * weight)
+    x_cross = 0.0
+    if nodes > 1:
+        first, second = x_pair
+        x_cross = sum(on_pair(bra, ket) for bra in first for ket in second) / (4.0 * weight)
+    power = nodes * (on_one(x_one[0], x_one[0]) / weight)
+    return weight, (x_sq + (nodes - 1) * x_cross) / nodes - mean_x**2, power
 
 
 def _require_converged(deficit: float, tol: float, cutoff: Cutoff) -> None:
@@ -332,7 +345,10 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     The splitter conserves photon number, so loss branch ``b_k`` splits into
     ``Phi[n] b_k[T(n)]``, ``T`` the photon total, and ``a_i`` (``a_i^dag``) of
     it is ``(a_i Phi)[n] b_k[T(n) + 1]`` (``b_k[T(n) - 1]``), truncation edge
-    included; every moment is an ``_overlap`` of these tensors.
+    included; every moment is an ``_overlap`` of these tensors.  ``Phi`` is
+    symmetric under permuting the modes, so the moments come from the ladders
+    of modes 0 and 1 alone, through the practical engine's
+    ``_symmetric_moments``.
     """
     if cfg.scheme != SCHEME_NO_NLA:
         raise ValueError(f"expected scheme {SCHEME_NO_NLA!r}, got {cfg.scheme!r}")
@@ -342,29 +358,15 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     comb[(slice(None),) + (0,) * (nodes - 1)] = 1.0
     split = fock.balanced_splitter(nodes, FockVector(cutoff, comb))
     overlap = functools.partial(_overlap, density, _photon_totals(cutoff.dim, nodes), coefficients=np.ones(1))
-    phi = (split.amplitudes, 0)
     lower = ModeOperator(cutoff, annihilation_matrix(cutoff))
     upper = ModeOperator(cutoff, lower.entries.conj().T)
-
-    weight = overlap(phi, phi)
-    mean_x = np.zeros(nodes)
-    photons = 0.0
-    # sum_i a_i Phi and sum_i a_i^dag Phi, one mode at a time
-    summed = [np.zeros_like(comb), np.zeros_like(comb)]
-    for mode in range(nodes):
-        x_mode = _ladders(split, mode, lower, upper)
-        mean_x[mode] = sum(overlap(phi, ket) for ket in x_mode) / (2.0 * weight)
-        photons += overlap(x_mode[0], x_mode[0])
-        for mode_sum, (amps, _) in zip(summed, x_mode):
-            mode_sum += amps
-    x_sum = [(summed[0], 1), (summed[1], -1)]
-    xbar_sq = sum(overlap(bra, ket) for bra in x_sum for ket in x_sum) / (4.0 * nodes**2 * weight)
-    moments = _MixtureMoments(weight, mean_x, xbar_sq - float(np.mean(mean_x)) ** 2, photons / weight)
-    _require_unbiased(moments)
+    x_first = _ladders(split, 0, lower, upper)
+    x_pair = (x_first, _ladders(split, 1, lower, upper)) if nodes > 1 else None
+    _, variance, power = _symmetric_moments(nodes, overlap, (split.amplitudes, 0), x_first, overlap, x_pair)
     return SensitivityPoint(
         scheme=SCHEME_NO_NLA,
-        probe_power=moments.total_photons,
-        delta_alpha=math.sqrt(moments.xbar_variance),
+        probe_power=power,
+        delta_alpha=math.sqrt(variance),
         p_success=1.0,
         cutoff=cutoff.n_max,
         trunc_deficit=deficit,
@@ -429,31 +431,19 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     lower = ModeOperator(basis, annihilation_matrix(basis))
     upper = ModeOperator(basis, lower.entries.conj().T)
     on_one = functools.partial(_overlap, density, _photon_totals(basis.dim, 1), coefficients=rest_of_one)
-
-    one = FockVector(basis, amp)
-    x_one = _ladders(one, 0, lower, upper)
-    weight = on_one((amp, 0), (amp, 0))
-    mean_x = sum(on_one((amp, 0), ket) for ket in x_one) / (2.0 * weight)
-    x_sq = sum(on_one(bra, ket) for bra in x_one for ket in x_one) / (4.0 * weight)
-    mean_n = on_one(x_one[0], x_one[0]) / weight
-    x_pair = 0.0
+    on_pair = functools.partial(_overlap, density, _photon_totals(basis.dim, 2), coefficients=rest)
+    x_pair = None
     if nodes > 1:
         pair = FockVector(basis, np.outer(amp, amp))
-        on_pair = functools.partial(_overlap, density, _photon_totals(basis.dim, 2), coefficients=rest)
-        x_first, x_second = _ladders(pair, 0, lower, upper), _ladders(pair, 1, lower, upper)
-        x_pair = sum(on_pair(bra, ket) for bra in x_first for ket in x_second) / (4.0 * weight)
-    moments = _MixtureMoments(
-        weight * float(t[0]) ** (2 * nodes),
-        np.array([mean_x]),
-        (x_sq + (nodes - 1) * x_pair) / nodes - mean_x**2,
-        nodes * mean_n,
+        x_pair = (_ladders(pair, 0, lower, upper), _ladders(pair, 1, lower, upper))
+    weight, variance, power = _symmetric_moments(
+        nodes, on_one, (amp, 0), _ladders(FockVector(basis, amp), 0, lower, upper), on_pair, x_pair
     )
-    _require_unbiased(moments)
     return SensitivityPoint(
         scheme=SCHEME_PRACTICAL_NLA,
-        probe_power=moments.total_photons,
-        delta_alpha=math.sqrt(moments.xbar_variance),
-        p_success=moments.weight,
+        probe_power=power,
+        delta_alpha=math.sqrt(variance),
+        p_success=weight * float(t[0]) ** (2 * nodes),
         cutoff=cfg.cutoff.n_max,
         trunc_deficit=deficit,
     )

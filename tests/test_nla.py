@@ -25,18 +25,14 @@ from cvdqs.nla import (
 
 def test_spec_rejects_attenuation():
     with pytest.raises(ValueError):
-        NlaSpec.ideal(0.9)
-    with pytest.raises(ValueError):
         NlaSpec.practical(0.5, 2)
 
 
 def test_spec_requires_scissors_for_practical():
     with pytest.raises(ValueError):
-        NlaSpec("practical", 2.0)
+        NlaSpec.practical(2.0, None)
     with pytest.raises(ValueError):
-        NlaSpec("practical", 2.0, 0)
-    with pytest.raises(ValueError):
-        NlaSpec("ideal", 2.0, 1)
+        NlaSpec.practical(2.0, 0)
     assert NlaSpec.practical(2.0, 2).scissors == 2
 
 
@@ -216,10 +212,8 @@ def test_apply_practical_high_scissor_count_is_gentle():
     assert p == pytest.approx(2.0 ** (-scissors * 2), rel=0.2)
 
 
-def test_apply_practical_rejects_ideal_and_wrong_arity():
+def test_apply_practical_rejects_wrong_arity():
     rho = density_from_vector(vacuum_vector(2, 3))
-    with pytest.raises(ValueError):
-        apply_practical_nla(rho, [NlaSpec.ideal(2.0)] * 2)
     with pytest.raises(ValueError):
         apply_practical_nla(rho, [NlaSpec.practical(2.0, 1)])
 

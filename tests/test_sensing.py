@@ -1,5 +1,6 @@
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -182,6 +183,13 @@ def test_no_nla_pipeline_power_and_success():
         assert point.probe_power == pytest.approx(0.04 * eta, abs=1e-6)
 
 
+class _Moments(NamedTuple):
+    weight: float
+    mode_x_means: np.ndarray
+    xbar_variance: float
+    total_photons: float
+
+
 def _mixture_moments(branches, nodes, cutoff):
     """Moments of an (unnormalised) mixture of pure branches, from dense
     per-mode x and n passes over each branch."""
@@ -207,7 +215,7 @@ def _mixture_moments(branches, nodes, cutoff):
         xbar_first += float(np.vdot(amps, xbar).real)
         xbar_second += float(np.vdot(xbar, xbar).real)
     var = xbar_second / weight - (xbar_first / weight) ** 2
-    return sensing._MixtureMoments(weight, mean_x / weight, var, photons / weight)
+    return _Moments(weight, mean_x / weight, var, photons / weight)
 
 
 def _per_branch_oracle(nodes, mean_photons, eta, cutoff):
@@ -225,15 +233,21 @@ def _per_branch_oracle(nodes, mean_photons, eta, cutoff):
 
 
 def test_no_nla_pipeline_matches_per_branch_splits(monkeypatch):
-    # the moments the engine checks for bias hold its weight and per-mode means
-    seen = []
-    check = sensing._require_unbiased
+    # the engine's weight, and the mode-0 x mean it checks for bias
+    weights, means = [], []
+    moments, check = sensing._symmetric_moments, sensing._require_unbiased
 
-    def recording(moments):
-        seen.append(moments)
-        check(moments)
+    def recording_moments(*args):
+        out = moments(*args)
+        weights.append(out[0])
+        return out
 
-    monkeypatch.setattr(sensing, "_require_unbiased", recording)
+    def recording_check(mean_x):
+        means.append(mean_x)
+        check(mean_x)
+
+    monkeypatch.setattr(sensing, "_symmetric_moments", recording_moments)
+    monkeypatch.setattr(sensing, "_require_unbiased", recording_check)
     # trunc_tol=1 lets the low caps run: a guard on the input, not a tolerance
     for nodes, cutoff, mean_photons, eta in itertools.product(
         range(1, 6), (2, 4, 6, 8), (0.0, 0.01, 0.04, 0.3), (0.1, 0.5, 0.7, 1.0)
@@ -247,12 +261,29 @@ def test_no_nla_pipeline_matches_per_branch_splits(monkeypatch):
             trunc_tol=1.0,
         )
         point = simulate_no_nla_fock(cfg)
-        moments = seen.pop()
         want = _per_branch_oracle(nodes, mean_photons, eta, cutoff)
-        assert moments.weight == pytest.approx(want.weight, rel=1e-12)
+        assert weights.pop() == pytest.approx(want.weight, rel=1e-12)
         assert point.delta_alpha == pytest.approx(math.sqrt(want.xbar_variance), rel=1e-12)
         assert point.probe_power == pytest.approx(want.total_photons, rel=1e-12)
-        assert np.max(np.abs(moments.mode_x_means - want.mode_x_means)) <= 1e-12
+        assert abs(means.pop() - want.mode_x_means[0]) <= 1e-12
+
+
+def test_no_nla_ladder_passes_do_not_grow_with_nodes(monkeypatch):
+    # permutation symmetry: the ladders of modes 0 and 1 carry every moment
+    counts = []
+    apply = sensing.apply_mode_operator
+
+    def counting(*args):
+        counts[-1] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(sensing, "apply_mode_operator", counting)
+    for nodes in (2, 3, 4, 5):
+        counts.append(0)
+        simulate_no_nla_fock(
+            ScenarioConfig(nodes=nodes, mean_photons=0.04, eta=0.5, scheme=SCHEME_NO_NLA, cutoff=4)
+        )
+    assert len(set(counts)) == 1 and counts[0] <= 4, counts
 
 
 def test_no_nla_vacuum_source():
