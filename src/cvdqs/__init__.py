@@ -10,7 +10,6 @@ models), :mod:`cvdqs.sensing` (pipelines, closed forms, Cramer-Rao bounds),
 
 from .fock import (
     Cutoff,
-    FockDensity,
     FockVector,
     ModeOperator,
     TruncationError,
@@ -18,7 +17,6 @@ from .fock import (
     beamsplitter,
     expectation,
     normalize,
-    pure_loss,
     quadratures,
     sv_fock,
     variance,
@@ -27,7 +25,6 @@ from .gaussian import GaussianState, avg_x_std, loss_gaussian, splitter_gaussian
 from .nla import (
     NlaSpec,
     UnphysicalGainError,
-    apply_practical_nla,
     clipped_gain_operator,
     effective_gain,
     effective_sv_photons,

@@ -310,13 +310,9 @@ def _csv_runner(columns, build_rows):
 
 
 def run_validate(req: SweepRequest) -> int:
-    if req.cutoff < req.scissors:
-        raise UsageError(
-            f"cutoff n_max={req.cutoff} cannot hold the {req.scissors}-photon scissor truncation"
-        )
     try:
-        results = run_validation_suite(cutoff=max(req.cutoff, 8), scissors=req.scissors)
-    except ValueError as exc:
+        results = run_validation_suite(cutoff=req.cutoff, scissors=req.scissors)
+    except (TruncationError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     print(render_report(results))
     return 0 if all(r.passed for r in results) else 1

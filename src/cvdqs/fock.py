@@ -1,9 +1,9 @@
 """Truncated Fock-space kernel: states, operators, and channels for a few modes.
 
 Every mode shares one photon cap ``n_max``; the single-mode basis is
-``{|0>, ..., |n_max>}``.  Pure states are complex tensors with one axis per
-mode, density operators are dense ``(d, d)`` matrices over the row-major
-multimode basis with ``d = (n_max + 1) ** mode_count``.
+``{|0>, ..., |n_max>}``.  States are pure: complex tensors with one axis per
+mode.  Loss is handed out as its Kraus set (``loss_kraus_operators``), so a
+lossy state is a list of pure branches rather than a density operator.
 
 Quadrature convention
 ---------------------
@@ -27,9 +27,6 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
-
-HERMITICITY_TOL = 1e-12
-
 
 class TruncationError(RuntimeError):
     """Probability weight lost to the photon cutoff exceeds the declared tolerance."""
@@ -92,34 +89,6 @@ class FockVector:
 
 
 @dataclass(frozen=True)
-class FockDensity:
-    """Dense density operator over the row-major multimode basis."""
-
-    cutoff: Cutoff
-    mode_count: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.entries, dtype=complex)
-        d = self.cutoff.dim ** self.mode_count
-        if rho.shape != (d, d):
-            raise ValueError(f"density must be {d}x{d} for {self.mode_count} mode(s)")
-        asym = np.max(np.abs(rho - rho.conj().T))
-        if asym > HERMITICITY_TOL:
-            raise ValueError(f"density not Hermitian: max asymmetry {asym:.3e}")
-        object.__setattr__(self, "entries", _frozen(rho))
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
-    def as_tensor(self) -> np.ndarray:
-        """View with ket axes 0..M-1 and bra axes M..2M-1."""
-        d1 = self.cutoff.dim
-        return self.entries.reshape((d1,) * (2 * self.mode_count))
-
-
-@dataclass(frozen=True)
 class ModeOperator:
     """Single-mode operator on the truncated basis."""
 
@@ -132,9 +101,6 @@ class ModeOperator:
         if mat.shape != (d, d):
             raise ValueError(f"operator must be {d}x{d}")
         object.__setattr__(self, "entries", _frozen(mat))
-
-
-State = Union[FockVector, FockDensity]
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +144,6 @@ def basis_vector(occupation: Sequence[int], cutoff: CutoffLike) -> FockVector:
     return FockVector(c, amps)
 
 
-def vacuum_vector(mode_count: int, cutoff: CutoffLike) -> FockVector:
-    return basis_vector((0,) * mode_count, cutoff)
-
-
 def sv_fock(mean_photons: float, cutoff: CutoffLike) -> FockVector:
     """Squeezed vacuum with the given mean photon number, squeezed along x.
 
@@ -206,11 +168,6 @@ def sv_fock(mean_photons: float, cutoff: CutoffLike) -> FockVector:
             / (2**k * math.factorial(k) * root_cosh)
         )
     return FockVector(c, amps)
-
-
-def density_from_vector(psi: FockVector) -> FockDensity:
-    flat = psi.amplitudes.reshape(-1)
-    return FockDensity(psi.cutoff, psi.mode_count, np.outer(flat, flat.conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +236,7 @@ def embed_mode_operator(op: ModeOperator, mode: int, mode_count: int) -> np.ndar
 # channels and network elements
 # ---------------------------------------------------------------------------
 
-def beamsplitter(theta: float, mode_a: int, mode_b: int, state: State) -> State:
+def beamsplitter(theta: float, mode_a: int, mode_b: int, state: FockVector) -> FockVector:
     """Two-mode mixer exp(theta (a^dag b - a b^dag)) on the chosen mode pair.
 
     The generator preserves total photon number, so amplitude never leaks
@@ -292,13 +249,7 @@ def beamsplitter(theta: float, mode_a: int, mode_b: int, state: State) -> State:
         raise ValueError(f"invalid mode pair ({mode_a}, {mode_b}) for {mode_count} mode(s)")
     d1 = state.cutoff.dim
     unitary = _two_mode_bs_unitary(float(theta), state.cutoff.n_max)
-    if isinstance(state, FockVector):
-        return FockVector(state.cutoff, _apply_pair(unitary, state.amplitudes, mode_a, mode_b, d1))
-    tens = state.as_tensor()
-    tens = _apply_pair(unitary, tens, mode_a, mode_b, d1)
-    tens = _apply_pair(unitary.conj(), tens, mode_count + mode_a, mode_count + mode_b, d1)
-    d = d1**mode_count
-    return FockDensity(state.cutoff, mode_count, tens.reshape(d, d))
+    return FockVector(state.cutoff, _apply_pair(unitary, state.amplitudes, mode_a, mode_b, d1))
 
 
 def balanced_splitter_thetas(mode_count: int) -> tuple[float, ...]:
@@ -315,7 +266,7 @@ def balanced_splitter_thetas(mode_count: int) -> tuple[float, ...]:
     )
 
 
-def balanced_splitter(mode_count: int, state: State) -> State:
+def balanced_splitter(mode_count: int, state: FockVector) -> FockVector:
     """Spread mode 0 of ``state`` evenly over all ``mode_count`` modes.
 
     A single photon entering mode 0 exits each mode with probability exactly
@@ -357,25 +308,11 @@ def loss_kraus_operators(eta: float, cutoff: CutoffLike) -> tuple[np.ndarray, ..
     return _loss_kraus_set(float(eta), as_cutoff(cutoff).n_max)
 
 
-def pure_loss(eta: float, mode: int, rho: FockDensity) -> FockDensity:
-    """Pure-loss channel with transmissivity ``eta`` on one mode of a density."""
-    if not 0 <= mode < rho.mode_count:
-        raise ValueError(f"mode {mode} out of range for {rho.mode_count} mode(s)")
-    kraus = loss_kraus_operators(eta, rho.cutoff)
-    tens = rho.as_tensor()
-    out = np.zeros_like(tens)
-    for op in kraus:
-        branch = _apply_matrix_axis(op, tens, mode)
-        out += _apply_matrix_axis(op.conj(), branch, rho.mode_count + mode)
-    d = rho.cutoff.dim**rho.mode_count
-    return FockDensity(rho.cutoff, rho.mode_count, out.reshape(d, d))
-
-
 # ---------------------------------------------------------------------------
 # moments and state manipulation
 # ---------------------------------------------------------------------------
 
-def _full_matrix(op: Union[np.ndarray, ModeOperator], state: State) -> np.ndarray:
+def _full_matrix(op: Union[np.ndarray, ModeOperator], state: FockVector) -> np.ndarray:
     if isinstance(op, ModeOperator):
         if state.mode_count != 1:
             raise ValueError("a bare ModeOperator applies to single-mode states only")
@@ -389,16 +326,14 @@ def _full_matrix(op: Union[np.ndarray, ModeOperator], state: State) -> np.ndarra
     return mat
 
 
-def expectation(op: Union[np.ndarray, ModeOperator], state: State) -> complex:
-    """<O> = <psi|O|psi> or Tr(rho O)."""
+def expectation(op: Union[np.ndarray, ModeOperator], state: FockVector) -> complex:
+    """<O> = <psi|O|psi>."""
     mat = _full_matrix(op, state)
-    if isinstance(state, FockVector):
-        flat = state.amplitudes.reshape(-1)
-        return complex(np.vdot(flat, mat @ flat))
-    return complex(np.einsum("ij,ji->", state.entries, mat))
+    flat = state.amplitudes.reshape(-1)
+    return complex(np.vdot(flat, mat @ flat))
 
 
-def variance(op: Union[np.ndarray, ModeOperator], state: State) -> float:
+def variance(op: Union[np.ndarray, ModeOperator], state: FockVector) -> float:
     """Var(O) = <O^2> - <O>^2; imaginary residue above 1e-10 is a hard error."""
     mat = _full_matrix(op, state)
     first = expectation(mat, state)
@@ -409,18 +344,9 @@ def variance(op: Union[np.ndarray, ModeOperator], state: State) -> float:
     return float(var.real)
 
 
-def normalize(state: State) -> tuple[State, float]:
-    """Rescale to unit norm/trace; returns (state, pre-normalisation weight).
-
-    For vectors the reported weight is the squared norm (the trace of the
-    corresponding projector), for densities the trace.
-    """
-    if isinstance(state, FockVector):
-        weight = float(np.vdot(state.amplitudes, state.amplitudes).real)
-        if weight <= 0.0:
-            raise ValueError("cannot normalise a zero vector")
-        return FockVector(state.cutoff, state.amplitudes / math.sqrt(weight)), weight
-    weight = state.trace
+def normalize(state: FockVector) -> tuple[FockVector, float]:
+    """Rescale to unit norm; returns (state, pre-normalisation squared norm)."""
+    weight = float(np.vdot(state.amplitudes, state.amplitudes).real)
     if weight <= 0.0:
-        raise ValueError("cannot normalise a zero-trace density")
-    return FockDensity(state.cutoff, state.mode_count, state.entries / weight), weight
+        raise ValueError("cannot normalise a zero vector")
+    return FockVector(state.cutoff, state.amplitudes / math.sqrt(weight)), weight

@@ -11,6 +11,7 @@ Three layers, from most idealised to most explicit:
   a diagonal, sub-normalised Kraus element ``T = Pi_N g^n`` whose
   ``Tr(T rho T)`` is the heralding probability.  ``T`` is deliberately never
   renormalised, so success probabilities keep their physical meaning;
+  ``sensing.simulate_practical`` reads its diagonal and applies one per node;
 * a circuit-level single-scissor simulation (``scissor_kraus``) used as an
   independent oracle for the closed-form operator.
 """
@@ -19,13 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .fock import (
     CutoffLike,
-    FockDensity,
     FockVector,
     ModeOperator,
     as_cutoff,
@@ -35,10 +34,6 @@ from .fock import (
 
 class UnphysicalGainError(ValueError):
     """The requested amplification cannot be realised on this source brightness."""
-
-
-class ZeroSuccessError(RuntimeError):
-    """Post-selection has no support: every herald branch has zero weight."""
 
 
 @dataclass(frozen=True)
@@ -147,8 +142,9 @@ def gain_diagonal(gain: float, cutoff: CutoffLike) -> np.ndarray:
 def nla_operator(scissors: int, gain: float, cutoff: CutoffLike) -> ModeOperator:
     """Practical amplifier Kraus element: scissor-count projector times g^n.
 
-    Sub-normalised by construction; applied via ``apply_practical_nla`` the
-    leftover weight is exactly the heralding probability.
+    Sub-normalised by construction: the squared norm that one copy per node
+    leaves on a state is exactly the joint heralding probability, which
+    ``sensing.simulate_practical`` reports.
     """
     pi = projector_pi(scissors, gain, cutoff)
     return ModeOperator(pi.cutoff, pi.entries * gain_diagonal(gain, pi.cutoff)[None, :])
@@ -165,25 +161,6 @@ def clipped_gain_operator(gain: float, cutoff: CutoffLike) -> ModeOperator:
     c = as_cutoff(cutoff)
     diag = gain_diagonal(gain, c)
     return ModeOperator(c, np.diag(diag / diag[-1]).astype(complex))
-
-
-def apply_practical_nla(rho: FockDensity, specs: Sequence[NlaSpec]) -> tuple[FockDensity, float]:
-    """Herald one practical amplifier per mode; joint post-selected result.
-
-    Returns the renormalised output state and the probability that *all*
-    amplifiers herald success, ``Tr(T_1 x ... x T_M rho T_1 x ... x T_M)``.
-    """
-    if len(specs) != rho.mode_count:
-        raise ValueError(f"need one amplifier spec per mode ({rho.mode_count}), got {len(specs)}")
-    diag = np.ones(1)
-    for spec in specs:
-        t = nla_operator(spec.scissors, spec.gain, rho.cutoff)
-        diag = np.multiply.outer(diag, np.diag(t.entries).real).reshape(-1)
-    weighted = diag[:, None] * rho.entries * diag[None, :]
-    p_success = float(np.sum(diag * diag * np.diag(rho.entries).real))
-    if p_success <= 1e-300:
-        raise ZeroSuccessError("joint heralding probability vanished; state lies outside the scissor truncation")
-    return FockDensity(rho.cutoff, rho.mode_count, weighted / p_success), p_success
 
 
 # ---------------------------------------------------------------------------

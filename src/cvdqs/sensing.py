@@ -249,8 +249,9 @@ def _lossy_source(mean_photons: float, eta: float, cutoff: Cutoff) -> tuple[list
 
     Loss is applied to the single source mode before splitting; with equal
     per-mode transmissivity this is exactly equivalent to splitting first
-    (pinned by a regression test) and needs one mode instead of M.  Also
-    returns the source's truncation deficit.
+    (pinned by ``test_practical_pipeline_matches_independent_oracle``, whose
+    oracle loses photons after the split) and needs one mode instead of M.
+    Also returns the source's truncation deficit.
     """
     source = sv_fock(mean_photons, cutoff)
     unit, _ = normalize(source)

@@ -317,6 +317,7 @@ SCISSOR = "scissor circuit reproduces the amplifier operator"
 PROJECTOR = "projector coefficients follow the scissor-count law"
 CLIPPED = "clipped gain after loss matches the effective channel"
 BOUNDS = "bounds sit below the achieved errors, equal at eta=1"
+VACUUM = "vacuum heralding probability scales exactly"
 
 
 def _scaled_at(values, n):
@@ -352,6 +353,10 @@ def _untruncated(pi):
         pytest.param(
             nla, "projector_pi", _untruncated, {WITNESS, SCISSOR, PROJECTOR}, id="projector_truncation"
         ),
+        pytest.param(
+            sensing, "nla_operator", lambda t: fock.ModeOperator(t.cutoff, _scaled_at(t.entries, 0)),
+            {VACUUM}, id="practical_engine_amplifier",
+        ),
     ],
 )
 def test_validation_suite_catches_injected_fault(monkeypatch, module, attr, corrupt, failing):
@@ -371,9 +376,37 @@ def test_validate_command_exit_codes(capsys):
 
 
 def test_validate_rejects_undersized_cutoff(capsys):
+    # --cutoff is the Fock check's source cap; a cap its truncation guard
+    # rejects is a usage error, whatever the scissor count
     assert main(["validate", "--cutoff", "1", "--scissors", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "cannot hold" in err
+    assert "increase the cutoff" in capsys.readouterr().err
+
+
+def _validate_report(capsys, *flags):
+    code = main(["validate", *flags])
+    lines = capsys.readouterr().out.splitlines()
+    return code, {name: line for line in lines for name in (FOCK, VACUUM) if line.startswith(name)}
+
+
+def test_validate_runs_the_fock_check_at_the_given_cutoff(capsys):
+    # the cap is used as given, not raised to 8: at 5 the Fock pipeline is
+    # 1.4e-4 off the closed form, outside its 1e-4 tolerance
+    code, lines = _validate_report(capsys, "--cutoff", "5")
+    assert code == 1
+    assert "FAIL" in lines[FOCK] and "n_max=5)" in lines[FOCK]
+    assert "PASS" in lines[VACUUM]
+
+
+def test_validate_scissor_count_needs_no_cutoff(capsys):
+    # 25 scissors run at the default cutoff 8; at 200 the vacuum law
+    # (g^2+1)^(-2N) underflows a float at g=2.5 and reads as deviation 1
+    code, lines = _validate_report(capsys, "--scissors", "25")
+    assert code == 0
+    assert "PASS" in lines[VACUUM]
+    code, lines = _validate_report(capsys, "--scissors", "200")
+    assert code == 1
+    assert "FAIL" in lines[VACUUM] and "deviation 1.000e+00" in lines[VACUUM]
+    assert "PASS" in lines[FOCK]
 
 
 def test_validate_exits_one_on_failure(capsys, monkeypatch):

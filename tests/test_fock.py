@@ -6,19 +6,16 @@ import pytest
 from cvdqs import fock
 from cvdqs.fock import (
     Cutoff,
-    FockDensity,
     FockVector,
     balanced_splitter,
     basis_vector,
     beamsplitter,
-    density_from_vector,
     expectation,
+    loss_kraus_operators,
     normalize,
     number_operator,
-    pure_loss,
     quadratures,
     sv_fock,
-    vacuum_vector,
     variance,
 )
 
@@ -39,11 +36,21 @@ def random_vector(rng, mode_count, cutoff, max_total=None):
     return FockVector(c, amps)
 
 
+def projector(psi):
+    flat = psi.amplitudes.reshape(-1)
+    return np.outer(flat, flat.conj())
+
+
 def random_density(rng, mode_count, cutoff, max_total=None):
+    """Mixture of two random pure states, as a plain matrix over the row-major basis."""
     psi_a = random_vector(rng, mode_count, cutoff, max_total)
     psi_b = random_vector(rng, mode_count, cutoff, max_total)
-    rho = 0.6 * density_from_vector(psi_a).entries + 0.4 * density_from_vector(psi_b).entries
-    return FockDensity(fock.as_cutoff(cutoff), mode_count, rho)
+    return 0.6 * projector(psi_a) + 0.4 * projector(psi_b)
+
+
+def lossy(eta, rho, cutoff):
+    """The pure-loss channel on a single-mode density, from its Kraus set."""
+    return sum(k @ rho @ k.conj().T for k in loss_kraus_operators(eta, cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +67,8 @@ def test_vector_shape_must_match_cutoff():
         FockVector(Cutoff(3), np.zeros(5, dtype=complex))
 
 
-def test_density_must_be_hermitian():
-    bad = np.zeros((4, 4), dtype=complex)
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        FockDensity(Cutoff(3), 1, bad)
-
-
 def test_states_are_frozen():
-    psi = vacuum_vector(1, 4)
+    psi = basis_vector((0,), 4)
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 0.0
 
@@ -123,7 +123,7 @@ def test_sv_norm_deficit_reported():
 
 def test_vacuum_quadrature_variances():
     x_op, p_op = quadratures(8)
-    vac = vacuum_vector(1, 8)
+    vac = basis_vector((0,), 8)
     assert variance(x_op, vac) == pytest.approx(0.25, abs=1e-12)
     assert variance(p_op, vac) == pytest.approx(1.0, abs=1e-12)
 
@@ -154,7 +154,7 @@ def test_sv_x_variance_matches_squeezing_law():
 
 def test_variance_imaginary_guard():
     x_op, _ = quadratures(4)
-    vac = vacuum_vector(1, 4)
+    vac = basis_vector((0,), 4)
     assert isinstance(variance(x_op, vac), float)
 
 
@@ -186,7 +186,7 @@ def test_beamsplitter_composes_to_full_swap():
 
 
 def test_beamsplitter_rejects_bad_modes():
-    psi = vacuum_vector(2, 4)
+    psi = basis_vector((0, 0), 4)
     with pytest.raises(ValueError):
         beamsplitter(0.3, 0, 0, psi)
     with pytest.raises(ValueError):
@@ -205,14 +205,6 @@ def test_beamsplitter_preserves_photon_sectors():
             before = np.sum(np.abs(psi.amplitudes[mask]) ** 2)
             after = np.sum(np.abs(out.amplitudes[mask]) ** 2)
             assert after == pytest.approx(before, abs=1e-12)
-
-
-def test_beamsplitter_on_density_matches_vector_route():
-    rng = np.random.default_rng(3)
-    psi = random_vector(rng, 2, 4)
-    via_vec = density_from_vector(beamsplitter(0.42, 0, 1, psi))
-    via_rho = beamsplitter(0.42, 0, 1, density_from_vector(psi))
-    assert np.max(np.abs(via_vec.entries - via_rho.entries)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -285,75 +277,63 @@ def test_balanced_splitter_sv_symmetric_variance():
 # ---------------------------------------------------------------------------
 
 def test_pure_loss_single_photon():
-    rho = density_from_vector(basis_vector((1,), 4))
-    out = pure_loss(0.3, 0, rho)
+    out = lossy(0.3, projector(basis_vector((1,), 4)), 4)
     expected = np.zeros((5, 5))
     expected[0, 0] = 0.7
     expected[1, 1] = 0.3
-    assert np.max(np.abs(out.entries - expected)) < 1e-12
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_pure_loss_eta_one_is_identity():
     rng = np.random.default_rng(5)
     rho = random_density(rng, 1, 6)
-    out = pure_loss(1.0, 0, rho)
-    assert np.max(np.abs(out.entries - rho.entries)) < 1e-12
+    assert np.max(np.abs(lossy(1.0, rho, 6) - rho)) < 1e-12
 
 
 def test_pure_loss_scales_mean_photons():
-    rho = density_from_vector(normalize(sv_fock(0.04, 10))[0])
-    out = pure_loss(0.5, 0, rho)
-    mean = expectation(number_operator(10).entries, out).real
-    assert mean == pytest.approx(0.02, abs=1e-8)
+    rho = projector(normalize(sv_fock(0.04, 10))[0])
+    n_op = number_operator(10).entries
+    assert np.trace(rho @ n_op).real == pytest.approx(0.04, abs=1e-8)
+    assert np.trace(lossy(0.5, rho, 10) @ n_op).real == pytest.approx(0.02, abs=1e-8)
 
 
 def test_pure_loss_preserves_trace():
+    # the Kraus set resolves the identity on the truncated basis
+    kraus = loss_kraus_operators(0.37, 7)
+    completeness = sum(k.conj().T @ k for k in kraus)
+    assert np.max(np.abs(completeness - np.eye(8))) < 1e-12
     rng = np.random.default_rng(9)
     rho = random_density(rng, 1, 7)
-    out = pure_loss(0.37, 0, rho)
-    assert out.trace == pytest.approx(rho.trace, abs=1e-12)
+    assert np.trace(lossy(0.37, rho, 7)).real == pytest.approx(np.trace(rho).real, abs=1e-12)
 
 
 def test_pure_loss_rejects_bad_eta():
-    rho = density_from_vector(vacuum_vector(1, 3))
     with pytest.raises(ValueError):
-        pure_loss(1.2, 0, rho)
+        loss_kraus_operators(1.2, 3)
     with pytest.raises(ValueError):
-        pure_loss(-0.1, 0, rho)
+        loss_kraus_operators(-0.1, 3)
 
 
 def test_loss_channels_compose():
     rng = np.random.default_rng(13)
     for _ in range(3):
         rho = random_density(rng, 1, 6, max_total=3)
-        two_step = pure_loss(0.8, 0, pure_loss(0.6, 0, rho))
-        one_step = pure_loss(0.48, 0, rho)
-        assert np.max(np.abs(two_step.entries - one_step.entries)) < 1e-10
-
-
-def test_loss_commutes_with_balanced_splitter():
-    # uniform per-mode loss and the splitter interchange freely inside the
-    # truncation-exact sector; this underwrites the pipeline ordering
-    rng = np.random.default_rng(17)
-    eta = 0.55
-    for modes in (2, 3):
-        rho = random_density(rng, modes, 4, max_total=4)
-        split_then_loss = balanced_splitter(modes, rho)
-        for mode in range(modes):
-            split_then_loss = pure_loss(eta, mode, split_then_loss)
-        loss_then_split = rho
-        for mode in range(modes):
-            loss_then_split = pure_loss(eta, mode, loss_then_split)
-        loss_then_split = balanced_splitter(modes, loss_then_split)
-        assert np.max(np.abs(split_then_loss.entries - loss_then_split.entries)) < 1e-10
+        two_step = lossy(0.8, lossy(0.6, rho, 6), 6)
+        one_step = lossy(0.48, rho, 6)
+        assert np.max(np.abs(two_step - one_step)) < 1e-10
 
 
 def test_channels_preserve_hermiticity_and_positivity():
+    # mix two modes of each pure component, then lose photons from mode 1
     rng = np.random.default_rng(23)
-    rho = random_density(rng, 2, 4)
-    out = pure_loss(0.4, 1, beamsplitter(0.6, 0, 1, rho))
-    assert np.max(np.abs(out.entries - out.entries.conj().T)) < 1e-12
-    assert np.min(np.linalg.eigvalsh(out.entries)) > -1e-10
+    rho = sum(
+        weight * projector(beamsplitter(0.6, 0, 1, random_vector(rng, 2, 4)))
+        for weight in (0.6, 0.4)
+    )
+    on_mode_1 = [np.kron(np.eye(5), k) for k in loss_kraus_operators(0.4, 4)]
+    out = sum(k @ rho @ k.conj().T for k in on_mode_1)
+    assert np.max(np.abs(out - out.conj().T)) < 1e-12
+    assert np.min(np.linalg.eigvalsh(out)) > -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +341,10 @@ def test_channels_preserve_hermiticity_and_positivity():
 # ---------------------------------------------------------------------------
 
 def test_normalize_reports_weight():
-    rho = density_from_vector(vacuum_vector(1, 3))
-    scaled = FockDensity(Cutoff(3), 1, 0.04 * rho.entries)
+    scaled = FockVector(Cutoff(3), 0.2 * basis_vector((0,), 3).amplitudes)
     unit, weight = normalize(scaled)
     assert weight == pytest.approx(0.04, abs=1e-15)
-    assert unit.trace == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(unit.amplitudes, unit.amplitudes).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalize_rejects_zero_state():
@@ -375,7 +354,7 @@ def test_normalize_rejects_zero_state():
 
 def test_expectation_shape_mismatch():
     with pytest.raises(ValueError):
-        expectation(np.eye(3), vacuum_vector(1, 3))
+        expectation(np.eye(3), basis_vector((0,), 3))
 
 
 def test_loss_kraus_cache_is_bounded():

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from cvdqs import fock
-from cvdqs.fock import Cutoff, FockVector, basis_vector, density_from_vector, vacuum_vector
+from cvdqs import fock, sensing
+from cvdqs.fock import Cutoff, FockVector, basis_vector, normalize
 from cvdqs.nla import (
     NlaSpec,
     UnphysicalGainError,
-    ZeroSuccessError,
-    apply_practical_nla,
     effective_gain,
     effective_sv_photons,
     effective_transmissivity,
@@ -155,19 +153,25 @@ def test_nla_operator_vacuum_eigenvalue():
             )
 
 
+def apply_practical(state, gain, scissors):
+    """One practical amplifier per mode: the heralded state and the joint success probability."""
+    op = nla_operator(scissors, gain, state.cutoff)
+    for mode in range(state.mode_count):
+        state = fock.apply_mode_operator(op, mode, state)
+    return normalize(state)
+
+
 def test_apply_practical_vacuum_four_modes():
-    rho = density_from_vector(vacuum_vector(4, 2))
-    out, p = apply_practical_nla(rho, [NlaSpec.practical(2.0, 2)] * 4)
+    out, p = apply_practical(basis_vector((0, 0, 0, 0), 2), 2.0, 2)
     assert p == pytest.approx((1.0 / 25.0) ** 4, rel=1e-12)
-    assert out.entries[0, 0].real == pytest.approx(1.0, abs=1e-12)
-    assert np.sum(np.abs(out.entries)) == pytest.approx(1.0, abs=1e-12)
+    assert out.amplitudes[0, 0, 0, 0].real == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(np.abs(out.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_practical_single_photon():
-    rho = density_from_vector(basis_vector((1,), 3))
-    out, p = apply_practical_nla(rho, [NlaSpec.practical(2.0, 1)])
+    out, p = apply_practical(basis_vector((1,), 3), 2.0, 1)
     assert p == pytest.approx(0.8, rel=1e-12)
-    assert out.entries[1, 1].real == pytest.approx(1.0, abs=1e-12)
+    assert out.amplitudes[1].real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_practical_matches_explicit_sandwich():
@@ -178,9 +182,8 @@ def test_apply_practical_matches_explicit_sandwich():
     totals = np.add.outer(np.arange(5), np.arange(5))
     amps = np.where(totals <= 2, amps, 0.0)
     amps /= np.linalg.norm(amps)
-    rho = density_from_vector(FockVector(cutoff, amps))
     scissors, gain = 3, 1.4
-    out, p = apply_practical_nla(rho, [NlaSpec.practical(gain, scissors)] * 2)
+    out, p = apply_practical(FockVector(cutoff, amps), gain, scissors)
     single = np.zeros(5)
     for n in range(scissors + 1):
         if n <= 4:
@@ -190,11 +193,10 @@ def test_apply_practical_matches_explicit_sandwich():
                 / (math.factorial(scissors - n) * scissors**n)
                 * gain**n
             )
-    joint = np.kron(single, single)
-    sandwich = joint[:, None] * rho.entries * joint[None, :]
-    p_want = float(np.trace(sandwich).real)
+    heralded = np.outer(single, single) * amps
+    p_want = float(np.sum(np.abs(heralded) ** 2))
     assert p == pytest.approx(p_want, rel=1e-12)
-    assert np.max(np.abs(out.entries - sandwich / p_want)) < 1e-12
+    assert np.max(np.abs(out.amplitudes - heralded / math.sqrt(p_want))) < 1e-12
 
 
 def test_apply_practical_high_scissor_count_is_gentle():
@@ -206,33 +208,34 @@ def test_apply_practical_high_scissor_count_is_gentle():
     amps[1, 0] = amps[0, 1] = 0.2
     amps[1, 1] = amps[2, 0] = amps[0, 2] = 0.04
     amps /= np.linalg.norm(amps)
-    rho = density_from_vector(FockVector(cutoff, amps))
-    out, p = apply_practical_nla(rho, [NlaSpec.practical(1.0, scissors)] * 2)
-    assert np.max(np.abs(out.entries - rho.entries)) < 0.01
+    out, p = apply_practical(FockVector(cutoff, amps), 1.0, scissors)
+    assert np.max(np.abs(out.amplitudes - amps)) < 0.01
     assert p == pytest.approx(2.0 ** (-scissors * 2), rel=0.2)
 
 
-def test_apply_practical_rejects_wrong_arity():
-    rho = density_from_vector(vacuum_vector(2, 3))
-    with pytest.raises(ValueError):
-        apply_practical_nla(rho, [NlaSpec.practical(2.0, 1)])
-
-
 def test_apply_practical_zero_success():
-    rho = density_from_vector(basis_vector((3,), 4))
-    with pytest.raises(ZeroSuccessError):
-        apply_practical_nla(rho, [NlaSpec.practical(2.0, 2)])
+    # three photons lie above two scissors: nothing heralds, and post-selection
+    # refuses the zero vector rather than dividing by zero
+    with pytest.raises(ValueError, match="zero vector"):
+        apply_practical(basis_vector((3,), 4), 2.0, 2)
 
 
 def test_vacuum_success_scaling_exact():
+    # through the headline engine, whose herald probability is the joint one
     for nodes in (1, 2, 4):
         for scissors in (1, 2):
             for gain in (1.0, 1.8, 2.6):
-                rho = density_from_vector(vacuum_vector(nodes, 3))
-                _, p = apply_practical_nla(
-                    rho, [NlaSpec.practical(gain, scissors)] * nodes
+                point = sensing.simulate_practical(
+                    sensing.ScenarioConfig(
+                        nodes=nodes,
+                        mean_photons=0.0,
+                        eta=0.5,
+                        scheme=sensing.SCHEME_PRACTICAL_NLA,
+                        cutoff=3,
+                        nla=NlaSpec.practical(gain, scissors),
+                    )
                 )
-                assert p == pytest.approx(
+                assert point.p_success == pytest.approx(
                     (gain * gain + 1.0) ** (-scissors * nodes), rel=1e-13
                 )
 
