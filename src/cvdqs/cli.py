@@ -156,28 +156,22 @@ _SETTINGS = {
 # CSV rendering
 # ---------------------------------------------------------------------------
 
-def _fmt(value, precision: int) -> str:
-    if value is None or value == "":
-        return ""
+def _cell(value, spec: str) -> str:
+    """One CSV cell: strings quoted per RFC 4180 when they need it, numbers never do."""
     if isinstance(value, str):
-        return value
+        return '"' + value.replace('"', '""') + '"' if any(ch in value for ch in ',"\n') else value
+    if value is None:
+        return ""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return f"{float(value):.{precision}e}"
-
-
-def _csv_field(text: str) -> str:
-    if any(ch in text for ch in (",", '"', "\n")):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    return format(float(value), spec)
 
 
 def render_csv(columns, rows, precision: int) -> str:
+    spec = f".{precision}e"
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(
-            ",".join(_csv_field(_fmt(row.get(col), precision)) for col in columns)
-        )
+        lines.append(",".join(_cell(row.get(col), spec) for col in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -22,17 +22,18 @@ each other, but branches keep the memory footprint linear in the basis size.
 ``cutoff`` caps the photon number of the single-mode source.  Both pipelines
 sum the branches into one source density ``R`` indexed by the source's photon
 total, and read every moment off as overlaps weighted by ``R`` in the sector
-of each side (``_overlap``).  Both probe states are symmetric under permuting
-the nodes, so both pipelines read ``Var(xbar)`` and the power off the x
-ladders of modes 0 and 1 through one formula (``_symmetric_moments``).  The
-amplifier-free pipeline splits one comb of photon numbers over the dense
+of each side (``_overlaps``, which gathers the weights of one family of
+overlaps from ``R`` in a single pass).  Both probe states are symmetric under
+permuting the nodes, so both pipelines read ``Var(xbar)`` and the power off
+the x ladders of modes 0 and 1 through one formula (``_symmetric_moments``).
+The amplifier-free pipeline splits one comb of photon numbers over the dense
 ``(cutoff+1)^M`` tensor, once per point rather than once per branch, and
 applies the ladders to its first two modes.  The practical pipeline forms no
 ``M``-mode tensor at all: its amplifier is zero above ``N`` photons per mode
 and an even split has closed-form amplitudes, so its ladders act on the one-
-and two-mode marginals on ``{0..N+1}``.  Its cost grows with ``M`` only
-through the polynomial powers ``f^(M-1)`` and ``f^(M-2)`` that sum out the
-other modes.
+and two-mode marginals on ``{0..N+1}``, the two-mode ones as outer products
+of the one-mode ladders.  Its cost grows with ``M`` only through the
+polynomial powers ``f^(M-1)`` and ``f^(M-2)`` that sum out the other modes.
 """
 
 from __future__ import annotations
@@ -280,18 +281,25 @@ def _photon_totals(dim: int, modes: int) -> np.ndarray:
     return functools.reduce(np.add.outer, [np.arange(dim)] * modes)
 
 
-def _overlap(density, totals, bra, ket, coefficients) -> float:
-    """sum_k <bra|ket> over the loss branches and over the summed-out modes.
+def _overlaps(density, totals, coefficients):
+    """``overlap(bra, ket)``: sum_k <bra|ket> over the loss branches and the summed-out modes.
 
     ``bra`` and ``ket`` are ``(tensor, shift)``: an amplitude tensor whose
     entry at photon total ``totals`` carries the source total
-    ``totals + shift``.  ``coefficients[r]`` weighs the part where the
-    summed-out modes hold ``r`` photons between them.
+    ``totals + shift``, with ``shift`` in ``{-1, 0, 1}``.
+    ``coefficients[r]`` weighs the part where the summed-out modes hold ``r``
+    photons between them.  The weights of all nine shift pairs are gathered
+    from ``density`` at once; each overlap reads its pair at ``totals``.
     """
-    (bra_amps, bra_shift), (ket_amps, ket_shift) = bra, ket
     sector = np.arange(totals.max() + 1)[:, None] + np.arange(len(coefficients)) + 1
-    weights = density[sector + bra_shift, sector + ket_shift] @ coefficients
-    return float(np.vdot(bra_amps, ket_amps * weights[totals]).real)
+    shifts = np.arange(-1, 2)[:, None, None, None]
+    table = density[sector + shifts, sector + shifts.swapaxes(0, 1)] @ coefficients
+
+    def overlap(bra, ket) -> float:
+        (bra_amps, bra_shift), (ket_amps, ket_shift) = bra, ket
+        return float(np.vdot(bra_amps, ket_amps * table[bra_shift + 1, ket_shift + 1][totals]).real)
+
+    return overlap
 
 
 def _ladders(state: FockVector, mode: int, lower: ModeOperator, upper: ModeOperator) -> list:
@@ -346,9 +354,9 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     The splitter conserves photon number, so loss branch ``b_k`` splits into
     ``Phi[n] b_k[T(n)]``, ``T`` the photon total, and ``a_i`` (``a_i^dag``) of
     it is ``(a_i Phi)[n] b_k[T(n) + 1]`` (``b_k[T(n) - 1]``), truncation edge
-    included; every moment is an ``_overlap`` of these tensors.  ``Phi`` is
-    symmetric under permuting the modes, so the moments come from the ladders
-    of modes 0 and 1 alone, through the practical engine's
+    included; every moment is an overlap of these tensors (``_overlaps``).
+    ``Phi`` is symmetric under permuting the modes, so the moments come from
+    the ladders of modes 0 and 1 alone, through the practical engine's
     ``_symmetric_moments``.
     """
     if cfg.scheme != SCHEME_NO_NLA:
@@ -358,7 +366,7 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     comb = np.zeros((cutoff.dim,) * nodes, dtype=complex)
     comb[(slice(None),) + (0,) * (nodes - 1)] = 1.0
     split = fock.balanced_splitter(nodes, FockVector(cutoff, comb))
-    overlap = functools.partial(_overlap, density, _photon_totals(cutoff.dim, nodes), coefficients=np.ones(1))
+    overlap = _overlaps(density, _photon_totals(cutoff.dim, nodes), np.ones(1))
     lower = ModeOperator(cutoff, annihilation_matrix(cutoff))
     upper = ModeOperator(cutoff, lower.entries.conj().T)
     x_first = _ladders(split, 0, lower, upper)
@@ -383,9 +391,13 @@ def _power_series(poly: np.ndarray, power: int, length: int) -> np.ndarray:
     return out
 
 
-def _sqrt_factorial(n: int) -> float:
-    """sqrt(n!), exact to rounding while n! fits a float, from lgamma above."""
-    return math.sqrt(math.factorial(n)) if n < 171 else math.exp(0.5 * math.lgamma(n + 1.0))
+def _over_sqrt_factorial(ratio: np.ndarray) -> np.ndarray:
+    """``ratio[n] / sqrt(n!)`` for ``ratio >= 0``, in log space once n! leaves a float."""
+    return np.array([
+        r / math.sqrt(math.factorial(n)) if n < 171
+        else math.exp(math.log(r) - 0.5 * math.lgamma(n + 1.0)) if r > 0 else 0.0
+        for n, r in enumerate(ratio)
+    ])
 
 
 def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
@@ -409,8 +421,11 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     ``[z^r] f(z)^p`` with ``f(z) = sum_n amp[n]^2 z^n``, and summing the
     branches leaves the source density ``R[s, s'] = sum_k beta_k[s] beta_k[s']``.
     The x ladders act on ``amp`` (one mode) and ``amp x amp`` (two modes) on
-    ``{0..N+1}``; each shifts the source total by a known one, which picks
-    the entry of ``R``.  The source cap ``cutoff`` is the only truncation.
+    ``{0..N+1}``; a ladder on one mode of ``amp x amp`` is the one-mode ladder
+    times ``amp``, so only the two one-mode ladders are applied.  Each ladder
+    shifts the source total by a known one, which picks the entry of ``R``;
+    the weights of every shift pair are gathered from ``R`` once per family
+    (one mode, two modes).  The source cap ``cutoff`` is the only truncation.
     """
     if cfg.scheme != SCHEME_PRACTICAL_NLA:
         raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
@@ -425,21 +440,23 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     # amp is scaled by t[0] so f^p stays finite at any M; the scale t[0]^(2M)
     # is common to every moment and comes back in the herald probability
     t = np.diag(nla_operator(spec.scissors, spec.gain, basis).entries).real
-    amp = t / t[0] / np.array([_sqrt_factorial(n) for n in range(basis.dim)])
+    amp = _over_sqrt_factorial(t / t[0])
     f = amp**2
     rest = _power_series(f, max(nodes - 2, 0), cap + 1)
     rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest
     lower = ModeOperator(basis, annihilation_matrix(basis))
     upper = ModeOperator(basis, lower.entries.conj().T)
-    on_one = functools.partial(_overlap, density, _photon_totals(basis.dim, 1), coefficients=rest_of_one)
-    on_pair = functools.partial(_overlap, density, _photon_totals(basis.dim, 2), coefficients=rest)
-    x_pair = None
+    on_one = _overlaps(density, _photon_totals(basis.dim, 1), rest_of_one)
+    x_one = _ladders(FockVector(basis, amp), 0, lower, upper)
+    on_pair = x_pair = None
     if nodes > 1:
-        pair = FockVector(basis, np.outer(amp, amp))
-        x_pair = (_ladders(pair, 0, lower, upper), _ladders(pair, 1, lower, upper))
-    weight, variance, power = _symmetric_moments(
-        nodes, on_one, (amp, 0), _ladders(FockVector(basis, amp), 0, lower, upper), on_pair, x_pair
-    )
+        on_pair = _overlaps(density, _photon_totals(basis.dim, 2), rest)
+        # a ladder on one mode of amp x amp is that mode's one-mode ladder times amp
+        x_pair = (
+            [(np.outer(ladder, amp), shift) for ladder, shift in x_one],
+            [(np.outer(amp, ladder), shift) for ladder, shift in x_one],
+        )
+    weight, variance, power = _symmetric_moments(nodes, on_one, (amp, 0), x_one, on_pair, x_pair)
     return SensitivityPoint(
         scheme=SCHEME_PRACTICAL_NLA,
         probe_power=power,

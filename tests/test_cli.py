@@ -66,6 +66,31 @@ def test_render_csv_quotes_special_fields():
     assert text == 'a,b\n"x,""y""",1.500e+00\n'
 
 
+def test_render_csv_cell_rules():
+    columns = ("none", "empty", "int", "np_int", "float", "np_float", "comma", "quote", "newline", "plain")
+    row = {
+        "none": None,
+        "empty": "",
+        "int": 12,
+        "np_int": np.int64(-7),
+        "float": 0.125,
+        "np_float": np.float64(-3.0e-5),
+        "comma": "a,b",
+        "quote": 'say "hi"',
+        "newline": "two\nlines",
+        "plain": "entangled_no_nla",
+    }
+    text = render_csv(columns, [row], precision=2)
+    assert text == (
+        ",".join(columns) + "\n"
+        + ',,12,-7,1.25e-01,-3.00e-05,"a,b","say ""hi""","two\nlines",entangled_no_nla\n'
+    )
+    # a numeric cell is never quoted, whatever the precision renders
+    for value in (1.5, -2.0e300, float("inf"), float("nan"), np.int64(10**12)):
+        cell = render_csv(("x",), [{"x": value}], precision=6).splitlines()[1]
+        assert '"' not in cell and cell
+
+
 def test_sensitivity_csv_schema_and_determinism(tmp_path):
     argv = [
         "sweep-sensitivity",
@@ -112,9 +137,10 @@ def test_golden_csv_bytes(tmp_path, argv, digest):
 
 
 def test_many_scissors_exit_zero(tmp_path):
-    # sqrt(n!) beyond int64 (n >= 21) and beyond a float (n >= 171) in the amplifier amplitudes
+    # sqrt(n!) beyond int64 (n >= 21), n! beyond a float (n >= 171) and
+    # sqrt(n!) beyond a float (n >= 301) in the amplifier amplitudes
     out = tmp_path / "out.csv"
-    for scissors in ("20", "25", "200"):
+    for scissors in ("20", "25", "200", "300"):
         assert main(["sweep-nla", "--scissors", scissors, "--g-steps", "2", "--out", str(out)]) == 0
         assert len(read(out).splitlines()) == 3
 
@@ -398,15 +424,16 @@ def test_validate_runs_the_fock_check_at_the_given_cutoff(capsys):
 
 
 def test_validate_scissor_count_needs_no_cutoff(capsys):
-    # 25 scissors run at the default cutoff 8; at 200 the vacuum law
+    # 25 scissors run at the default cutoff 8; at 200 and 300 the vacuum law
     # (g^2+1)^(-2N) underflows a float at g=2.5 and reads as deviation 1
     code, lines = _validate_report(capsys, "--scissors", "25")
     assert code == 0
     assert "PASS" in lines[VACUUM]
-    code, lines = _validate_report(capsys, "--scissors", "200")
-    assert code == 1
-    assert "FAIL" in lines[VACUUM] and "deviation 1.000e+00" in lines[VACUUM]
-    assert "PASS" in lines[FOCK]
+    for scissors in ("200", "300"):
+        code, lines = _validate_report(capsys, "--scissors", scissors)
+        assert code == 1
+        assert "FAIL" in lines[VACUUM] and "deviation 1.000e+00" in lines[VACUUM]
+        assert "PASS" in lines[FOCK]
 
 
 def test_validate_exits_one_on_failure(capsys, monkeypatch):

@@ -286,6 +286,49 @@ def test_no_nla_ladder_passes_do_not_grow_with_nodes(monkeypatch):
     assert len(set(counts)) == 1 and counts[0] <= 4, counts
 
 
+def test_practical_ladder_passes_do_not_grow_with_nodes(monkeypatch):
+    # the pair ladders are outer products of the one-mode ladders with amp,
+    # so only the two one-mode ladders go through apply_mode_operator
+    counts = []
+    apply = sensing.apply_mode_operator
+
+    def counting(*args):
+        counts[-1] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(sensing, "apply_mode_operator", counting)
+    for nodes in (1, 2, 4, 100):
+        counts.append(0)
+        simulate_practical(
+            ScenarioConfig(
+                nodes=nodes,
+                mean_photons=0.04,
+                eta=0.5,
+                scheme=SCHEME_PRACTICAL_NLA,
+                nla=NlaSpec.practical(2.0, 2),
+            )
+        )
+    assert counts == [2, 2, 2, 2], counts
+
+
+def test_overlaps_match_one_gather_per_overlap():
+    # oracle: each overlap gathers its own weights from the density
+    rng = np.random.default_rng(7)
+    for modes in (1, 2, 4):
+        dim, n_coef = 4, 5
+        totals = sensing._photon_totals(dim, modes)
+        side = totals.max() + n_coef + 2
+        density = rng.normal(size=(side, side))
+        density = density + density.T
+        coefficients = rng.normal(size=n_coef)
+        overlap = sensing._overlaps(density, totals, coefficients)
+        sector = np.arange(totals.max() + 1)[:, None] + np.arange(n_coef) + 1
+        bra, ket = rng.normal(size=(2,) + totals.shape)
+        for b, k in itertools.product((-1, 0, 1), repeat=2):
+            want = np.vdot(bra, ket * (density[sector + b, sector + k] @ coefficients)[totals]).real
+            assert overlap((bra, b), (ket, k)) == pytest.approx(want, rel=1e-13)
+
+
 def test_no_nla_vacuum_source():
     for nodes in (1, 2, 4):
         cfg = ScenarioConfig(nodes=nodes, mean_photons=0.0, eta=0.5, scheme=SCHEME_NO_NLA)
