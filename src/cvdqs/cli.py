@@ -27,7 +27,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .fock import TruncationError
-from .nla import NlaSpec, UnphysicalGainError
+from .nla import AmplifierRangeError, NlaSpec, UnphysicalGainError
 from .sensing import (
     SCHEME_IDEAL_NLA,
     SCHEME_NO_NLA,
@@ -245,7 +245,8 @@ def _map_grid(req: SweepRequest, worker, grid) -> list:
     values = [float(g) for g in grid]
     if req.jobs <= 1 or len(values) <= 1:
         return [worker(g) for g in values]
-    # evaluate the first point alone so the threads find the loss Kraus operators cached
+    # evaluate the first point alone so the threads find the practical engine's
+    # source stage (sensing._practical_source) cached
     head = worker(values[0])
     with ThreadPoolExecutor(max_workers=req.jobs) as pool:
         tail = list(pool.map(worker, values[1:]))
@@ -288,7 +289,7 @@ def _csv_runner(columns, build_rows):
     def run(req: SweepRequest) -> int:
         try:
             text = render_csv(columns, build_rows(req), req.precision)
-        except TruncationError as exc:
+        except (TruncationError, AmplifierRangeError) as exc:
             raise UsageError(str(exc)) from exc
         if req.out is None:
             sys.stdout.write(text)

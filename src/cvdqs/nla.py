@@ -19,6 +19,7 @@ Three layers, from most idealised to most explicit:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,10 @@ from .fock import (
 
 class UnphysicalGainError(ValueError):
     """The requested amplification cannot be realised on this source brightness."""
+
+
+class AmplifierRangeError(ValueError):
+    """The practical amplifier's Kraus element cannot be held in normal floats."""
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,22 @@ def nla_operator(scissors: int, gain: float, cutoff: CutoffLike) -> ModeOperator
     Sub-normalised by construction: the squared norm that one copy per node
     leaves on a state is exactly the joint heralding probability, which
     ``sensing.simulate_practical`` reports.
+
+    Raises ``AmplifierRangeError`` when the vacuum entry ``(g^2+1)^(-N/2)``
+    falls below the smallest normal float (every ratio to it would lose
+    digits) or ``g^n`` overflows on the basis.
     """
     pi = projector_pi(scissors, gain, cutoff)
+    try:
+        in_range = float(gain) ** pi.cutoff.n_max < math.inf  # the top entry of gain_diagonal
+    except OverflowError:
+        in_range = False
+    if not in_range or pi.entries[0, 0].real < sys.float_info.min:
+        raise AmplifierRangeError(
+            f"the amplifier with {scissors} scissors at gain {gain:g} leaves the float range "
+            "((g^2+1)^(-N/2) below the smallest normal float, or g^n overflows); "
+            "use fewer scissors or a lower gain"
+        )
     return ModeOperator(pi.cutoff, pi.entries * gain_diagonal(gain, pi.cutoff)[None, :])
 
 

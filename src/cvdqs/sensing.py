@@ -22,8 +22,9 @@ each other, but branches keep the memory footprint linear in the basis size.
 ``cutoff`` caps the photon number of the single-mode source.  Both pipelines
 sum the branches into one source density ``R`` indexed by the source's photon
 total, and read every moment off as overlaps weighted by ``R`` in the sector
-of each side (``_overlaps``, which gathers the weights of one family of
-overlaps from ``R`` in a single pass).  Both probe states are symmetric under
+of each side: ``_gather_weights`` takes the weights of one family of overlaps
+from ``R`` in a single pass, and ``_overlaps`` contracts them with the
+coefficients of the summed-out modes.  Both probe states are symmetric under
 permuting the nodes, so both pipelines read ``Var(xbar)`` and the power off
 the x ladders of modes 0 and 1 through one formula (``_symmetric_moments``).
 The amplifier-free pipeline splits one comb of photon numbers over the dense
@@ -34,6 +35,12 @@ and an even split has closed-form amplitudes, so its ladders act on the one-
 and two-mode marginals on ``{0..N+1}``, the two-mode ones as outer products
 of the one-mode ladders.  Its cost grows with ``M`` only through the
 polynomial powers ``f^(M-1)`` and ``f^(M-2)`` that sum out the other modes.
+
+The practical pipeline runs in two stages: a source stage that builds ``R``
+and gathers both families' weights, cached because it does not depend on the
+gain (a gain sweep builds it once), and a gain stage that forms the amplifier
+and contracts its power series with those weights.  The truncation guard runs
+on every call, outside the cache.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -260,16 +267,17 @@ def _lossy_source(mean_photons: float, eta: float, cutoff: Cutoff) -> tuple[list
     return [amp for amp in amps if float(np.vdot(amp, amp).real) > 1e-300], source.norm_deficit
 
 
-def _source_density(cfg: ScenarioConfig, scale: np.ndarray, top: int) -> tuple[np.ndarray, float]:
+def _source_density(
+    mean_photons: float, eta: float, cutoff: Cutoff, scale: np.ndarray, top: int
+) -> tuple[np.ndarray, float]:
     """``R[s, s'] = sum_k conj(c_k[s]) c_k[s']`` over ``c_k = scale * b_k``, ``b_k`` the lossy source.
 
     ``R[s, s']`` sits at ``[s + 1, s' + 1]`` of a zero matrix, so source totals
-    from -1 to ``top + 1`` read zero outside ``0..cutoff``.  Raises on a
-    truncation deficit beyond the scenario tolerance.
+    from -1 to ``top + 1`` read zero outside ``0..cutoff``.  Also returns the
+    source's truncation deficit; the caller checks it against its tolerance.
     """
-    amps, deficit = _lossy_source(cfg.mean_photons, cfg.eta, cfg.cutoff)
-    _require_converged(deficit, cfg.trunc_tol, cfg.cutoff)
-    cap = cfg.cutoff.n_max
+    amps, deficit = _lossy_source(mean_photons, eta, cutoff)
+    cap = cutoff.n_max
     branches = np.array(amps) * scale
     density = np.zeros((top + 3, top + 3), dtype=complex)
     density[1 : cap + 2, 1 : cap + 2] = branches.conj().T @ branches
@@ -281,19 +289,29 @@ def _photon_totals(dim: int, modes: int) -> np.ndarray:
     return functools.reduce(np.add.outer, [np.arange(dim)] * modes)
 
 
-def _overlaps(density, totals, coefficients):
+def _gather_weights(density: np.ndarray, totals: np.ndarray, length: int) -> np.ndarray:
+    """``density[sector + b, sector + k]`` for every shift pair ``b, k`` in ``{-1, 0, 1}``.
+
+    Shape ``(3, 3, totals.max() + 1, length)``: the weights that ``_overlaps``
+    contracts with ``length`` coefficients of the summed-out modes.
+    """
+    sector = np.arange(totals.max() + 1)[:, None] + np.arange(length) + 1
+    shifts = np.arange(-1, 2)[:, None, None, None]
+    return density[sector + shifts, sector + shifts.swapaxes(0, 1)]
+
+
+def _overlaps(weights, totals, coefficients):
     """``overlap(bra, ket)``: sum_k <bra|ket> over the loss branches and the summed-out modes.
 
     ``bra`` and ``ket`` are ``(tensor, shift)``: an amplitude tensor whose
     entry at photon total ``totals`` carries the source total
     ``totals + shift``, with ``shift`` in ``{-1, 0, 1}``.
     ``coefficients[r]`` weighs the part where the summed-out modes hold ``r``
-    photons between them.  The weights of all nine shift pairs are gathered
-    from ``density`` at once; each overlap reads its pair at ``totals``.
+    photons between them.  ``weights`` comes from ``_gather_weights``; it is
+    contracted with the coefficients once, and each overlap reads its shift
+    pair at ``totals``.
     """
-    sector = np.arange(totals.max() + 1)[:, None] + np.arange(len(coefficients)) + 1
-    shifts = np.arange(-1, 2)[:, None, None, None]
-    table = density[sector + shifts, sector + shifts.swapaxes(0, 1)] @ coefficients
+    table = weights @ coefficients
 
     def overlap(bra, ket) -> float:
         (bra_amps, bra_shift), (ket_amps, ket_shift) = bra, ket
@@ -362,11 +380,15 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     if cfg.scheme != SCHEME_NO_NLA:
         raise ValueError(f"expected scheme {SCHEME_NO_NLA!r}, got {cfg.scheme!r}")
     nodes, cutoff = cfg.nodes, cfg.cutoff
-    density, deficit = _source_density(cfg, np.ones(cutoff.dim), nodes * cutoff.n_max)
+    density, deficit = _source_density(
+        cfg.mean_photons, cfg.eta, cutoff, np.ones(cutoff.dim), nodes * cutoff.n_max
+    )
+    _require_converged(deficit, cfg.trunc_tol, cutoff)
     comb = np.zeros((cutoff.dim,) * nodes, dtype=complex)
     comb[(slice(None),) + (0,) * (nodes - 1)] = 1.0
     split = fock.balanced_splitter(nodes, FockVector(cutoff, comb))
-    overlap = _overlaps(density, _photon_totals(cutoff.dim, nodes), np.ones(1))
+    totals = _photon_totals(cutoff.dim, nodes)
+    overlap = _overlaps(_gather_weights(density, totals, 1), totals, np.ones(1))
     lower = ModeOperator(cutoff, annihilation_matrix(cutoff))
     upper = ModeOperator(cutoff, lower.entries.conj().T)
     x_first = _ladders(split, 0, lower, upper)
@@ -400,6 +422,41 @@ def _over_sqrt_factorial(ratio: np.ndarray) -> np.ndarray:
     ])
 
 
+class _PracticalSource(NamedTuple):
+    basis: Cutoff
+    lower: ModeOperator
+    upper: ModeOperator
+    one: tuple[np.ndarray, np.ndarray]
+    pair: Optional[tuple[np.ndarray, np.ndarray]]
+    deficit: float
+
+
+@functools.lru_cache(maxsize=32)
+def _practical_source(
+    nodes: int, mean_photons: float, eta: float, cutoff: Cutoff, scissors: int
+) -> _PracticalSource:
+    """Source stage of ``simulate_practical``: all of a point that does not depend on the gain.
+
+    The amplifier's basis ``{0..N+1}`` and ladders, and per overlap family
+    (one mode; two modes when ``M > 1``) the weights gathered from the density
+    ``R`` and the photon totals, frozen.  The deficit is returned unchecked.
+    """
+    basis = Cutoff(scissors + 1)
+    s = np.arange(cutoff.dim)
+    log_factorial = np.array([math.lgamma(n + 1.0) for n in s])
+    split = np.exp(0.5 * log_factorial - 0.5 * math.log(nodes) * s)
+    # a pair's top photon total plus up to cap photons in the summed-out modes
+    density, deficit = _source_density(mean_photons, eta, cutoff, split, 2 * basis.n_max + cutoff.n_max)
+    lower = ModeOperator(basis, annihilation_matrix(basis))
+    upper = ModeOperator(basis, lower.entries.conj().T)
+
+    def family(modes: int) -> tuple[np.ndarray, np.ndarray]:
+        totals = _photon_totals(basis.dim, modes)
+        return fock._frozen(_gather_weights(density, totals, cutoff.dim)), fock._frozen(totals)
+
+    return _PracticalSource(basis, lower, upper, family(1), family(2) if nodes > 1 else None, deficit)
+
+
 def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     """Run the practical-amplifier pipeline on the Fock kernel.
 
@@ -423,34 +480,35 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     The x ladders act on ``amp`` (one mode) and ``amp x amp`` (two modes) on
     ``{0..N+1}``; a ladder on one mode of ``amp x amp`` is the one-mode ladder
     times ``amp``, so only the two one-mode ladders are applied.  Each ladder
-    shifts the source total by a known one, which picks the entry of ``R``;
-    the weights of every shift pair are gathered from ``R`` once per family
-    (one mode, two modes).  The source cap ``cutoff`` is the only truncation.
+    shifts the source total by a known one, which picks the entry of ``R``.
+    The source cap ``cutoff`` is the only truncation.
+
+    Two stages: ``_practical_source``, cached on ``(M, N_S, eta, cutoff, N)``,
+    builds ``R`` and gathers the weights of every shift pair once per family,
+    so a gain sweep builds it once; the gain stage forms ``t``, ``amp`` and the
+    powers of ``f``, contracts them with those weights and applies the two
+    ladders.  The truncation guard (``TruncationError`` when the deficit
+    exceeds ``trunc_tol``) runs on every call, outside the cache.  Too many
+    scissors for the gain raise ``nla.AmplifierRangeError``.
     """
     if cfg.scheme != SCHEME_PRACTICAL_NLA:
         raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
     spec, nodes, cap = cfg.nla, cfg.nodes, cfg.cutoff.n_max
-    s = np.arange(cap + 1)
-    log_factorial = np.array([math.lgamma(n + 1.0) for n in s])
-    basis = Cutoff(spec.scissors + 1)
-    split = np.exp(0.5 * log_factorial - 0.5 * math.log(nodes) * s)
-    # a pair's top photon total plus up to cap photons in the summed-out modes
-    density, deficit = _source_density(cfg, split, 2 * basis.n_max + cap)
+    source = _practical_source(nodes, cfg.mean_photons, cfg.eta, cfg.cutoff, spec.scissors)
+    _require_converged(source.deficit, cfg.trunc_tol, cfg.cutoff)
 
     # amp is scaled by t[0] so f^p stays finite at any M; the scale t[0]^(2M)
     # is common to every moment and comes back in the herald probability
-    t = np.diag(nla_operator(spec.scissors, spec.gain, basis).entries).real
+    t = np.diag(nla_operator(spec.scissors, spec.gain, source.basis).entries).real
     amp = _over_sqrt_factorial(t / t[0])
     f = amp**2
     rest = _power_series(f, max(nodes - 2, 0), cap + 1)
     rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest
-    lower = ModeOperator(basis, annihilation_matrix(basis))
-    upper = ModeOperator(basis, lower.entries.conj().T)
-    on_one = _overlaps(density, _photon_totals(basis.dim, 1), rest_of_one)
-    x_one = _ladders(FockVector(basis, amp), 0, lower, upper)
+    on_one = _overlaps(*source.one, rest_of_one)
+    x_one = _ladders(FockVector(source.basis, amp), 0, source.lower, source.upper)
     on_pair = x_pair = None
     if nodes > 1:
-        on_pair = _overlaps(density, _photon_totals(basis.dim, 2), rest)
+        on_pair = _overlaps(*source.pair, rest)
         # a ladder on one mode of amp x amp is that mode's one-mode ladder times amp
         x_pair = (
             [(np.outer(ladder, amp), shift) for ladder, shift in x_one],
@@ -463,7 +521,7 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
         delta_alpha=math.sqrt(variance),
         p_success=weight * float(t[0]) ** (2 * nodes),
         cutoff=cfg.cutoff.n_max,
-        trunc_deficit=deficit,
+        trunc_deficit=source.deficit,
     )
 
 

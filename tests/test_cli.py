@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +146,29 @@ def test_many_scissors_exit_zero(tmp_path):
     for scissors in ("20", "25", "200", "300"):
         assert main(["sweep-nla", "--scissors", scissors, "--g-steps", "2", "--out", str(out)]) == 0
         assert len(read(out).splitlines()) == 3
+
+
+def test_scissors_beyond_the_float_range_exit_two(tmp_path):
+    # at g=3 the vacuum entry (g^2+1)^(-N/2) of the amplifier leaves the normal
+    # floats from N=616 and g^n overflows from N=646: the command stops with
+    # a usage error naming the scissor count and gain instead of a nan row
+    out = tmp_path / "out.csv"
+    assert main(["sweep-nla", "--scissors", "615", "--g-steps", "2", "--out", str(out)]) == 0
+    rows = read(out).decode().splitlines()[1:]
+    assert len(rows) == 2 and all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+    src = Path(cli.__file__).resolve().parents[1]
+    for scissors in ("616", "700"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "cvdqs.cli", "sweep-nla", "--scissors", scissors, "--g-steps", "2"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert f"{scissors} scissors at gain 3 " in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_help_works_twice(capsys):

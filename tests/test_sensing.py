@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from typing import NamedTuple
@@ -5,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from cvdqs import fock, gaussian, sensing
+from cvdqs import cli, fock, gaussian, sensing
 from cvdqs.fock import Cutoff, TruncationError
 from cvdqs.nla import NlaSpec, UnphysicalGainError, nla_operator
 from cvdqs.sensing import (
@@ -321,12 +322,77 @@ def test_overlaps_match_one_gather_per_overlap():
         density = rng.normal(size=(side, side))
         density = density + density.T
         coefficients = rng.normal(size=n_coef)
-        overlap = sensing._overlaps(density, totals, coefficients)
+        weights = sensing._gather_weights(density, totals, n_coef)
+        overlap = sensing._overlaps(weights, totals, coefficients)
         sector = np.arange(totals.max() + 1)[:, None] + np.arange(n_coef) + 1
         bra, ket = rng.normal(size=(2,) + totals.shape)
         for b, k in itertools.product((-1, 0, 1), repeat=2):
             want = np.vdot(bra, ket * (density[sector + b, sector + k] @ coefficients)[totals]).real
             assert overlap((bra, b), (ket, k)) == pytest.approx(want, rel=1e-13)
+
+
+def _practical_cfg(nodes, gain, cutoff=8, trunc_tol=sensing.DEFAULT_PIPELINE_TRUNC_TOL):
+    return ScenarioConfig(
+        nodes=nodes,
+        mean_photons=0.04,
+        eta=0.5,
+        scheme=SCHEME_PRACTICAL_NLA,
+        cutoff=cutoff,
+        nla=NlaSpec.practical(gain, 2),
+        trunc_tol=trunc_tol,
+    )
+
+
+def test_gain_sweep_builds_the_source_once(monkeypatch, capsys):
+    # the 41 gains of the default sweep share one lossy split source
+    calls = []
+    build = sensing.sv_fock
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sensing, "sv_fock", counting)
+    sensing._practical_source.cache_clear()
+    assert cli.main(["sweep-sensitivity"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 41
+    assert len(calls) == 1
+
+
+def test_cached_source_keeps_the_truncation_guard():
+    # the deficit is checked on every call, outside the cache, so a cached
+    # source cannot pass a tolerance its deficit fails
+    sensing._practical_source.cache_clear()
+    point = simulate_practical(_practical_cfg(4, 3.0, cutoff=5, trunc_tol=1e-4))
+    assert point.trunc_deficit == pytest.approx(1.8e-5, rel=0.05)
+    with pytest.raises(TruncationError, match="increase the cutoff"):
+        simulate_practical(_practical_cfg(4, 3.0, cutoff=5, trunc_tol=1e-6))
+    assert simulate_practical(_practical_cfg(4, 3.0, cutoff=5, trunc_tol=1e-4)) == point
+    assert sensing._practical_source.cache_info().hits == 2
+
+
+def test_cached_source_gives_the_cold_results():
+    gains = (1.0, 1.7, 2.5, 3.0)
+    for nodes in (1, 2, 4, 100):
+        cold = []
+        for gain in gains:
+            sensing._practical_source.cache_clear()
+            cold.append(simulate_practical(_practical_cfg(nodes, gain)))
+        warm = [simulate_practical(_practical_cfg(nodes, gain)) for gain in gains]
+        assert sensing._practical_source.cache_info().hits == len(gains)
+        for got, want in zip(warm, cold):
+            for field in dataclasses.fields(sensing.SensitivityPoint):
+                assert getattr(got, field.name) == getattr(want, field.name), (nodes, field.name)
+
+
+def test_cached_source_arrays_are_read_only():
+    source = sensing._practical_source(4, 0.04, 0.5, Cutoff(8), 2)
+    arrays = [*source.one, *source.pair, source.lower.entries, source.upper.entries]
+    assert sensing._practical_source(1, 0.04, 0.5, Cutoff(8), 2).pair is None
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
 
 
 def test_no_nla_vacuum_source():
