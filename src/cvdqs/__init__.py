@@ -15,11 +15,9 @@ from .fock import (
     TruncationError,
     balanced_splitter,
     beamsplitter,
-    expectation,
     normalize,
     quadratures,
     sv_fock,
-    variance,
 )
 from .gaussian import GaussianState, avg_x_std, loss_gaussian, splitter_gaussian, sv_gaussian
 from .nla import (
@@ -36,13 +34,11 @@ from .nla import (
 from .sensing import (
     ScenarioConfig,
     SensitivityPoint,
-    advantage_db,
     crlb_entangled,
     crlb_product,
     delta_alpha_entangled,
     delta_alpha_ideal_nla,
     delta_alpha_product,
-    ideal_gain_for_power,
     qfi_pure_displacement,
     simulate_no_nla_fock,
     simulate_practical,

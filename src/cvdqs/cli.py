@@ -88,8 +88,8 @@ class SweepRequest:
     # 8 leaves the default sweep's high-gain end short of converged: against a
     # cap-40 run delta_alpha is 2.0e-5 / 1.9e-4 / 1.0e-3 off at g = 2 / 2.5 / 3
     # and the power 4.7e-4 off at g=3, while trunc_deficit reads 2.1e-8
-    # throughout (ROADMAP.md, "Truncation you can trust"); at 5 the amplified
-    # six-photon tail is missing and the upper sensitivity curve visibly shifts
+    # throughout (ROADMAP.md, open item 1); at 5 the amplified six-photon tail
+    # is missing and the upper sensitivity curve visibly shifts
     cutoff: int = _setting("cutoff", 8, "source photon cap")
     g_min: float = _setting("g_min", 1.0)
     g_max: float = _setting("g_max", 3.0)

@@ -39,8 +39,8 @@ class Cutoff:
     n_max: int
 
     def __post_init__(self):
-        if int(self.n_max) < 1:
-            raise ValueError(f"photon cap must be at least 1, got {self.n_max}")
+        if self.n_max < 1 or not float(self.n_max).is_integer():
+            raise ValueError(f"photon cap must be a whole number >= 1, got {self.n_max}")
         object.__setattr__(self, "n_max", int(self.n_max))
 
     @property
@@ -112,11 +112,6 @@ def annihilation_matrix(cutoff: CutoffLike) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1).astype(complex)
 
 
-def number_operator(cutoff: CutoffLike) -> ModeOperator:
-    c = as_cutoff(cutoff)
-    return ModeOperator(c, np.diag(np.arange(c.dim, dtype=float)).astype(complex))
-
-
 def quadratures(cutoff: CutoffLike) -> tuple[ModeOperator, ModeOperator]:
     """Return (x, p) with vacuum variances 1/4 and 1 (see module docstring)."""
     c = as_cutoff(cutoff)
@@ -124,12 +119,6 @@ def quadratures(cutoff: CutoffLike) -> tuple[ModeOperator, ModeOperator]:
     x = (a + a.conj().T) / 2.0
     p = -1j * (a - a.conj().T)
     return ModeOperator(c, x), ModeOperator(c, p)
-
-
-def displacement_matrix(alpha: complex, cutoff: CutoffLike) -> np.ndarray:
-    """exp(alpha a^dag - alpha* a) restricted to the truncated basis."""
-    a = annihilation_matrix(cutoff)
-    return _unitary_from_generator(alpha * a.conj().T - np.conj(alpha) * a)
 
 
 def basis_vector(occupation: Sequence[int], cutoff: CutoffLike) -> FockVector:
@@ -220,18 +209,6 @@ def apply_mode_operator(op: ModeOperator, mode: int, psi: FockVector) -> FockVec
     return FockVector(psi.cutoff, _apply_matrix_axis(op.entries, psi.amplitudes, mode))
 
 
-def embed_mode_operator(op: ModeOperator, mode: int, mode_count: int) -> np.ndarray:
-    """Kron-embed a single-mode operator into the full multimode matrix."""
-    if not 0 <= mode < mode_count:
-        raise ValueError(f"mode {mode} out of range for {mode_count} mode(s)")
-    d1 = op.cutoff.dim
-    ident = np.eye(d1, dtype=complex)
-    out = np.ones((1, 1), dtype=complex)
-    for m in range(mode_count):
-        out = np.kron(out, op.entries if m == mode else ident)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # channels and network elements
 # ---------------------------------------------------------------------------
@@ -309,40 +286,8 @@ def loss_kraus_operators(eta: float, cutoff: CutoffLike) -> tuple[np.ndarray, ..
 
 
 # ---------------------------------------------------------------------------
-# moments and state manipulation
+# state manipulation
 # ---------------------------------------------------------------------------
-
-def _full_matrix(op: Union[np.ndarray, ModeOperator], state: FockVector) -> np.ndarray:
-    if isinstance(op, ModeOperator):
-        if state.mode_count != 1:
-            raise ValueError("a bare ModeOperator applies to single-mode states only")
-        if op.cutoff != state.cutoff:
-            raise ValueError("operator and state cutoffs differ")
-        return op.entries
-    mat = np.asarray(op, dtype=complex)
-    d = state.cutoff.dim**state.mode_count
-    if mat.shape != (d, d):
-        raise ValueError(f"operator shape {mat.shape} does not match state dimension {d}")
-    return mat
-
-
-def expectation(op: Union[np.ndarray, ModeOperator], state: FockVector) -> complex:
-    """<O> = <psi|O|psi>."""
-    mat = _full_matrix(op, state)
-    flat = state.amplitudes.reshape(-1)
-    return complex(np.vdot(flat, mat @ flat))
-
-
-def variance(op: Union[np.ndarray, ModeOperator], state: FockVector) -> float:
-    """Var(O) = <O^2> - <O>^2; imaginary residue above 1e-10 is a hard error."""
-    mat = _full_matrix(op, state)
-    first = expectation(mat, state)
-    second = expectation(mat @ mat, state)
-    var = second - first**2
-    if abs(var.imag) > 1e-10:
-        raise AssertionError(f"variance has imaginary residue {var.imag:.3e}")
-    return float(var.real)
-
 
 def normalize(state: FockVector) -> tuple[FockVector, float]:
     """Rescale to unit norm; returns (state, pre-normalisation squared norm)."""

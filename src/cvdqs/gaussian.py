@@ -52,18 +52,6 @@ class GaussianState:
         return self.mean.size // 2
 
 
-def symplectic_form(mode_count: int) -> np.ndarray:
-    """Block-diagonal [[0, 1], [-1, 0]] per mode (interleaved ordering)."""
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(mode_count), block)
-
-
-def vacuum_gaussian(mode_count: int) -> GaussianState:
-    if mode_count < 1:
-        raise ValueError(f"mode count must be at least 1, got {mode_count}")
-    return GaussianState(np.zeros(2 * mode_count), VACUUM_VARIANCE * np.eye(2 * mode_count))
-
-
 def sv_gaussian(mean_photons: float) -> GaussianState:
     """Single-mode squeezed vacuum, squeezed along x, sinh^2(r) = mean_photons."""
     if mean_photons < 0:
@@ -140,15 +128,3 @@ def avg_x_std(state: GaussianState) -> float:
     """
     m = state.mode_count
     return float(np.sqrt(quadrature_sum_variance(state, "x"))) / m
-
-
-def purity(state: GaussianState) -> float:
-    """1 for pure states, below 1 for mixed (1/sqrt(det(4 cov)))."""
-    return float(1.0 / np.sqrt(np.linalg.det(4.0 * state.cov)))
-
-
-def uncertainty_floor(state: GaussianState) -> float:
-    """Smallest eigenvalue of cov + i Omega / 4; physical states satisfy >= 0."""
-    omega = symplectic_form(state.mode_count)
-    eigvals = np.linalg.eigvalsh(state.cov + 0.25j * omega)
-    return float(np.min(eigvals))

@@ -53,12 +53,13 @@ class NlaSpec:
     scissors: int
 
     def __post_init__(self):
-        if self.gain < 1.0:
+        if not 1.0 <= self.gain < math.inf:
             raise ValueError(
-                f"amplitude gain must be >= 1 (noiseless attenuation unsupported), got {self.gain}"
+                "amplitude gain must be finite and >= 1 (noiseless attenuation unsupported), "
+                f"got {self.gain}"
             )
-        if self.scissors is None or int(self.scissors) < 1:
-            raise ValueError("practical amplifier needs a scissor count >= 1")
+        if self.scissors is None or self.scissors < 1 or not float(self.scissors).is_integer():
+            raise ValueError(f"scissor count must be a whole number >= 1, got {self.scissors}")
         object.__setattr__(self, "scissors", int(self.scissors))
 
     @staticmethod
@@ -83,8 +84,8 @@ def effective_transmissivity(gain: float, eta: float) -> float:
 
 
 def _check_gain_eta(gain: float, eta: float) -> None:
-    if gain < 1.0:
-        raise ValueError(f"amplitude gain must be >= 1, got {gain}")
+    if not 1.0 <= gain < math.inf:
+        raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"transmissivity must lie in (0, 1], got {eta}")
 

@@ -15,7 +15,6 @@ from cvdqs.nla import NlaSpec, effective_transmissivity
 from cvdqs.sensing import (
     SCHEME_PRACTICAL_NLA,
     ScenarioConfig,
-    advantage_db,
     delta_alpha_entangled,
     delta_alpha_product,
     lossless_cvmp_vector,
@@ -172,7 +171,8 @@ def test_criterion_06_crossover_window():
 
 def test_criterion_07_operating_point():
     rows = _practical_sweep(np.linspace(1.5, 2.8, 131))  # same sweep family as criterion 6
-    best = max(rows, key=lambda row: advantage_db(row["product"], row["practical"]))
+    # advantage in dB: 10 log10 of the variance ratio, product over practical
+    best = max(rows, key=lambda row: 10 * math.log10(row["product"] ** 2 / row["practical"] ** 2))
     gain_ok = abs(best["gain"] - 2.2) <= 0.3
     p_ok = 1e-6 <= best["p_success"] <= 1e-4
     verdict(
@@ -211,16 +211,15 @@ def test_criterion_09_asymptotic_scalings():
 def test_criterion_10_advantage_behavior():
     per_node = 100.0
     total = NODES * per_node
-    at_unity = advantage_db(
-        delta_alpha_product(NODES, total), delta_alpha_entangled(NODES, total, 1.0)
-    )
+    # advantage in dB: 10 log10 of the variance ratio, product over entangled
     series = [
-        advantage_db(
-            delta_alpha_product(NODES, total, eta_local=eta),
-            delta_alpha_entangled(NODES, total, eta),
+        10 * math.log10(
+            delta_alpha_product(NODES, total, eta_local=eta) ** 2
+            / delta_alpha_entangled(NODES, total, eta) ** 2
         )
         for eta in (1.0, 0.9, 0.75, 0.6, 0.45, 0.3)
     ]
+    at_unity = series[0]
     monotone = all(a > b for a, b in zip(series, series[1:]))
     ok = abs(at_unity - 6.02) <= 0.05 and monotone
     verdict(

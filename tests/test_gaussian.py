@@ -8,25 +8,15 @@ from cvdqs.gaussian import (
     avg_x_std,
     balanced_orthogonal,
     loss_gaussian,
-    purity,
     quadrature_sum_variance,
     splitter_gaussian,
     splitter_symplectic,
     sv_gaussian,
-    symplectic_form,
-    uncertainty_floor,
-    vacuum_gaussian,
 )
 
 
 def sv_x_variance(mean_photons):
     return (math.sqrt(mean_photons + 1) - math.sqrt(mean_photons)) ** 2 / 4.0
-
-
-def test_vacuum_covariance():
-    vac = vacuum_gaussian(3)
-    assert np.array_equal(vac.cov, 0.25 * np.eye(6))
-    assert np.array_equal(vac.mean, np.zeros(6))
 
 
 def test_sv_covariance_values():
@@ -73,7 +63,8 @@ def test_balanced_orthogonal_first_column_uniform():
 def test_splitter_preserves_symplectic_form():
     for m in (2, 3, 4):
         s = splitter_symplectic(m)
-        omega = symplectic_form(m)
+        # block-diagonal [[0, 1], [-1, 0]] per mode, interleaved quadratures
+        omega = np.kron(np.eye(m), [[0.0, 1.0], [-1.0, 0.0]])
         assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-12
 
 
@@ -91,7 +82,8 @@ def test_splitter_divides_sv_variance():
 
 def test_avg_x_std_vacuum_shot_noise():
     for m in (1, 2, 4, 6):
-        assert avg_x_std(vacuum_gaussian(m)) == pytest.approx(0.5 / math.sqrt(m), abs=1e-12)
+        vacuum = splitter_gaussian(sv_gaussian(0.0), m)
+        assert avg_x_std(vacuum) == pytest.approx(0.5 / math.sqrt(m), abs=1e-12)
 
 
 def test_avg_x_std_matches_closed_form():
@@ -109,42 +101,16 @@ def test_avg_x_std_matches_closed_form():
     assert avg_x_std(lossy) == pytest.approx(0.228588, abs=1e-6)
 
 
-def test_engine_agreement_with_fock_two_modes():
-    from cvdqs import fock
-
-    psi, _ = fock.normalize(fock.sv_fock(0.04, 14))
-    spread = np.zeros((15, 15), dtype=complex)
-    spread[:, 0] = psi.amplitudes
-    split = fock.balanced_splitter(2, fock.FockVector(fock.Cutoff(14), spread))
-    x_op, _ = fock.quadratures(14)
-    xbar = (
-        fock.embed_mode_operator(x_op, 0, 2) + fock.embed_mode_operator(x_op, 1, 2)
-    ) / 2.0
-    fock_std = math.sqrt(fock.variance(xbar, split))
-    gauss_std = avg_x_std(splitter_gaussian(sv_gaussian(0.04), 2))
-    assert fock_std == pytest.approx(gauss_std, abs=1e-8)
-
-
-def test_purity_degrades_with_loss():
-    state = sv_gaussian(0.04)
-    assert purity(state) == pytest.approx(1.0, abs=1e-12)
-    # mixedness peaks at eta = 1/2 (both endpoints of the channel are pure),
-    # so strict decrease holds on the low-loss half
-    values = [purity(loss_gaussian(state, eta)) for eta in (1.0, 0.9, 0.8, 0.7, 0.6, 0.5)]
-    assert values[0] == pytest.approx(1.0, abs=1e-12)
-    assert all(a > b for a, b in zip(values, values[1:]))
-    for eta in (0.3, 0.5, 0.7, 0.9):
-        assert purity(loss_gaussian(state, eta)) < 1.0
-
-
 def test_states_satisfy_uncertainty():
+    # physical states have cov + i Omega / 4 positive semidefinite
     for state in (
-        vacuum_gaussian(2),
+        splitter_gaussian(sv_gaussian(0.0), 2),
         sv_gaussian(0.3),
         loss_gaussian(sv_gaussian(0.3), 0.6),
         splitter_gaussian(loss_gaussian(sv_gaussian(0.1), 0.4), 3),
     ):
-        assert uncertainty_floor(state) >= -1e-10
+        omega = np.kron(np.eye(state.mode_count), [[0.0, 1.0], [-1.0, 0.0]])
+        assert np.linalg.eigvalsh(state.cov + 0.25j * omega).min() >= -1e-10
 
 
 def test_quadrature_sum_variance_selects_blocks():
