@@ -140,8 +140,8 @@ def sv_fock(mean_photons: float, cutoff: CutoffLike) -> FockVector:
     with ``sinh^2 r = mean_photons``; odd components vanish.  The vector is
     returned as truncated, so its ``norm_deficit`` is the weight beyond the cap.
     """
-    if mean_photons < 0:
-        raise ValueError(f"mean photon number must be non-negative, got {mean_photons}")
+    if not 0 <= mean_photons < math.inf:
+        raise ValueError(f"mean photon number must be finite and non-negative, got {mean_photons}")
     c = as_cutoff(cutoff)
     amps = np.zeros(c.dim, dtype=complex)
     if mean_photons == 0:

@@ -54,8 +54,8 @@ class GaussianState:
 
 def sv_gaussian(mean_photons: float) -> GaussianState:
     """Single-mode squeezed vacuum, squeezed along x, sinh^2(r) = mean_photons."""
-    if mean_photons < 0:
-        raise ValueError(f"mean photon number must be non-negative, got {mean_photons}")
+    if not 0 <= mean_photons < np.inf:
+        raise ValueError(f"mean photon number must be finite and non-negative, got {mean_photons}")
     r = np.arcsinh(np.sqrt(mean_photons))
     cov = np.diag([np.exp(-2 * r), np.exp(2 * r)]) / 4.0
     return GaussianState(np.zeros(2), cov)

@@ -38,7 +38,7 @@ class UnphysicalGainError(ValueError):
 
 
 class AmplifierRangeError(ValueError):
-    """The practical amplifier's Kraus element cannot be held in normal floats."""
+    """The practical amplifier's Kraus element, or the moments it leaves, cannot be held in floats."""
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,10 @@ def effective_sv_photons(mean_photons: float, gain_eff: float) -> float:
     the right-hand side stays below 1; beyond that boundary the amplified
     squeezing parameter would leave the physical range.
     """
-    if mean_photons < 0:
-        raise ValueError(f"mean photon number must be non-negative, got {mean_photons}")
-    if gain_eff < 1.0:
-        raise ValueError(f"effective gain must be >= 1, got {gain_eff}")
+    if not 0 <= mean_photons < math.inf:
+        raise ValueError(f"mean photon number must be finite and non-negative, got {mean_photons}")
+    if not 1.0 <= gain_eff < math.inf:
+        raise ValueError(f"effective gain must be finite and >= 1, got {gain_eff}")
     lam = gain_eff * gain_eff * math.sqrt(mean_photons / (mean_photons + 1.0))
     if lam >= 1.0:
         raise UnphysicalGainError(
@@ -128,8 +128,8 @@ def projector_pi(scissors: int, gain: float, cutoff: CutoffLike) -> ModeOperator
     c = as_cutoff(cutoff)
     if scissors < 1:
         raise ValueError(f"scissor count must be >= 1, got {scissors}")
-    if gain < 1.0:
-        raise ValueError(f"amplitude gain must be >= 1, got {gain}")
+    if not 1.0 <= gain < math.inf:
+        raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
     if scissors > c.n_max:
         raise ValueError(
             f"cutoff n_max={c.n_max} cannot hold the {scissors}-photon scissor truncation"
@@ -176,8 +176,8 @@ def clipped_gain_operator(gain: float, cutoff: CutoffLike) -> ModeOperator:
     Stand-in for the ideal amplifier in validation runs; the overall scale is
     irrelevant after post-selection, and rescaling keeps entries bounded.
     """
-    if gain < 1.0:
-        raise ValueError(f"amplitude gain must be >= 1, got {gain}")
+    if not 1.0 <= gain < math.inf:
+        raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
     c = as_cutoff(cutoff)
     diag = gain_diagonal(gain, c)
     return ModeOperator(c, np.diag(diag / diag[-1]).astype(complex))
@@ -202,8 +202,8 @@ def scissor_kraus(gain: float, cutoff: CutoffLike) -> ModeOperator:
     ``nla_operator(1, g) / sqrt(2)``; summing both heralds reproduces the
     closed-form success probability.
     """
-    if gain < 1.0:
-        raise ValueError(f"amplitude gain must be >= 1, got {gain}")
+    if not 1.0 <= gain < math.inf:
+        raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
     c = as_cutoff(cutoff)
     gamma = 1.0 / (gain * gain + 1.0)
     theta_split = -math.acos(math.sqrt(gamma))

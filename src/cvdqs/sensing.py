@@ -22,8 +22,8 @@ pins it against an oracle that loses photons after the split.
 ``cutoff`` caps the photon number of the single-mode source.  Both pipelines
 sum the branches into one source density ``R`` indexed by the source's photon
 total, and read every moment off as overlaps weighted by ``R`` in the sector
-of each side: ``_gather_weights`` takes the weights of one family of overlaps
-from ``R`` in a single pass, and ``_overlaps`` contracts them with the
+of each side: ``_gather_weights`` takes the weights of every overlap from
+``R`` in a single pass, and ``_overlaps`` contracts them with the
 coefficients of the summed-out modes.  Both probe states are symmetric under
 permuting the nodes, so both pipelines read ``Var(xbar)`` and the power off
 the x ladders of modes 0 and 1 through one formula (``_symmetric_moments``).
@@ -31,16 +31,16 @@ The amplifier-free pipeline splits one comb of photon numbers over the dense
 ``(cutoff+1)^M`` tensor, once per point rather than once per branch, and
 applies the ladders to its first two modes.  The practical pipeline forms no
 ``M``-mode tensor at all: its amplifier is zero above ``N`` photons per mode
-and an even split has closed-form amplitudes, so its ladders act on the one-
-and two-mode marginals on ``{0..N+1}``, the two-mode ones as outer products
-of the one-mode ladders.  Its cost grows with ``M`` only through the
-polynomial powers ``f^(M-1)`` and ``f^(M-2)`` that sum out the other modes.
+and an even split has closed-form amplitudes, so its ladders act on one mode
+on ``{0..N+1}``, and a pair of modes enters only through its photon total, as
+a 1-D convolution of one-mode arrays.  Its cost grows with ``M`` only through
+the polynomial powers ``f^(M-1)`` and ``f^(M-2)`` that sum out the other modes.
 
 The practical pipeline runs in two stages: a source stage that builds ``R``
-and gathers both families' weights, cached because it does not depend on the
-gain (a gain sweep builds it once), and a gain stage that forms the amplifier
-and contracts its power series with those weights.  The truncation guard runs
-on every call, outside the cache.
+and gathers its weights over every photon total a pair of modes can hold,
+cached because it does not depend on the gain (a gain sweep builds it once),
+and a gain stage that forms the amplifier and contracts its power series with
+those weights.  The truncation guard runs on every call, outside the cache.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .fock import (
 )
 from .gaussian import FOCK_P_VARIANCE_SCALE, GaussianState, quadrature_sum_variance
 from .nla import (
+    AmplifierRangeError,
     NlaSpec,
     effective_gain,
     effective_sv_photons,
@@ -257,13 +258,13 @@ def _photon_totals(dim: int, modes: int) -> np.ndarray:
     return functools.reduce(np.add.outer, [np.arange(dim)] * modes)
 
 
-def _gather_weights(density: np.ndarray, totals: np.ndarray, length: int) -> np.ndarray:
+def _gather_weights(density: np.ndarray, sectors: int, length: int) -> np.ndarray:
     """``density[sector + b, sector + k]`` for every shift pair ``b, k`` in ``{-1, 0, 1}``.
 
-    Shape ``(3, 3, totals.max() + 1, length)``: the weights that ``_overlaps``
-    contracts with ``length`` coefficients of the summed-out modes.
+    Shape ``(3, 3, sectors, length)``: the weights that ``_overlaps`` contracts
+    with ``length`` coefficients of the summed-out modes.
     """
-    sector = np.arange(totals.max() + 1)[:, None] + np.arange(length) + 1
+    sector = np.arange(sectors)[:, None] + np.arange(length) + 1
     shifts = np.arange(-1, 2)[:, None, None, None]
     return density[sector + shifts, sector + shifts.swapaxes(0, 1)]
 
@@ -277,7 +278,7 @@ def _overlaps(weights, totals, coefficients):
     ``coefficients[r]`` weighs the part where the summed-out modes hold ``r``
     photons between them.  ``weights`` comes from ``_gather_weights``; it is
     contracted with the coefficients once, and each overlap reads its shift
-    pair at ``totals``.
+    pair at ``totals``, an index: ``slice(dim)`` when the tensor is one mode.
     """
     table = weights @ coefficients
 
@@ -308,8 +309,8 @@ def _symmetric_moments(nodes, on_one, state, x_one, on_pair, x_pair) -> tuple[fl
 
     ``Var(xbar) = [<x_1^2> + (M-1) <x_1 x_2>] / M - <x_1>^2`` and the power is
     ``M <n_1>``.  ``on_one`` overlaps ``state`` and ``x_one``, the two ladders
-    of mode 0 on it; ``on_pair`` overlaps ``x_pair``, the ladders of modes 0
-    and 1 on a state holding both, which only ``M > 1`` reads.
+    of mode 0 on it; ``on_pair`` overlaps a ladder of mode 0 from ``x_pair[0]``
+    with one of mode 1 from ``x_pair[1]``, which only ``M > 1`` reads.
     """
     weight = on_one(state, state)
     mean_x = sum(on_one(state, ket) for ket in x_one) / (2.0 * weight)
@@ -356,7 +357,7 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     comb[(slice(None),) + (0,) * (nodes - 1)] = 1.0
     split = fock.balanced_splitter(nodes, FockVector(cutoff, comb))
     totals = _photon_totals(cutoff.dim, nodes)
-    overlap = _overlaps(_gather_weights(density, totals, 1), totals, np.ones(1))
+    overlap = _overlaps(_gather_weights(density, totals.max() + 1, 1), totals, np.ones(1))
     lower = ModeOperator(cutoff, annihilation_matrix(cutoff))
     upper = ModeOperator(cutoff, lower.entries.conj().T)
     x_first = _ladders(split, 0, lower, upper)
@@ -394,8 +395,7 @@ class _PracticalSource(NamedTuple):
     basis: Cutoff
     lower: ModeOperator
     upper: ModeOperator
-    one: tuple[np.ndarray, np.ndarray]
-    pair: Optional[tuple[np.ndarray, np.ndarray]]
+    weights: np.ndarray
     deficit: float
 
 
@@ -405,9 +405,10 @@ def _practical_source(
 ) -> _PracticalSource:
     """Source stage of ``simulate_practical``: all of a point that does not depend on the gain.
 
-    The amplifier's basis ``{0..N+1}`` and ladders, and per overlap family
-    (one mode; two modes when ``M > 1``) the weights gathered from the density
-    ``R`` and the photon totals, frozen.  The deficit is returned unchecked.
+    The amplifier's basis ``{0..N+1}`` and ladders, and the weights gathered
+    once from the density ``R`` for every photon total ``0..2N+2`` that a pair
+    of modes can hold, frozen; the one-mode overlaps read the first ``N+2``
+    sectors.  The deficit is returned unchecked.
     """
     basis = Cutoff(scissors + 1)
     s = np.arange(cutoff.dim)
@@ -417,12 +418,8 @@ def _practical_source(
     density, deficit = _source_density(mean_photons, eta, cutoff, split, 2 * basis.n_max + cutoff.n_max)
     lower = ModeOperator(basis, annihilation_matrix(basis))
     upper = ModeOperator(basis, lower.entries.conj().T)
-
-    def family(modes: int) -> tuple[np.ndarray, np.ndarray]:
-        totals = _photon_totals(basis.dim, modes)
-        return fock._frozen(_gather_weights(density, totals, cutoff.dim)), fock._frozen(totals)
-
-    return _PracticalSource(basis, lower, upper, family(1), family(2) if nodes > 1 else None, deficit)
+    weights = fock._frozen(_gather_weights(density, 2 * basis.n_max + 1, cutoff.dim))
+    return _PracticalSource(basis, lower, upper, weights, deficit)
 
 
 def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
@@ -445,19 +442,21 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     Summing out ``p`` modes whose photons total ``r`` leaves the coefficient
     ``[z^r] f(z)^p`` with ``f(z) = sum_n amp[n]^2 z^n``, and summing the
     branches leaves the source density ``R[s, s'] = sum_k beta_k[s] beta_k[s']``.
-    The x ladders act on ``amp`` (one mode) and ``amp x amp`` (two modes) on
-    ``{0..N+1}``; a ladder on one mode of ``amp x amp`` is the one-mode ladder
-    times ``amp``, so only the two one-mode ladders are applied.  Each ladder
-    shifts the source total by a known one, which picks the entry of ``R``.
+    The x ladders act on ``amp`` on ``{0..N+1}``, so only the two one-mode
+    ladders are applied; each shifts the source total by a known one, which
+    picks the entry of ``R``.  A pair overlap ``<l_i x amp| T |amp x l_j>``
+    reads ``T`` only at the pair's photon total, so it is ``T`` summed against
+    the convolution of ``conj(l_i) amp`` and ``conj(amp) l_j``.
     The source cap ``cutoff`` is the only truncation.
 
     Two stages: ``_practical_source``, cached on ``(M, N_S, eta, cutoff, N)``,
-    builds ``R`` and gathers the weights of every shift pair once per family,
-    so a gain sweep builds it once; the gain stage forms ``t``, ``amp`` and the
-    powers of ``f``, contracts them with those weights and applies the two
-    ladders.  The truncation guard (``TruncationError`` when the deficit
-    exceeds ``trunc_tol``) runs on every call, outside the cache.  Too many
-    scissors for the gain raise ``nla.AmplifierRangeError``.
+    builds ``R`` and gathers the weights of every shift pair once, so a gain
+    sweep builds it once; the gain stage forms ``t``, ``amp`` and the powers
+    of ``f``, contracts them with those weights and applies the two ladders.
+    The truncation guard (``TruncationError`` when the deficit exceeds
+    ``trunc_tol``) runs on every call, outside the cache.  Too many scissors
+    for the gain, or a weight, variance or power that is not finite, raise
+    ``nla.AmplifierRangeError``.
     """
     if cfg.scheme != SCHEME_PRACTICAL_NLA:
         raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
@@ -465,24 +464,31 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     source = _practical_source(nodes, cfg.mean_photons, cfg.eta, cfg.cutoff, spec.scissors)
     _require_converged(source.deficit, cfg.trunc_tol, cfg.cutoff)
 
-    # amp is scaled by t[0] so f^p stays finite at any M; the scale t[0]^(2M)
-    # is common to every moment and comes back in the herald probability
-    t = np.diag(nla_operator(spec.scissors, spec.gain, source.basis).entries).real
-    amp = _over_sqrt_factorial(t / t[0])
-    f = amp**2
-    rest = _power_series(f, max(nodes - 2, 0), cap + 1)
-    rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest
-    on_one = _overlaps(*source.one, rest_of_one)
-    x_one = _ladders(FockVector(source.basis, amp), 0, source.lower, source.upper)
-    on_pair = x_pair = None
-    if nodes > 1:
-        on_pair = _overlaps(*source.pair, rest)
-        # a ladder on one mode of amp x amp is that mode's one-mode ladder times amp
-        x_pair = (
-            [(np.outer(ladder, amp), shift) for ladder, shift in x_one],
-            [(np.outer(amp, ladder), shift) for ladder, shift in x_one],
+    # a moment that leaves the floats is caught below, not warned about
+    with np.errstate(all="ignore"):
+        # amp is scaled by t[0] so f^p stays finite at any M; the scale t[0]^(2M)
+        # is common to every moment and comes back in the herald probability
+        t = np.diag(nla_operator(spec.scissors, spec.gain, source.basis).entries).real
+        amp = _over_sqrt_factorial(t / t[0])
+        f = amp**2
+        rest = _power_series(f, max(nodes - 2, 0), cap + 1)
+        rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest
+        on_one = _overlaps(source.weights, slice(source.basis.dim), rest_of_one)
+        pair_table = source.weights @ rest
+
+        def on_pair(bra, ket) -> float:
+            # <l_i x amp| T(n_1 + n_2) |amp x l_j>, summed over the pair's photon total (amp is real)
+            (first, bra_shift), (second, ket_shift) = bra, ket
+            profile = np.convolve(first.conj() * amp, amp * second)
+            return float(np.dot(pair_table[bra_shift + 1, ket_shift + 1], profile).real)
+
+        x_one = _ladders(FockVector(source.basis, amp), 0, source.lower, source.upper)
+        weight, variance, power = _symmetric_moments(nodes, on_one, (amp, 0), x_one, on_pair, (x_one, x_one))
+    if not all(map(math.isfinite, (weight, variance, power))):
+        raise AmplifierRangeError(
+            f"the heralded moments at gain {spec.gain:g} on M={nodes} nodes leave the float range; "
+            "use a lower gain, fewer nodes or a lower cutoff"
         )
-    weight, variance, power = _symmetric_moments(nodes, on_one, (amp, 0), x_one, on_pair, x_pair)
     return SensitivityPoint(
         scheme=SCHEME_PRACTICAL_NLA,
         probe_power=power,

@@ -150,16 +150,30 @@ def test_many_scissors_exit_zero(tmp_path):
 
 def test_scissors_beyond_the_float_range_exit_two(tmp_path):
     # at g=3 the vacuum entry (g^2+1)^(-N/2) of the amplifier leaves the normal
-    # floats from N=616 and g^n overflows from N=646: the command stops with
-    # a usage error naming the scissor count and gain instead of a nan row
+    # floats from N=616 and g^n overflows from N=646; the powers of f overflow
+    # at M=1000 with a cap of 170, and the amplitudes at g=1000.  Each command
+    # stops with a usage error naming the scissor count or node count and the
+    # gain instead of a nan row, a warning or a traceback
     out = tmp_path / "out.csv"
     assert main(["sweep-nla", "--scissors", "615", "--g-steps", "2", "--out", str(out)]) == 0
     rows = read(out).decode().splitlines()[1:]
     assert len(rows) == 2 and all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
     src = Path(cli.__file__).resolve().parents[1]
-    for scissors in ("616", "700"):
+    high_gain = ["--ns", "3", "--scissors", "40", "--cutoff", "60", "--g-max", "1000", "--g-steps", "2"]
+    for argv, named in (
+        (["sweep-nla", "--scissors", "616", "--g-steps", "2"], "616 scissors at gain 3 "),
+        (["sweep-nla", "--scissors", "700", "--g-steps", "2"], "700 scissors at gain 3 "),
+        (["sweep-nla", "--M", "1000", "--cutoff", "170", "--g-steps", "2"], "at gain 3 on M=1000 "),
+        (
+            ["sweep-nla", "--M", "300", "--ns", "0", "--eta", "1e-9", "--scissors", "1", "--cutoff", "60",
+             "--g-max", "1000", "--g-steps", "2"],
+            "at gain 1000 on M=300 ",
+        ),
+        (["sweep-nla", "--M", "2", *high_gain], "at gain 1000 on M=2 "),
+        (["sweep-sensitivity", "--M", "2", *high_gain], "at gain 1000 on M=2 "),
+    ):
         proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "cvdqs.cli", "sweep-nla", "--scissors", scissors, "--g-steps", "2"],
+            [sys.executable, "-W", "error", "-m", "cvdqs.cli", *argv],
             capture_output=True,
             text=True,
             env=dict(os.environ, PYTHONPATH=str(src)),
@@ -167,7 +181,7 @@ def test_scissors_beyond_the_float_range_exit_two(tmp_path):
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert f"{scissors} scissors at gain 3 " in proc.stderr
+        assert named in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 

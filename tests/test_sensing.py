@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from cvdqs import cli, fock, gaussian, sensing
+from cvdqs import cli, fock, gaussian, nla, sensing
 from cvdqs.fock import Cutoff, TruncationError
 from cvdqs.nla import NlaSpec, UnphysicalGainError, nla_operator
 from cvdqs.sensing import (
@@ -257,8 +257,9 @@ def test_no_nla_ladder_passes_do_not_grow_with_nodes(monkeypatch):
 
 
 def test_practical_ladder_passes_do_not_grow_with_nodes(monkeypatch):
-    # the pair ladders are outer products of the one-mode ladders with amp,
-    # so only the two one-mode ladders go through apply_mode_operator
+    # the pair overlaps convolve the one-mode ladders with amp over the pair's
+    # photon total, so only the two one-mode ladders go through
+    # apply_mode_operator and no grid over the occupations of two modes is built
     counts = []
     apply = sensing.apply_mode_operator
 
@@ -266,7 +267,13 @@ def test_practical_ladder_passes_do_not_grow_with_nodes(monkeypatch):
         counts[-1] += 1
         return apply(*args)
 
+    def two_mode_grid(*args):
+        raise AssertionError("the practical engine built a grid over two modes")
+
     monkeypatch.setattr(sensing, "apply_mode_operator", counting)
+    monkeypatch.setattr(sensing, "_photon_totals", two_mode_grid)
+    monkeypatch.setattr(sensing.np, "outer", two_mode_grid)
+    sensing._practical_source.cache_clear()
     for nodes in (1, 2, 4, 100):
         counts.append(0)
         simulate_practical(
@@ -291,7 +298,7 @@ def test_overlaps_match_one_gather_per_overlap():
         density = rng.normal(size=(side, side))
         density = density + density.T
         coefficients = rng.normal(size=n_coef)
-        weights = sensing._gather_weights(density, totals, n_coef)
+        weights = sensing._gather_weights(density, totals.max() + 1, n_coef)
         overlap = sensing._overlaps(weights, totals, coefficients)
         sector = np.arange(totals.max() + 1)[:, None] + np.arange(n_coef) + 1
         bra, ket = rng.normal(size=(2,) + totals.shape)
@@ -355,13 +362,15 @@ def test_cached_source_gives_the_cold_results():
 
 
 def test_cached_source_arrays_are_read_only():
-    source = sensing._practical_source(4, 0.04, 0.5, Cutoff(8), 2)
-    arrays = [*source.one, *source.pair, source.lower.entries, source.upper.entries]
-    assert sensing._practical_source(1, 0.04, 0.5, Cutoff(8), 2).pair is None
-    for array in arrays:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[(0,) * array.ndim] = 1.0
+    # one gather over every photon total a pair of modes can hold, 0..2N+2,
+    # whatever the node count; the one-mode overlaps read its first N+2 sectors
+    for nodes in (1, 4):
+        source = sensing._practical_source(nodes, 0.04, 0.5, Cutoff(8), 2)
+        assert source.weights.shape == (3, 3, 2 * 2 + 3, 8 + 1)
+        for array in (source.weights, source.lower.entries, source.upper.entries):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
 
 
 def test_no_nla_vacuum_source():
@@ -601,7 +610,9 @@ def _multinomial_oracle(nodes, mean_photons, eta, scissors, gain, cutoff):
 
 
 def test_practical_matches_multinomial_oracle_at_many_nodes():
-    for nodes, gain, scissors in itertools.product((4, 5, 6, 8), (1.0, 1.7, 3.0), (1, 2, 3)):
+    # the last four pairs put many photon totals under the pair convolution
+    node_scissors = [*itertools.product((4, 5, 6, 8), (1, 2, 3)), (2, 25), (2, 60), (3, 25), (4, 7)]
+    for (nodes, scissors), gain in itertools.product(node_scissors, (1.0, 1.7, 3.0)):
         cfg = ScenarioConfig(
             nodes=nodes,
             mean_photons=0.04,
@@ -771,11 +782,21 @@ def test_scenario_config_validation():
         (partial(Cutoff, 8.7), "photon cap"),
         (partial(Cutoff, math.inf), "photon cap"),
         (partial(NlaSpec, 2.0, 2.5), "scissor count"),
+        (partial(fock.sv_fock, math.nan, 4), "mean photon number"),
+        (partial(gaussian.sv_gaussian, math.nan), "mean photon number"),
+        (partial(nla.effective_sv_photons, math.nan, 1.5), "mean photon number"),
+        (partial(nla.effective_sv_photons, 0.04, math.nan), "effective gain"),
+        (partial(nla.clipped_gain_operator, math.nan, 4), "amplitude gain"),
+        (partial(nla.projector_pi, 2, math.nan, 4), "amplitude gain"),
+        (partial(nla.nla_operator, 2, math.nan, 4), "amplitude gain"),
+        (partial(nla.scissor_kraus, math.nan, 2), "amplitude gain"),
     ],
     ids=[
         "config-ns-nan", "config-ns-inf", "closed-form-ns-nan", "crlb-ns-nan",
         "spec-gain-nan", "spec-gain-inf", "ideal-gain-nan", "config-nodes-2.5",
         "closed-form-nodes-2.5", "cutoff-8.7", "cutoff-inf", "scissors-2.5",
+        "sv-fock-ns-nan", "sv-gaussian-ns-nan", "effective-ns-nan", "effective-gain-nan",
+        "clipped-gain-nan", "projector-gain-nan", "nla-operator-gain-nan", "scissor-gain-nan",
     ],
 )
 def test_non_finite_and_non_integral_inputs_raise_naming_the_parameter(build, name):
