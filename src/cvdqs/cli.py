@@ -97,7 +97,7 @@ class SweepRequest:
     eta_min: float = _setting("eta_min", 0.1)
     eta_max: float = _setting("eta_max", 1.0)
     eta_steps: int = _setting("eta_steps", 10)
-    out: Optional[str] = _setting("out", None, "output CSV path (default: stdout)")
+    out: Optional[str] = _setting("out", None, "output file path (default: stdout)")
     precision: int = _setting("precision", 10, "float digits, 3..17")
     jobs: int = _setting("jobs", 1, "concurrent sweep evaluations")
 
@@ -283,6 +283,18 @@ def build_bounds_rows(req: SweepRequest) -> list[dict]:
     ]
 
 
+def _write_output(req: SweepRequest, text: str) -> None:
+    """Write a command's whole output to ``req.out``, or to stdout without one."""
+    if req.out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(req.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {req.out!r}: {exc}") from exc
+
+
 def _csv_runner(columns, build_rows):
     """A command that writes ``build_rows(req)`` as CSV to ``req.out`` or stdout."""
 
@@ -291,14 +303,7 @@ def _csv_runner(columns, build_rows):
             text = render_csv(columns, build_rows(req), req.precision)
         except (TruncationError, AmplifierRangeError) as exc:
             raise UsageError(str(exc)) from exc
-        if req.out is None:
-            sys.stdout.write(text)
-            return 0
-        try:
-            with open(req.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {req.out!r}: {exc}") from exc
+        _write_output(req, text)
         return 0
 
     return run
@@ -309,7 +314,7 @@ def run_validate(req: SweepRequest) -> int:
         results = run_validation_suite(cutoff=req.cutoff, scissors=req.scissors)
     except (TruncationError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-    print(render_report(results))
+    _write_output(req, render_report(results) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -375,6 +375,19 @@ def test_validation_suite_passes_clean():
     assert all(r.passed for r in results), [r.name for r in results if not r.passed]
 
 
+def test_validate_writes_report_to_out(tmp_path, capsys):
+    # --out takes the report stdout would carry, byte for byte, and leaves stdout empty
+    assert main(["validate"]) == 0
+    report = capsys.readouterr().out
+    assert report.endswith("10/10 checks passed\n")
+    out = tmp_path / "validate.txt"
+    assert main(["validate", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert read(out) == report.encode()
+    assert main(["validate", "--out", str(tmp_path / "missing_dir" / "v.txt")]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 GAUSSIAN = "gaussian engine matches closed-form sensitivity"
 FOCK = "fock pipeline matches closed-form sensitivity"
 COMMUTES = "ideal gain operator commutes with the splitter"

@@ -6,11 +6,9 @@ import pytest
 from cvdqs.gaussian import (
     GaussianState,
     avg_x_std,
-    balanced_orthogonal,
     loss_gaussian,
     quadrature_sum_variance,
     splitter_gaussian,
-    splitter_symplectic,
     sv_gaussian,
 )
 
@@ -35,7 +33,13 @@ def test_sv_rejects_negative():
 def test_cov_symmetry_enforced():
     bad = np.array([[0.25, 0.1], [0.0, 0.25]])
     with pytest.raises(ValueError):
-        GaussianState(np.zeros(2), bad)
+        GaussianState(bad)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2,), (3, 3), (2, 4)])
+def test_cov_shape_enforced(shape):
+    with pytest.raises(ValueError, match="square matrix of even size"):
+        GaussianState(np.zeros(shape))
 
 
 def test_loss_is_affine_map():
@@ -47,25 +51,31 @@ def test_loss_is_affine_map():
     assert loss_gaussian(state, 0.0).cov == pytest.approx(0.25 * np.eye(2))
 
 
-def test_loss_scales_mean():
-    state = GaussianState(np.array([2.0, 0.0]), 0.25 * np.eye(2))
-    out = loss_gaussian(state, 0.25)
-    assert out.mean[0] == pytest.approx(1.0, abs=1e-15)
+def householder_splitter_cov(state, m):
+    """S cov S^T with a Householder completion S of the uniform first column."""
+    uniform = np.full(m, 1.0 / math.sqrt(m))
+    w = np.eye(m)[0] - uniform
+    rot = np.eye(m) if m == 1 else np.eye(m) - 2.0 * np.outer(w, w) / (w @ w)
+    s = np.kron(rot, np.eye(2))
+    cov = 0.25 * np.eye(2 * m)
+    cov[:2, :2] = state.cov
+    return s @ cov @ s.T
 
 
-def test_balanced_orthogonal_first_column_uniform():
-    for m in (1, 2, 4, 5):
-        rot = balanced_orthogonal(m)
-        assert np.max(np.abs(rot @ rot.T - np.eye(m))) < 1e-12
-        assert rot[:, 0] == pytest.approx(np.full(m, 1.0 / math.sqrt(m)), abs=1e-12)
+@pytest.mark.parametrize("m", range(1, 7))
+def test_splitter_matches_symplectic_route(m):
+    # the closed form against the whole covariance of the explicit splitter
+    source = loss_gaussian(sv_gaussian(0.3), 0.6)
+    out = splitter_gaussian(source, m)
+    assert out.mode_count == m
+    assert np.max(np.abs(out.cov - householder_splitter_cov(source, m))) < 1e-15
 
 
-def test_splitter_preserves_symplectic_form():
-    for m in (2, 3, 4):
-        s = splitter_symplectic(m)
-        # block-diagonal [[0, 1], [-1, 0]] per mode, interleaved quadratures
-        omega = np.kron(np.eye(m), [[0.0, 1.0], [-1.0, 0.0]])
-        assert np.max(np.abs(s @ omega @ s.T - omega)) < 1e-12
+def test_splitter_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="mode count"):
+        splitter_gaussian(sv_gaussian(0.1), 0)
+    with pytest.raises(ValueError, match="single-mode"):
+        splitter_gaussian(splitter_gaussian(sv_gaussian(0.1), 2), 2)
 
 
 def test_splitter_identity_single_mode():
