@@ -115,7 +115,7 @@ def effective_sv_photons(mean_photons: float, gain_eff: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _pi_coefficient(scissors: int, n: int) -> float:
-    return math.factorial(scissors) / (math.factorial(scissors - n) * scissors**n)
+    return math.perm(scissors, n) / scissors**n
 
 
 def projector_pi(scissors: int, gain: float, cutoff: CutoffLike) -> ModeOperator:

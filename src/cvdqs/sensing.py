@@ -40,7 +40,8 @@ The practical pipeline runs in two stages: a source stage that builds ``R``
 and gathers its weights over every photon total a pair of modes can hold,
 cached because it does not depend on the gain (a gain sweep builds it once),
 and a gain stage that forms the amplifier and contracts its power series with
-those weights.  The truncation guard runs on every call, outside the cache.
+those weights.  The truncation guard runs once, in ``_source_density``, so a
+source whose deficit exceeds ``TRUNC_TOL`` raises and is never cached.
 """
 
 from __future__ import annotations
@@ -82,10 +83,10 @@ SCHEME_IDEAL_NLA = "entangled_ideal_nla"
 SCHEME_PRACTICAL_NLA = "entangled_practical_nla"
 SCHEME_PRODUCT = "product_optimal"
 
-#: Default ceiling on probability weight the photon cap may swallow.  Loose
-#: enough for quick cutoff-5 runs of the standard four-node scenarios (their
-#: deficit is ~2e-5); the deficit itself is always surfaced in results.
-DEFAULT_PIPELINE_TRUNC_TOL = 1e-4
+#: Ceiling on probability weight the photon cap may swallow.  Loose enough
+#: for quick cutoff-5 runs of the standard four-node scenarios (their deficit
+#: is ~2e-5); the deficit itself is always surfaced in results.
+TRUNC_TOL = 1e-4
 
 _MEAN_TOL = 1e-10
 
@@ -100,7 +101,6 @@ class ScenarioConfig:
     scheme: str
     cutoff: CutoffLike = 8
     nla: Optional[NlaSpec] = None
-    trunc_tol: float = DEFAULT_PIPELINE_TRUNC_TOL
 
     def __post_init__(self):
         _check_scenario(self.nodes, self.mean_photons, self.eta)
@@ -110,8 +110,6 @@ class ScenarioConfig:
                 f"no engine simulates scheme {self.scheme!r}; "
                 f"expected {SCHEME_NO_NLA!r} or {SCHEME_PRACTICAL_NLA!r}"
             )
-        if self.trunc_tol <= 0:
-            raise ValueError("truncation tolerance must be positive")
         object.__setattr__(self, "cutoff", as_cutoff(self.cutoff))
         if self.scheme == SCHEME_NO_NLA and self.nla is not None:
             raise ValueError("the amplifier-free scheme takes no NlaSpec")
@@ -221,36 +219,41 @@ def _check_scenario(nodes: int, mean_photons: float, eta: float) -> None:
 # Fock pipeline (pure Kraus branches of the lossy split source)
 # ---------------------------------------------------------------------------
 
-def _lossy_source(mean_photons: float, eta: float, cutoff: Cutoff) -> tuple[list[np.ndarray], float]:
-    """Non-empty Kraus branches of loss on the normalised single-mode source.
+def _lossy_source(mean_photons: float, eta: float, cutoff: Cutoff) -> tuple[np.ndarray, float]:
+    """Kraus branches of loss on the normalised single-mode source, one per row.
 
     Loss is applied to the single source mode before splitting; with equal
     per-mode transmissivity this is exactly equivalent to splitting first
     (pinned by ``test_practical_pipeline_matches_independent_oracle``, whose
     oracle loses photons after the split) and needs one mode instead of M.
+    A branch that loses more photons than the source holds is exactly zero.
     Also returns the source's truncation deficit.
     """
     source = sv_fock(mean_photons, cutoff)
-    unit, _ = normalize(source)
-    amps = [kraus @ unit.amplitudes for kraus in loss_kraus_operators(eta, cutoff)]
-    return [amp for amp in amps if float(np.vdot(amp, amp).real) > 1e-300], source.norm_deficit
+    unit = normalize(source)[0].amplitudes
+    return np.array([kraus @ unit for kraus in loss_kraus_operators(eta, cutoff)]), source.norm_deficit
+
+
+def _require_converged(deficit: float, cutoff: Cutoff) -> None:
+    if deficit > TRUNC_TOL:
+        raise TruncationError(
+            f"truncation deficit {deficit:.3e} exceeds tolerance {TRUNC_TOL:.3e} "
+            f"at n_max={cutoff.n_max}; increase the cutoff"
+        )
 
 
 def _source_density(
-    mean_photons: float, eta: float, cutoff: Cutoff, scale: np.ndarray, top: int
+    mean_photons: float, eta: float, cutoff: Cutoff, scale: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """``R[s, s'] = sum_k conj(c_k[s]) c_k[s']`` over ``c_k = scale * b_k``, ``b_k`` the lossy source.
 
-    ``R[s, s']`` sits at ``[s + 1, s' + 1]`` of a zero matrix, so source totals
-    from -1 to ``top + 1`` read zero outside ``0..cutoff``.  Also returns the
-    source's truncation deficit; the caller checks it against its tolerance.
+    ``R`` is ``(cutoff+1) x (cutoff+1)``.  Also returns the source's truncation
+    deficit, after raising ``TruncationError`` if it exceeds ``TRUNC_TOL``.
     """
-    amps, deficit = _lossy_source(mean_photons, eta, cutoff)
-    cap = cutoff.n_max
-    branches = np.array(amps) * scale
-    density = np.zeros((top + 3, top + 3), dtype=complex)
-    density[1 : cap + 2, 1 : cap + 2] = branches.conj().T @ branches
-    return density, deficit
+    branches, deficit = _lossy_source(mean_photons, eta, cutoff)
+    _require_converged(deficit, cutoff)
+    branches = branches * scale
+    return branches.conj().T @ branches, deficit
 
 
 def _photon_totals(dim: int, modes: int) -> np.ndarray:
@@ -262,11 +265,14 @@ def _gather_weights(density: np.ndarray, sectors: int, length: int) -> np.ndarra
     """``density[sector + b, sector + k]`` for every shift pair ``b, k`` in ``{-1, 0, 1}``.
 
     Shape ``(3, 3, sectors, length)``: the weights that ``_overlaps`` contracts
-    with ``length`` coefficients of the summed-out modes.
+    with ``length`` coefficients of the summed-out modes.  Source totals
+    outside ``density`` read zero.
     """
+    padded = np.zeros((sectors + length + 1,) * 2, dtype=density.dtype)
+    padded[1 : len(density) + 1, 1 : len(density) + 1] = density
     sector = np.arange(sectors)[:, None] + np.arange(length) + 1
     shifts = np.arange(-1, 2)[:, None, None, None]
-    return density[sector + shifts, sector + shifts.swapaxes(0, 1)]
+    return padded[sector + shifts, sector + shifts.swapaxes(0, 1)]
 
 
 def _overlaps(weights, totals, coefficients):
@@ -324,14 +330,6 @@ def _symmetric_moments(nodes, on_one, state, x_one, on_pair, x_pair) -> tuple[fl
     return weight, (x_sq + (nodes - 1) * x_cross) / nodes - mean_x**2, power
 
 
-def _require_converged(deficit: float, tol: float, cutoff: Cutoff) -> None:
-    if deficit > tol:
-        raise TruncationError(
-            f"truncation deficit {deficit:.3e} exceeds tolerance {tol:.3e} "
-            f"at n_max={cutoff.n_max}; increase the cutoff"
-        )
-
-
 def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     """Run the amplifier-free pipeline on the dense ``(cutoff+1)^M`` Fock tensor.
 
@@ -344,15 +342,15 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     included; every moment is an overlap of these tensors (``_overlaps``).
     ``Phi`` is symmetric under permuting the modes, so the moments come from
     the ladders of modes 0 and 1 alone, through the practical engine's
-    ``_symmetric_moments``.
+    ``_symmetric_moments``.  A tensor of more than ``2**22`` amplitudes raises
+    ``ValueError`` before anything is built.
     """
     if cfg.scheme != SCHEME_NO_NLA:
         raise ValueError(f"expected scheme {SCHEME_NO_NLA!r}, got {cfg.scheme!r}")
     nodes, cutoff = cfg.nodes, cfg.cutoff
-    density, deficit = _source_density(
-        cfg.mean_photons, cfg.eta, cutoff, np.ones(cutoff.dim), nodes * cutoff.n_max
-    )
-    _require_converged(deficit, cfg.trunc_tol, cutoff)
+    if cutoff.dim**nodes > 2**22:  # about 200 B of peak memory per amplitude
+        raise ValueError(f"cutoff {cutoff.n_max} on M={nodes} nodes needs over 2**22 dense Fock amplitudes")
+    density, deficit = _source_density(cfg.mean_photons, cfg.eta, cutoff, np.ones(cutoff.dim))
     comb = np.zeros((cutoff.dim,) * nodes, dtype=complex)
     comb[(slice(None),) + (0,) * (nodes - 1)] = 1.0
     split = fock.balanced_splitter(nodes, FockVector(cutoff, comb))
@@ -382,15 +380,6 @@ def _power_series(poly: np.ndarray, power: int, length: int) -> np.ndarray:
     return out
 
 
-def _over_sqrt_factorial(ratio: np.ndarray) -> np.ndarray:
-    """``ratio[n] / sqrt(n!)`` for ``ratio >= 0``, in log space once n! leaves a float."""
-    return np.array([
-        r / math.sqrt(math.factorial(n)) if n < 171
-        else math.exp(math.log(r) - 0.5 * math.lgamma(n + 1.0)) if r > 0 else 0.0
-        for n, r in enumerate(ratio)
-    ])
-
-
 class _PracticalSource(NamedTuple):
     basis: Cutoff
     lower: ModeOperator
@@ -408,14 +397,13 @@ def _practical_source(
     The amplifier's basis ``{0..N+1}`` and ladders, and the weights gathered
     once from the density ``R`` for every photon total ``0..2N+2`` that a pair
     of modes can hold, frozen; the one-mode overlaps read the first ``N+2``
-    sectors.  The deficit is returned unchecked.
+    sectors.  A source that fails the truncation guard raises and is not cached.
     """
     basis = Cutoff(scissors + 1)
     s = np.arange(cutoff.dim)
     log_factorial = np.array([math.lgamma(n + 1.0) for n in s])
     split = np.exp(0.5 * log_factorial - 0.5 * math.log(nodes) * s)
-    # a pair's top photon total plus up to cap photons in the summed-out modes
-    density, deficit = _source_density(mean_photons, eta, cutoff, split, 2 * basis.n_max + cutoff.n_max)
+    density, deficit = _source_density(mean_photons, eta, cutoff, split)
     lower = ModeOperator(basis, annihilation_matrix(basis))
     upper = ModeOperator(basis, lower.entries.conj().T)
     weights = fock._frozen(_gather_weights(density, 2 * basis.n_max + 1, cutoff.dim))
@@ -453,23 +441,21 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     builds ``R`` and gathers the weights of every shift pair once, so a gain
     sweep builds it once; the gain stage forms ``t``, ``amp`` and the powers
     of ``f``, contracts them with those weights and applies the two ladders.
-    The truncation guard (``TruncationError`` when the deficit exceeds
-    ``trunc_tol``) runs on every call, outside the cache.  Too many scissors
-    for the gain, or a weight, variance or power that is not finite, raise
-    ``nla.AmplifierRangeError``.
+    The source stage raises ``TruncationError`` when the deficit exceeds
+    ``TRUNC_TOL``.  Too many scissors for the gain, or a weight, variance or
+    power that is not finite, raise ``nla.AmplifierRangeError``.
     """
     if cfg.scheme != SCHEME_PRACTICAL_NLA:
         raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
     spec, nodes, cap = cfg.nla, cfg.nodes, cfg.cutoff.n_max
     source = _practical_source(nodes, cfg.mean_photons, cfg.eta, cfg.cutoff, spec.scissors)
-    _require_converged(source.deficit, cfg.trunc_tol, cfg.cutoff)
 
     # a moment that leaves the floats is caught below, not warned about
     with np.errstate(all="ignore"):
         # amp is scaled by t[0] so f^p stays finite at any M; the scale t[0]^(2M)
         # is common to every moment and comes back in the herald probability
         t = np.diag(nla_operator(spec.scissors, spec.gain, source.basis).entries).real
-        amp = _over_sqrt_factorial(t / t[0])
+        amp = np.exp(np.log(t / t[0]) - np.array([0.5 * math.lgamma(n + 1.0) for n in range(len(t))]))
         f = amp**2
         rest = _power_series(f, max(nodes - 2, 0), cap + 1)
         rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest

@@ -255,8 +255,8 @@ def run_validation_suite(*, cutoff: int = 8, scissors: int = 2) -> list[CheckRes
     """Run every consistency check; returns one result per check.
 
     ``cutoff`` is the photon cap of the amplifier-free Fock pipeline checked
-    against the closed form, and no other check reads it; a cap too coarse
-    for that pipeline's truncation guard raises ``fock.TruncationError``.
+    against the closed form, and no other check reads it; a cap its truncation
+    guard refuses raises ``fock.TruncationError``, and one above 44 ``ValueError``.
     ``scissors`` sets the scissor count of the projector-law check and of the
     vacuum-heralding check, which runs ``sensing.simulate_practical``.
     """

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,17 @@ def test_validate_rejects_undersized_cutoff(capsys):
     # rejects is a usage error, whatever the scissor count
     assert main(["validate", "--cutoff", "1", "--scissors", "2"]) == 2
     assert "increase the cutoff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cutoff", ["45", "100", "200"])
+def test_validate_refuses_a_dense_tensor_too_large(capsys, cutoff):
+    # the Fock check's (cutoff+1)^4 tensor would need gigabytes from cutoff
+    # 45 on, and sv_fock overflows from 172: both are refused before anything is built
+    start = time.perf_counter()
+    assert main(["validate", "--cutoff", cutoff]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"cutoff {cutoff}" in err and "M=4" in err
 
 
 def _validate_report(capsys, *flags):

@@ -1,7 +1,7 @@
 import dataclasses
 import itertools
 import math
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -142,6 +142,22 @@ def test_qfi_from_gaussian_state():
 # Fock pipelines
 # ---------------------------------------------------------------------------
 
+@pytest.fixture
+def trunc_tol(monkeypatch):
+    """``trunc_tol(tol)`` sets ``sensing.TRUNC_TOL`` for one test.
+
+    The guard runs inside the cached source stage, so the cache is cleared
+    whenever the tolerance changes and after the test: no source accepted
+    under one tolerance reaches a call made under another.
+    """
+    def set_tol(tol):
+        sensing._practical_source.cache_clear()
+        monkeypatch.setattr(sensing, "TRUNC_TOL", tol)
+
+    yield set_tol
+    sensing._practical_source.cache_clear()
+
+
 def test_no_nla_pipeline_power_and_success():
     # delta_alpha against the closed form and the Gaussian engine is a
     # `cvdqs validate` check at these points
@@ -202,7 +218,7 @@ def _per_branch_oracle(nodes, mean_photons, eta, cutoff):
     return _mixture_moments(branches(), nodes, Cutoff(cutoff))
 
 
-def test_no_nla_pipeline_matches_per_branch_splits(monkeypatch):
+def test_no_nla_pipeline_matches_per_branch_splits(monkeypatch, trunc_tol):
     # the engine's weight, and the mode-0 x mean it checks for bias
     weights, means = [], []
     moments, check = sensing._symmetric_moments, sensing._require_unbiased
@@ -218,7 +234,8 @@ def test_no_nla_pipeline_matches_per_branch_splits(monkeypatch):
 
     monkeypatch.setattr(sensing, "_symmetric_moments", recording_moments)
     monkeypatch.setattr(sensing, "_require_unbiased", recording_check)
-    # trunc_tol=1 lets the low caps run: a guard on the input, not a tolerance
+    # a tolerance of 1 lets the low caps run: a guard on the input, not a tolerance
+    trunc_tol(1.0)
     for nodes, cutoff, mean_photons, eta in itertools.product(
         range(1, 6), (2, 4, 6, 8), (0.0, 0.01, 0.04, 0.3), (0.1, 0.5, 0.7, 1.0)
     ):
@@ -228,7 +245,6 @@ def test_no_nla_pipeline_matches_per_branch_splits(monkeypatch):
             eta=eta,
             scheme=SCHEME_NO_NLA,
             cutoff=cutoff,
-            trunc_tol=1.0,
         )
         point = simulate_no_nla_fock(cfg)
         want = _per_branch_oracle(nodes, mean_photons, eta, cutoff)
@@ -289,25 +305,32 @@ def test_practical_ladder_passes_do_not_grow_with_nodes(monkeypatch):
 
 
 def test_overlaps_match_one_gather_per_overlap():
-    # oracle: each overlap gathers its own weights from the density
+    # oracle: each overlap reads its own weights from the density, entry by
+    # entry, with every source total outside it (below 0 or above the cap) zero
     rng = np.random.default_rng(7)
     for modes in (1, 2, 4):
         dim, n_coef = 4, 5
         totals = sensing._photon_totals(dim, modes)
-        side = totals.max() + n_coef + 2
-        density = rng.normal(size=(side, side))
+        density = rng.normal(size=(n_coef, n_coef))
         density = density + density.T
         coefficients = rng.normal(size=n_coef)
         weights = sensing._gather_weights(density, totals.max() + 1, n_coef)
         overlap = sensing._overlaps(weights, totals, coefficients)
-        sector = np.arange(totals.max() + 1)[:, None] + np.arange(n_coef) + 1
         bra, ket = rng.normal(size=(2,) + totals.shape)
+
+        def entry(row, col):
+            return density[row, col] if 0 <= min(row, col) and max(row, col) < n_coef else 0.0
+
         for b, k in itertools.product((-1, 0, 1), repeat=2):
-            want = np.vdot(bra, ket * (density[sector + b, sector + k] @ coefficients)[totals]).real
+            table = [
+                sum(entry(s + r + b, s + r + k) * coefficients[r] for r in range(n_coef))
+                for s in range(totals.max() + 1)
+            ]
+            want = np.vdot(bra, ket * np.array(table)[totals]).real
             assert overlap((bra, b), (ket, k)) == pytest.approx(want, rel=1e-13)
 
 
-def _practical_cfg(nodes, gain, cutoff=8, trunc_tol=sensing.DEFAULT_PIPELINE_TRUNC_TOL):
+def _practical_cfg(nodes, gain, cutoff=8):
     return ScenarioConfig(
         nodes=nodes,
         mean_photons=0.04,
@@ -315,7 +338,6 @@ def _practical_cfg(nodes, gain, cutoff=8, trunc_tol=sensing.DEFAULT_PIPELINE_TRU
         scheme=SCHEME_PRACTICAL_NLA,
         cutoff=cutoff,
         nla=NlaSpec.practical(gain, 2),
-        trunc_tol=trunc_tol,
     )
 
 
@@ -335,16 +357,18 @@ def test_gain_sweep_builds_the_source_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_cached_source_keeps_the_truncation_guard():
-    # the deficit is checked on every call, outside the cache, so a cached
-    # source cannot pass a tolerance its deficit fails
+def test_refused_source_is_never_cached():
+    # the guard runs inside the source stage, so a cap it refuses raises on
+    # every call and leaves nothing in the cache for a later call to reuse
     sensing._practical_source.cache_clear()
-    point = simulate_practical(_practical_cfg(4, 3.0, cutoff=5, trunc_tol=1e-4))
+    point = simulate_practical(_practical_cfg(4, 3.0, cutoff=5))
     assert point.trunc_deficit == pytest.approx(1.8e-5, rel=0.05)
-    with pytest.raises(TruncationError, match="increase the cutoff"):
-        simulate_practical(_practical_cfg(4, 3.0, cutoff=5, trunc_tol=1e-6))
-    assert simulate_practical(_practical_cfg(4, 3.0, cutoff=5, trunc_tol=1e-4)) == point
-    assert sensing._practical_source.cache_info().hits == 2
+    cached = sensing._practical_source.cache_info().currsize
+    for gain in (3.0, 3.0, 2.0):
+        with pytest.raises(TruncationError, match="increase the cutoff"):
+            simulate_practical(_practical_cfg(4, gain, cutoff=2))
+        assert sensing._practical_source.cache_info().currsize == cached
+    assert simulate_practical(_practical_cfg(4, 3.0, cutoff=5)) == point
 
 
 def test_cached_source_gives_the_cold_results():
@@ -419,23 +443,18 @@ def test_practical_vacuum_source():
         assert point.p_success == pytest.approx((1.0 / 5.0) ** (scissors * nodes), rel=1e-13)
 
 
-def test_practical_requires_capacity_and_scheme():
+def test_practical_requires_capacity_and_scheme(trunc_tol):
     # a source cap below N computes: the amplifier's basis does not depend on it
+    trunc_tol(0.1)
     for case in ((2, 0.1, 1.0, 2, 3.0, 1), (3, 0.04, 0.5, 2, 1.7, 1)):
-        _assert_matches_oracle(*case, trunc_tol=0.1)
+        _assert_matches_oracle(*case)
     with pytest.raises(ValueError):
         ScenarioConfig(nodes=2, mean_photons=0.02, eta=0.5, scheme=SCHEME_PRACTICAL_NLA)
 
 
-def test_truncation_tolerance_enforced():
-    cfg = ScenarioConfig(
-        nodes=2,
-        mean_photons=0.04,
-        eta=0.5,
-        scheme=SCHEME_NO_NLA,
-        cutoff=5,
-        trunc_tol=1e-9,
-    )
+def test_truncation_tolerance_enforced(trunc_tol):
+    trunc_tol(1e-9)
+    cfg = ScenarioConfig(nodes=2, mean_photons=0.04, eta=0.5, scheme=SCHEME_NO_NLA, cutoff=5)
     with pytest.raises(TruncationError, match="increase the cutoff"):
         simulate_no_nla_fock(cfg)
 
@@ -543,7 +562,7 @@ def _oracle_practical(nodes, mean_photons, eta, scissors, gain, n_max, source_ca
     return math.sqrt(mean_xx - mean_x**2), power, p_success
 
 
-def _assert_matches_oracle(nodes, mean_photons, eta, scissors, gain, cutoff, trunc_tol=1e-2):
+def _assert_matches_oracle(nodes, mean_photons, eta, scissors, gain, cutoff):
     cfg = ScenarioConfig(
         nodes=nodes,
         mean_photons=mean_photons,
@@ -551,7 +570,6 @@ def _assert_matches_oracle(nodes, mean_photons, eta, scissors, gain, cutoff, tru
         scheme=SCHEME_PRACTICAL_NLA,
         cutoff=cutoff,
         nla=NlaSpec.practical(gain, scissors),
-        trunc_tol=trunc_tol,
     )
     point = simulate_practical(cfg)
     want_da, want_power, want_p = _oracle_practical(
@@ -562,10 +580,11 @@ def _assert_matches_oracle(nodes, mean_photons, eta, scissors, gain, cutoff, tru
     assert point.p_success == pytest.approx(want_p, rel=1e-8)
 
 
-def test_practical_pipeline_matches_independent_oracle():
+def test_practical_pipeline_matches_independent_oracle(trunc_tol):
     # (M, ns, eta, scissors, g, cutoff); the second has cutoff below M * scissors.
     # The oracle loses photons after the split and the engine before it, so
     # every lossy case also checks that uniform loss commutes with the splitter
+    trunc_tol(1e-2)
     for case in (
         (2, 0.02, 0.7, 1, 1.5, 6),
         (3, 0.04, 0.5, 2, 1.7, 3),
@@ -576,8 +595,9 @@ def test_practical_pipeline_matches_independent_oracle():
         _assert_matches_oracle(*case)
 
 
-def test_practical_cutoff_equal_to_scissors():
+def test_practical_cutoff_equal_to_scissors(trunc_tol):
     # the source fills every level up to N, and x still raises N to N+1
+    trunc_tol(1e-2)
     for nodes in (1, 2):
         _assert_matches_oracle(nodes, 0.1, 1.0, 2, 3.0, 2)
 
@@ -628,6 +648,109 @@ def test_practical_matches_multinomial_oracle_at_many_nodes():
         assert point.p_success == pytest.approx(want_p, rel=1e-12)
 
 
+def _compositions(total, parts):
+    """Every ``(m_0, ..., m_{parts-1})`` of non-negative integers summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _lossy_sv_density(mean_photons, eta, cap):
+    """``R(s, s')`` of the squeezed vacuum cut at ``cap`` photons, renormalised,
+    after pure loss, from the closed forms in log space:
+    ``sum_k c_{s+k} c_{s'+k} sqrt(C(s+k,k) C(s'+k,k)) eta^((s+s')/2) (1-eta)^k``."""
+    r = math.asinh(math.sqrt(mean_photons))
+
+    def log_c(j):  # log |c_j| for even j; the sign is (-1)^(j/2)
+        k = j // 2
+        return (k * math.log(math.tanh(r)) + 0.5 * math.lgamma(j + 1.0) - k * math.log(2.0)
+                - math.lgamma(k + 1.0) - 0.5 * math.log(math.cosh(r)))
+
+    def log_binom(n, k):
+        return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+
+    norm = sum(math.exp(2.0 * log_c(j)) for j in range(0, cap + 1, 2))
+
+    @lru_cache(maxsize=None)
+    def density(s, s_prime):
+        if (s - s_prime) % 2 or max(s, s_prime) > cap:
+            return 0.0
+        return sum(
+            (-1) ** ((s + s_prime) // 2 + k) * math.exp(
+                log_c(s + k) + log_c(s_prime + k) + 0.5 * (log_binom(s + k, k) + log_binom(s_prime + k, k))
+                + 0.5 * (s + s_prime) * math.log(eta) + k * math.log1p(-eta)
+            )
+            for k in range(s % 2, cap - max(s, s_prime) + 1, 2)
+        ) / norm
+
+    return density
+
+
+def _type_class_oracle(nodes, mean_photons, eta, scissors, gain, cap):
+    """Heralded moments conditioned on the occupations of nodes 1 and 2.
+
+    Split amplitude ``sqrt(s!) M^(-s/2) prod_i u[n_i]``, ``u[n] = t[n]/sqrt(n!)``
+    scaled by ``t[0]``; the other ``M-2`` nodes enter through their occupation
+    types ``(m_0, ..., m_N)``, each with its multinomial count, summed in log
+    space into a weight per rest total.  Shares only ``nla_operator`` with the
+    package, and with the engine only ``Var(xbar) = [<x_1^2> + (M-1) <x_1 x_2>]/M``."""
+    t = np.diag(nla_operator(scissors, gain, scissors).entries).real
+    log_u = [math.log(t[n] / t[0]) - 0.5 * math.lgamma(n + 1.0) for n in range(scissors + 1)]
+    rest = [0.0] * ((nodes - 2) * scissors + 1)
+    for counts in _compositions(nodes - 2, scissors + 1):
+        log_weight = math.lgamma(nodes - 1.0) + sum(
+            m * 2.0 * log_u[n] - math.lgamma(m + 1.0) for n, m in enumerate(counts)
+        )
+        rest[sum(n * m for n, m in enumerate(counts))] += math.exp(log_weight)
+    density = _lossy_sv_density(mean_photons, eta, cap)
+
+    def rho(r, bra, ket):
+        # <n_1 n_2, rest| rho |n'_1 n'_2, rest>, summed over the rests of total r
+        if min(bra + ket) < 0 or max(bra + ket) > scissors:
+            return 0.0
+        s, s_prime = sum(bra) + r, sum(ket) + r
+        log_split = 0.5 * (math.lgamma(s + 1.0) + math.lgamma(s_prime + 1.0) - (s + s_prime) * math.log(nodes))
+        return rest[r] * density(s, s_prime) * math.exp(log_split + sum(log_u[n] for n in bra + ket))
+
+    weight = n_1 = a_1 = a_1_sq = a_1_a_2 = a_1_dag_a_2 = 0.0
+    for r in range(len(rest)):
+        for n1, n2 in itertools.product(range(scissors + 1), repeat=2):
+            diag = rho(r, (n1, n2), (n1, n2))
+            weight += diag
+            n_1 += n1 * diag
+            a_1 += math.sqrt(n1) * rho(r, (n1 - 1, n2), (n1, n2))
+            a_1_sq += math.sqrt(n1 * (n1 - 1)) * rho(r, (n1 - 2, n2), (n1, n2))
+            a_1_a_2 += math.sqrt(n1 * n2) * rho(r, (n1 - 1, n2 - 1), (n1, n2))
+            a_1_dag_a_2 += math.sqrt((n1 + 1) * n2) * rho(r, (n1 + 1, n2 - 1), (n1, n2))
+    mean_x = a_1 / weight
+    x_sq = (2.0 * a_1_sq + 2.0 * n_1 + weight) / (4.0 * weight)
+    x_cross = (2.0 * a_1_a_2 + 2.0 * a_1_dag_a_2) / (4.0 * weight)
+    variance = (x_sq + (nodes - 1) * x_cross) / nodes - mean_x**2
+    return math.sqrt(variance), nodes * n_1 / weight, weight * t[0] ** (2 * nodes)
+
+
+def test_practical_matches_type_class_oracle_at_large_nodes():
+    # converged cap 128; the multinomial oracle stops near M=8, this one runs
+    # C(M-2+N, N) types (4,950 at M=100, N=2)
+    for nodes, gain in ((30, 3.0), (100, 2.0), (100, 3.0)):
+        cfg = ScenarioConfig(
+            nodes=nodes,
+            mean_photons=0.04,
+            eta=0.5,
+            scheme=SCHEME_PRACTICAL_NLA,
+            cutoff=128,
+            nla=NlaSpec.practical(gain, 2),
+        )
+        point = simulate_practical(cfg)
+        want_da, want_power, want_p = _type_class_oracle(nodes, 0.04, 0.5, 2, gain, 128)
+        assert point.delta_alpha == pytest.approx(want_da, rel=1e-12)
+        assert point.probe_power == pytest.approx(want_power, rel=1e-12)
+        assert point.p_success == pytest.approx(want_p, rel=1e-12)
+
+
 def test_practical_reference_point_frozen():
     # expected values from an independent dense-matrix computation (full kron
     # embedding, scipy expm, loss applied after the splitter)
@@ -649,9 +772,10 @@ def test_practical_reference_point_frozen():
 # invariants
 # ---------------------------------------------------------------------------
 
-def test_truncation_convergence_of_reported_variance():
+def test_truncation_convergence_of_reported_variance(trunc_tol):
     # each +2 in n_max shrinks the variance error by >10x; measured 6->10
     # shifts are 1.25e-6 (N=0.04) and 2.3e-5 (N=0.1)
+    trunc_tol(1e-3)
     for mean_photons, coarse_bound in ((0.04, 2e-6), (0.1, 3e-5)):
         values = []
         for n_max in (6, 10, 12):
@@ -661,7 +785,6 @@ def test_truncation_convergence_of_reported_variance():
                 eta=0.5,
                 scheme=SCHEME_NO_NLA,
                 cutoff=n_max,
-                trunc_tol=1e-3,
             )
             values.append(simulate_no_nla_fock(cfg).delta_alpha ** 2)
         assert abs(values[0] - values[1]) < coarse_bound
