@@ -9,7 +9,6 @@ models), :mod:`cvdqs.sensing` (pipelines, closed forms, Cramer-Rao bounds),
 """
 
 from .fock import (
-    Cutoff,
     FockVector,
     ModeOperator,
     TruncationError,

@@ -283,13 +283,13 @@ def build_bounds_rows(req: SweepRequest) -> list[dict]:
     ]
 
 
-def _write_output(req: SweepRequest, text: str) -> None:
-    """Write a command's whole output to ``req.out``, or to stdout without one."""
+def _write_output(req: SweepRequest, text: str, mode: str = "w") -> None:
+    """Write ``text`` to ``req.out`` opened with ``mode``, or to stdout without one."""
     if req.out is None:
         sys.stdout.write(text)
         return
     try:
-        with open(req.out, "w", encoding="utf-8", newline="") as handle:
+        with open(req.out, mode, encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {req.out!r}: {exc}") from exc
@@ -404,6 +404,8 @@ def build_request(argv) -> SweepRequest:
 def main(argv=None) -> int:
     try:
         request = build_request(argv)
+        # an unwritable --out fails before the work; append mode keeps an existing file's bytes
+        _write_output(request, "", "a")
         return _COMMANDS[request.command][1](request)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

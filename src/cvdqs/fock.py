@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -32,27 +32,11 @@ class TruncationError(RuntimeError):
     """Probability weight lost to the photon cutoff exceeds the declared tolerance."""
 
 
-@dataclass(frozen=True)
-class Cutoff:
-    """Per-mode photon cap; identical across the modes of one simulation."""
-
-    n_max: int
-
-    def __post_init__(self):
-        if self.n_max < 1 or not float(self.n_max).is_integer():
-            raise ValueError(f"photon cap must be a whole number >= 1, got {self.n_max}")
-        object.__setattr__(self, "n_max", int(self.n_max))
-
-    @property
-    def dim(self) -> int:
-        return self.n_max + 1
-
-
-CutoffLike = Union[int, Cutoff]
-
-
-def as_cutoff(cutoff: CutoffLike) -> Cutoff:
-    return cutoff if isinstance(cutoff, Cutoff) else Cutoff(cutoff)
+def _photon_cap(n_max) -> int:
+    """``n_max`` as an int, after checking that it is a whole number >= 1."""
+    if not n_max >= 1 or not float(n_max).is_integer():
+        raise ValueError(f"photon cap must be a whole number >= 1, got {n_max}")
+    return int(n_max)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -62,22 +46,23 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockVector:
-    """Pure multimode state; ``amplitudes`` has one axis of length dim per mode.
+    """Pure multimode state; ``amplitudes`` has one axis of length ``n_max + 1`` per mode.
 
     The tensor is stored as handed in (possibly sub-normalised by truncation);
     ``norm_deficit`` reports exactly ``1 - sum |amplitude|^2``.
     """
 
-    cutoff: Cutoff
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim < 1 or any(s != self.cutoff.dim for s in amps.shape):
-            raise ValueError(
-                f"amplitude tensor must have one axis of length {self.cutoff.dim} per mode"
-            )
+        if amps.ndim < 1 or amps.shape[0] < 2 or len(set(amps.shape)) > 1:
+            raise ValueError(f"amplitude axes must share one length >= 2, got shape {amps.shape}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
+
+    @property
+    def n_max(self) -> int:
+        return self.amplitudes.shape[0] - 1
 
     @property
     def mode_count(self) -> int:
@@ -90,16 +75,14 @@ class FockVector:
 
 @dataclass(frozen=True)
 class ModeOperator:
-    """Single-mode operator on the truncated basis."""
+    """Single-mode operator on the truncated basis ``{|0>, ..., |n_max>}``."""
 
-    cutoff: Cutoff
     entries: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.entries, dtype=complex)
-        d = self.cutoff.dim
-        if mat.shape != (d, d):
-            raise ValueError(f"operator must be {d}x{d}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or len(mat) < 2:
+            raise ValueError(f"operator must be square with side >= 2, got shape {mat.shape}")
         object.__setattr__(self, "entries", _frozen(mat))
 
 
@@ -107,33 +90,32 @@ class ModeOperator:
 # constructors
 # ---------------------------------------------------------------------------
 
-def annihilation_matrix(cutoff: CutoffLike) -> np.ndarray:
-    n_max = as_cutoff(cutoff).n_max
+def annihilation_matrix(n_max: int) -> np.ndarray:
+    n_max = _photon_cap(n_max)
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1).astype(complex)
 
 
-def quadratures(cutoff: CutoffLike) -> tuple[ModeOperator, ModeOperator]:
+def quadratures(n_max: int) -> tuple[ModeOperator, ModeOperator]:
     """Return (x, p) with vacuum variances 1/4 and 1 (see module docstring)."""
-    c = as_cutoff(cutoff)
-    a = annihilation_matrix(c)
+    a = annihilation_matrix(n_max)
     x = (a + a.conj().T) / 2.0
     p = -1j * (a - a.conj().T)
-    return ModeOperator(c, x), ModeOperator(c, p)
+    return ModeOperator(x), ModeOperator(p)
 
 
-def basis_vector(occupation: Sequence[int], cutoff: CutoffLike) -> FockVector:
-    c = as_cutoff(cutoff)
+def basis_vector(occupation: Sequence[int], n_max: int) -> FockVector:
+    n_max = _photon_cap(n_max)
     occ = tuple(int(n) for n in occupation)
     if not occ:
         raise ValueError("need at least one mode")
-    if any(n < 0 or n > c.n_max for n in occ):
-        raise ValueError(f"occupation {occ} outside 0..{c.n_max}")
-    amps = np.zeros((c.dim,) * len(occ), dtype=complex)
+    if any(n < 0 or n > n_max for n in occ):
+        raise ValueError(f"occupation {occ} outside 0..{n_max}")
+    amps = np.zeros((n_max + 1,) * len(occ), dtype=complex)
     amps[occ] = 1.0
-    return FockVector(c, amps)
+    return FockVector(amps)
 
 
-def sv_fock(mean_photons: float, cutoff: CutoffLike) -> FockVector:
+def sv_fock(mean_photons: float, n_max: int) -> FockVector:
     """Squeezed vacuum with the given mean photon number, squeezed along x.
 
     Amplitudes follow ``c_{2k} = (-tanh r)^k sqrt((2k)!) / (2^k k! sqrt(cosh r))``
@@ -142,21 +124,21 @@ def sv_fock(mean_photons: float, cutoff: CutoffLike) -> FockVector:
     """
     if not 0 <= mean_photons < math.inf:
         raise ValueError(f"mean photon number must be finite and non-negative, got {mean_photons}")
-    c = as_cutoff(cutoff)
-    amps = np.zeros(c.dim, dtype=complex)
+    n_max = _photon_cap(n_max)
+    amps = np.zeros(n_max + 1, dtype=complex)
     if mean_photons == 0:
         amps[0] = 1.0
-        return FockVector(c, amps)
+        return FockVector(amps)
     r = math.asinh(math.sqrt(mean_photons))
     tanh_r = math.tanh(r)
     root_cosh = math.sqrt(math.cosh(r))
-    for k in range(c.n_max // 2 + 1):
+    for k in range(n_max // 2 + 1):
         amps[2 * k] = (
             (-tanh_r) ** k
             * math.sqrt(math.factorial(2 * k))
             / (2**k * math.factorial(k) * root_cosh)
         )
-    return FockVector(c, amps)
+    return FockVector(amps)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +184,11 @@ def _apply_pair(unitary: np.ndarray, arr: np.ndarray, axis_a: int, axis_b: int, 
 
 def apply_mode_operator(op: ModeOperator, mode: int, psi: FockVector) -> FockVector:
     """Apply a (not necessarily unitary) single-mode operator to one mode."""
-    if op.cutoff != psi.cutoff:
+    if len(op.entries) != psi.n_max + 1:
         raise ValueError("operator and state cutoffs differ")
     if not 0 <= mode < psi.mode_count:
         raise ValueError(f"mode {mode} out of range for {psi.mode_count} mode(s)")
-    return FockVector(psi.cutoff, _apply_matrix_axis(op.entries, psi.amplitudes, mode))
+    return FockVector(_apply_matrix_axis(op.entries, psi.amplitudes, mode))
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +206,8 @@ def beamsplitter(theta: float, mode_a: int, mode_b: int, state: FockVector) -> F
     mode_count = state.mode_count
     if mode_a == mode_b or not (0 <= mode_a < mode_count and 0 <= mode_b < mode_count):
         raise ValueError(f"invalid mode pair ({mode_a}, {mode_b}) for {mode_count} mode(s)")
-    d1 = state.cutoff.dim
-    unitary = _two_mode_bs_unitary(float(theta), state.cutoff.n_max)
-    return FockVector(state.cutoff, _apply_pair(unitary, state.amplitudes, mode_a, mode_b, d1))
+    unitary = _two_mode_bs_unitary(float(theta), state.n_max)
+    return FockVector(_apply_pair(unitary, state.amplitudes, mode_a, mode_b, state.n_max + 1))
 
 
 def balanced_splitter_thetas(mode_count: int) -> tuple[float, ...]:
@@ -274,7 +255,7 @@ def _loss_kraus_set(eta: float, n_max: int) -> tuple[np.ndarray, ...]:
     return tuple(ops)
 
 
-def loss_kraus_operators(eta: float, cutoff: CutoffLike) -> tuple[np.ndarray, ...]:
+def loss_kraus_operators(eta: float, n_max: int) -> tuple[np.ndarray, ...]:
     """Kraus set of the transmissivity-``eta`` pure-loss channel (k photons lost).
 
     The set resolves the identity exactly on the truncated basis, so the
@@ -282,7 +263,7 @@ def loss_kraus_operators(eta: float, cutoff: CutoffLike) -> tuple[np.ndarray, ..
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    return _loss_kraus_set(float(eta), as_cutoff(cutoff).n_max)
+    return _loss_kraus_set(float(eta), _photon_cap(n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -294,4 +275,4 @@ def normalize(state: FockVector) -> tuple[FockVector, float]:
     weight = float(np.vdot(state.amplitudes, state.amplitudes).real)
     if weight <= 0.0:
         raise ValueError("cannot normalise a zero vector")
-    return FockVector(state.cutoff, state.amplitudes / math.sqrt(weight)), weight
+    return FockVector(state.amplitudes / math.sqrt(weight)), weight

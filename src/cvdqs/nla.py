@@ -24,14 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    CutoffLike,
-    FockVector,
-    ModeOperator,
-    as_cutoff,
-    basis_vector,
-    beamsplitter,
-)
+from .fock import FockVector, ModeOperator, _photon_cap, basis_vector, beamsplitter
 
 class UnphysicalGainError(ValueError):
     """The requested amplification cannot be realised on this source brightness."""
@@ -118,34 +111,34 @@ def _pi_coefficient(scissors: int, n: int) -> float:
     return math.perm(scissors, n) / scissors**n
 
 
-def projector_pi(scissors: int, gain: float, cutoff: CutoffLike) -> ModeOperator:
+def projector_pi(scissors: int, gain: float, n_max: int) -> ModeOperator:
     """Scissor-count projector: diagonal, zero above ``scissors`` photons.
 
     Entry n is ``(1/(g^2+1))^(N/2) * N! / ((N-n)! N^n)`` for n <= N.  At fixed
     n the coefficient rises monotonically to 1 as the scissor count grows, so
     the practical amplifier approaches the ideal one.
     """
-    c = as_cutoff(cutoff)
+    n_max = _photon_cap(n_max)
     if scissors < 1:
         raise ValueError(f"scissor count must be >= 1, got {scissors}")
     if not 1.0 <= gain < math.inf:
         raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
-    if scissors > c.n_max:
+    if scissors > n_max:
         raise ValueError(
-            f"cutoff n_max={c.n_max} cannot hold the {scissors}-photon scissor truncation"
+            f"cutoff n_max={n_max} cannot hold the {scissors}-photon scissor truncation"
         )
     prefactor = (1.0 / (gain * gain + 1.0)) ** (scissors / 2.0)
-    diag = np.zeros(c.dim)
+    diag = np.zeros(n_max + 1)
     for n in range(scissors + 1):
         diag[n] = prefactor * _pi_coefficient(scissors, n)
-    return ModeOperator(c, np.diag(diag).astype(complex))
+    return ModeOperator(np.diag(diag).astype(complex))
 
 
-def gain_diagonal(gain: float, cutoff: CutoffLike) -> np.ndarray:
-    return np.power(float(gain), np.arange(as_cutoff(cutoff).dim, dtype=float))
+def gain_diagonal(gain: float, n_max: int) -> np.ndarray:
+    return np.power(float(gain), np.arange(_photon_cap(n_max) + 1, dtype=float))
 
 
-def nla_operator(scissors: int, gain: float, cutoff: CutoffLike) -> ModeOperator:
+def nla_operator(scissors: int, gain: float, n_max: int) -> ModeOperator:
     """Practical amplifier Kraus element: scissor-count projector times g^n.
 
     Sub-normalised by construction: the squared norm that one copy per node
@@ -156,21 +149,22 @@ def nla_operator(scissors: int, gain: float, cutoff: CutoffLike) -> ModeOperator
     falls below the smallest normal float (every ratio to it would lose
     digits) or ``g^n`` overflows on the basis.
     """
-    pi = projector_pi(scissors, gain, cutoff)
+    pi = projector_pi(scissors, gain, n_max).entries
+    n_max = len(pi) - 1
     try:
-        in_range = float(gain) ** pi.cutoff.n_max < math.inf  # the top entry of gain_diagonal
+        in_range = float(gain) ** n_max < math.inf  # the top entry of gain_diagonal
     except OverflowError:
         in_range = False
-    if not in_range or pi.entries[0, 0].real < sys.float_info.min:
+    if not in_range or pi[0, 0].real < sys.float_info.min:
         raise AmplifierRangeError(
             f"the amplifier with {scissors} scissors at gain {gain:g} leaves the float range "
             "((g^2+1)^(-N/2) below the smallest normal float, or g^n overflows); "
             "use fewer scissors or a lower gain"
         )
-    return ModeOperator(pi.cutoff, pi.entries * gain_diagonal(gain, pi.cutoff)[None, :])
+    return ModeOperator(pi * gain_diagonal(gain, n_max)[None, :])
 
 
-def clipped_gain_operator(gain: float, cutoff: CutoffLike) -> ModeOperator:
+def clipped_gain_operator(gain: float, n_max: int) -> ModeOperator:
     """g^n clipped at the photon cap and rescaled by its largest entry.
 
     Stand-in for the ideal amplifier in validation runs; the overall scale is
@@ -178,16 +172,15 @@ def clipped_gain_operator(gain: float, cutoff: CutoffLike) -> ModeOperator:
     """
     if not 1.0 <= gain < math.inf:
         raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
-    c = as_cutoff(cutoff)
-    diag = gain_diagonal(gain, c)
-    return ModeOperator(c, np.diag(diag / diag[-1]).astype(complex))
+    diag = gain_diagonal(gain, n_max)
+    return ModeOperator(np.diag(diag / diag[-1]).astype(complex))
 
 
 # ---------------------------------------------------------------------------
 # circuit-level scissor oracle
 # ---------------------------------------------------------------------------
 
-def scissor_kraus(gain: float, cutoff: CutoffLike) -> ModeOperator:
+def scissor_kraus(gain: float, n_max: int) -> ModeOperator:
     """Single quantum scissor simulated at circuit level.
 
     Circuit: the signal meets an ancilla single photon that was split on an
@@ -204,14 +197,14 @@ def scissor_kraus(gain: float, cutoff: CutoffLike) -> ModeOperator:
     """
     if not 1.0 <= gain < math.inf:
         raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
-    c = as_cutoff(cutoff)
+    n_max = _photon_cap(n_max)
     gamma = 1.0 / (gain * gain + 1.0)
     theta_split = -math.acos(math.sqrt(gamma))
-    kraus = np.zeros((c.dim, c.dim), dtype=complex)
-    for n in range(c.dim):
+    kraus = np.zeros((n_max + 1, n_max + 1), dtype=complex)
+    for n in range(n_max + 1):
         # modes: 0 = signal, 1 = ancilla photon, 2 = scissor output
-        state: FockVector = basis_vector((n, 1, 0), c)
+        state: FockVector = basis_vector((n, 1, 0), n_max)
         state = beamsplitter(theta_split, 1, 2, state)
         state = beamsplitter(math.pi / 4.0, 0, 1, state)
         kraus[:, n] = state.amplitudes[1, 0, :]
-    return ModeOperator(c, kraus)
+    return ModeOperator(kraus)

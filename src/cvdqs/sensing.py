@@ -55,14 +55,11 @@ import numpy as np
 
 from . import fock
 from .fock import (
-    Cutoff,
-    CutoffLike,
     FockVector,
     ModeOperator,
     TruncationError,
     annihilation_matrix,
     apply_mode_operator,
-    as_cutoff,
     loss_kraus_operators,
     normalize,
     quadratures,
@@ -99,7 +96,7 @@ class ScenarioConfig:
     mean_photons: float
     eta: float
     scheme: str
-    cutoff: CutoffLike = 8
+    cutoff: int = 8
     nla: Optional[NlaSpec] = None
 
     def __post_init__(self):
@@ -110,7 +107,7 @@ class ScenarioConfig:
                 f"no engine simulates scheme {self.scheme!r}; "
                 f"expected {SCHEME_NO_NLA!r} or {SCHEME_PRACTICAL_NLA!r}"
             )
-        object.__setattr__(self, "cutoff", as_cutoff(self.cutoff))
+        object.__setattr__(self, "cutoff", fock._photon_cap(self.cutoff))
         if self.scheme == SCHEME_NO_NLA and self.nla is not None:
             raise ValueError("the amplifier-free scheme takes no NlaSpec")
         if self.scheme == SCHEME_PRACTICAL_NLA and self.nla is None:
@@ -158,10 +155,7 @@ def delta_alpha_product(nodes: int, total_photons: float, eta_local: float = 1.0
     distribution loss.
     """
     _check_scenario(nodes, total_photons, eta_local)
-    per_mode = total_photons / nodes
-    return 0.5 * math.sqrt(
-        eta_local / (nodes * _brightness_factor(per_mode)) + (1.0 - eta_local) / nodes
-    )
+    return delta_alpha_entangled(nodes, total_photons / nodes, eta_local)
 
 
 def delta_alpha_ideal_nla(nodes: int, mean_photons: float, eta: float, gain: float) -> SensitivityPoint:
@@ -201,9 +195,7 @@ def crlb_entangled(nodes: int, mean_photons: float, eta: float) -> float:
 def crlb_product(nodes: int, mean_photons: float, eta: float) -> float:
     """Quantum Cramer-Rao lower bound for the product baseline (N/M per node)."""
     _check_scenario(nodes, mean_photons, eta)
-    return 0.5 / math.sqrt(
-        nodes * eta * _brightness_factor(mean_photons / nodes) + nodes * (1.0 - eta)
-    )
+    return crlb_entangled(nodes, mean_photons / nodes, eta)
 
 
 def _check_scenario(nodes: int, mean_photons: float, eta: float) -> None:
@@ -219,7 +211,7 @@ def _check_scenario(nodes: int, mean_photons: float, eta: float) -> None:
 # Fock pipeline (pure Kraus branches of the lossy split source)
 # ---------------------------------------------------------------------------
 
-def _lossy_source(mean_photons: float, eta: float, cutoff: Cutoff) -> tuple[np.ndarray, float]:
+def _lossy_source(mean_photons: float, eta: float, n_max: int) -> tuple[np.ndarray, float]:
     """Kraus branches of loss on the normalised single-mode source, one per row.
 
     Loss is applied to the single source mode before splitting; with equal
@@ -229,29 +221,29 @@ def _lossy_source(mean_photons: float, eta: float, cutoff: Cutoff) -> tuple[np.n
     A branch that loses more photons than the source holds is exactly zero.
     Also returns the source's truncation deficit.
     """
-    source = sv_fock(mean_photons, cutoff)
+    source = sv_fock(mean_photons, n_max)
     unit = normalize(source)[0].amplitudes
-    return np.array([kraus @ unit for kraus in loss_kraus_operators(eta, cutoff)]), source.norm_deficit
+    return np.array([kraus @ unit for kraus in loss_kraus_operators(eta, n_max)]), source.norm_deficit
 
 
-def _require_converged(deficit: float, cutoff: Cutoff) -> None:
+def _require_converged(deficit: float, n_max: int) -> None:
     if deficit > TRUNC_TOL:
         raise TruncationError(
             f"truncation deficit {deficit:.3e} exceeds tolerance {TRUNC_TOL:.3e} "
-            f"at n_max={cutoff.n_max}; increase the cutoff"
+            f"at n_max={n_max}; increase the cutoff"
         )
 
 
 def _source_density(
-    mean_photons: float, eta: float, cutoff: Cutoff, scale: np.ndarray
+    mean_photons: float, eta: float, n_max: int, scale: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """``R[s, s'] = sum_k conj(c_k[s]) c_k[s']`` over ``c_k = scale * b_k``, ``b_k`` the lossy source.
 
-    ``R`` is ``(cutoff+1) x (cutoff+1)``.  Also returns the source's truncation
+    ``R`` is ``(n_max+1) x (n_max+1)``.  Also returns the source's truncation
     deficit, after raising ``TruncationError`` if it exceeds ``TRUNC_TOL``.
     """
-    branches, deficit = _lossy_source(mean_photons, eta, cutoff)
-    _require_converged(deficit, cutoff)
+    branches, deficit = _lossy_source(mean_photons, eta, n_max)
+    _require_converged(deficit, n_max)
     branches = branches * scale
     return branches.conj().T @ branches, deficit
 
@@ -347,17 +339,17 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     """
     if cfg.scheme != SCHEME_NO_NLA:
         raise ValueError(f"expected scheme {SCHEME_NO_NLA!r}, got {cfg.scheme!r}")
-    nodes, cutoff = cfg.nodes, cfg.cutoff
-    if cutoff.dim**nodes > 2**22:  # about 200 B of peak memory per amplitude
-        raise ValueError(f"cutoff {cutoff.n_max} on M={nodes} nodes needs over 2**22 dense Fock amplitudes")
-    density, deficit = _source_density(cfg.mean_photons, cfg.eta, cutoff, np.ones(cutoff.dim))
-    comb = np.zeros((cutoff.dim,) * nodes, dtype=complex)
+    nodes, cap = cfg.nodes, cfg.cutoff
+    if (cap + 1) ** nodes > 2**22:  # about 200 B of peak memory per amplitude
+        raise ValueError(f"cutoff {cap} on M={nodes} nodes needs over 2**22 dense Fock amplitudes")
+    density, deficit = _source_density(cfg.mean_photons, cfg.eta, cap, np.ones(cap + 1))
+    comb = np.zeros((cap + 1,) * nodes, dtype=complex)
     comb[(slice(None),) + (0,) * (nodes - 1)] = 1.0
-    split = fock.balanced_splitter(nodes, FockVector(cutoff, comb))
-    totals = _photon_totals(cutoff.dim, nodes)
+    split = fock.balanced_splitter(nodes, FockVector(comb))
+    totals = _photon_totals(cap + 1, nodes)
     overlap = _overlaps(_gather_weights(density, totals.max() + 1, 1), totals, np.ones(1))
-    lower = ModeOperator(cutoff, annihilation_matrix(cutoff))
-    upper = ModeOperator(cutoff, lower.entries.conj().T)
+    lower = ModeOperator(annihilation_matrix(cap))
+    upper = ModeOperator(lower.entries.conj().T)
     x_first = _ladders(split, 0, lower, upper)
     x_pair = (x_first, _ladders(split, 1, lower, upper)) if nodes > 1 else None
     _, variance, power = _symmetric_moments(nodes, overlap, (split.amplitudes, 0), x_first, overlap, x_pair)
@@ -366,7 +358,7 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
         probe_power=power,
         delta_alpha=math.sqrt(variance),
         p_success=1.0,
-        cutoff=cutoff.n_max,
+        cutoff=cap,
         trunc_deficit=deficit,
     )
 
@@ -381,7 +373,6 @@ def _power_series(poly: np.ndarray, power: int, length: int) -> np.ndarray:
 
 
 class _PracticalSource(NamedTuple):
-    basis: Cutoff
     lower: ModeOperator
     upper: ModeOperator
     weights: np.ndarray
@@ -390,24 +381,24 @@ class _PracticalSource(NamedTuple):
 
 @functools.lru_cache(maxsize=32)
 def _practical_source(
-    nodes: int, mean_photons: float, eta: float, cutoff: Cutoff, scissors: int
+    nodes: int, mean_photons: float, eta: float, n_max: int, scissors: int
 ) -> _PracticalSource:
     """Source stage of ``simulate_practical``: all of a point that does not depend on the gain.
 
-    The amplifier's basis ``{0..N+1}`` and ladders, and the weights gathered
-    once from the density ``R`` for every photon total ``0..2N+2`` that a pair
-    of modes can hold, frozen; the one-mode overlaps read the first ``N+2``
-    sectors.  A source that fails the truncation guard raises and is not cached.
+    The x ladders on the amplifier's basis ``{0..N+1}`` (cap ``N+1``), and the
+    weights gathered once from the density ``R`` for every photon total
+    ``0..2N+2`` that a pair of modes can hold, frozen; the one-mode overlaps
+    read the first ``N+2`` sectors.  A source that fails the truncation guard
+    raises and is not cached.
     """
-    basis = Cutoff(scissors + 1)
-    s = np.arange(cutoff.dim)
+    s = np.arange(n_max + 1)
     log_factorial = np.array([math.lgamma(n + 1.0) for n in s])
     split = np.exp(0.5 * log_factorial - 0.5 * math.log(nodes) * s)
-    density, deficit = _source_density(mean_photons, eta, cutoff, split)
-    lower = ModeOperator(basis, annihilation_matrix(basis))
-    upper = ModeOperator(basis, lower.entries.conj().T)
-    weights = fock._frozen(_gather_weights(density, 2 * basis.n_max + 1, cutoff.dim))
-    return _PracticalSource(basis, lower, upper, weights, deficit)
+    density, deficit = _source_density(mean_photons, eta, n_max, split)
+    lower = ModeOperator(annihilation_matrix(scissors + 1))
+    upper = ModeOperator(lower.entries.conj().T)
+    weights = fock._frozen(_gather_weights(density, 2 * scissors + 3, n_max + 1))
+    return _PracticalSource(lower, upper, weights, deficit)
 
 
 def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
@@ -447,19 +438,19 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     """
     if cfg.scheme != SCHEME_PRACTICAL_NLA:
         raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
-    spec, nodes, cap = cfg.nla, cfg.nodes, cfg.cutoff.n_max
-    source = _practical_source(nodes, cfg.mean_photons, cfg.eta, cfg.cutoff, spec.scissors)
+    spec, nodes, cap = cfg.nla, cfg.nodes, cfg.cutoff
+    source = _practical_source(nodes, cfg.mean_photons, cfg.eta, cap, spec.scissors)
 
     # a moment that leaves the floats is caught below, not warned about
     with np.errstate(all="ignore"):
         # amp is scaled by t[0] so f^p stays finite at any M; the scale t[0]^(2M)
         # is common to every moment and comes back in the herald probability
-        t = np.diag(nla_operator(spec.scissors, spec.gain, source.basis).entries).real
+        t = np.diag(nla_operator(spec.scissors, spec.gain, spec.scissors + 1).entries).real
         amp = np.exp(np.log(t / t[0]) - np.array([0.5 * math.lgamma(n + 1.0) for n in range(len(t))]))
         f = amp**2
         rest = _power_series(f, max(nodes - 2, 0), cap + 1)
         rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest
-        on_one = _overlaps(source.weights, slice(source.basis.dim), rest_of_one)
+        on_one = _overlaps(source.weights, slice(len(t)), rest_of_one)
         pair_table = source.weights @ rest
 
         def on_pair(bra, ket) -> float:
@@ -468,7 +459,7 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
             profile = np.convolve(first.conj() * amp, amp * second)
             return float(np.dot(pair_table[bra_shift + 1, ket_shift + 1], profile).real)
 
-        x_one = _ladders(FockVector(source.basis, amp), 0, source.lower, source.upper)
+        x_one = _ladders(FockVector(amp), 0, source.lower, source.upper)
         weight, variance, power = _symmetric_moments(nodes, on_one, (amp, 0), x_one, on_pair, (x_one, x_one))
     if not all(map(math.isfinite, (weight, variance, power))):
         raise AmplifierRangeError(
@@ -480,18 +471,17 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
         probe_power=power,
         delta_alpha=math.sqrt(variance),
         p_success=weight * float(t[0]) ** (2 * nodes),
-        cutoff=cfg.cutoff.n_max,
+        cutoff=cap,
         trunc_deficit=source.deficit,
     )
 
 
-def lossless_cvmp_vector(nodes: int, mean_photons: float, cutoff: CutoffLike) -> FockVector:
+def lossless_cvmp_vector(nodes: int, mean_photons: float, n_max: int) -> FockVector:
     """The split squeezed-vacuum probe before any loss, normalised."""
-    cutoff = as_cutoff(cutoff)
-    source, _ = normalize(sv_fock(mean_photons, cutoff))
-    spread = np.zeros((cutoff.dim,) * nodes, dtype=complex)
+    source, _ = normalize(sv_fock(mean_photons, n_max))
+    spread = np.zeros((source.n_max + 1,) * nodes, dtype=complex)
     spread[(slice(None),) + (0,) * (nodes - 1)] = source.amplitudes
-    return fock.balanced_splitter(nodes, FockVector(cutoff, spread))
+    return fock.balanced_splitter(nodes, FockVector(spread))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +498,7 @@ def qfi_pure_displacement(state: Union[FockVector, GaussianState]) -> float:
         # symmetric-convention variance, rescaled to the Fock p normalisation
         return 4.0 * FOCK_P_VARIANCE_SCALE * quadrature_sum_variance(state, "p")
     unit, _ = normalize(state)
-    _, p_op = quadratures(unit.cutoff)
+    _, p_op = quadratures(unit.n_max)
     amps = unit.amplitudes
     summed = np.zeros_like(amps)
     for mode in range(unit.mode_count):

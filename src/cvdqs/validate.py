@@ -22,12 +22,11 @@ class CheckResult:
     detail: str
 
 
-def _random_two_mode_state(rng: np.random.Generator, cutoff: fock.Cutoff) -> fock.FockVector:
-    amps = rng.standard_normal((cutoff.dim, cutoff.dim)) + 1j * rng.standard_normal(
-        (cutoff.dim, cutoff.dim)
-    )
+def _random_two_mode_state(rng: np.random.Generator, n_max: int) -> fock.FockVector:
+    shape = (n_max + 1, n_max + 1)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     amps /= np.linalg.norm(amps)
-    return fock.FockVector(cutoff, amps)
+    return fock.FockVector(amps)
 
 
 def _apply_per_mode(op: fock.ModeOperator, state: fock.FockVector) -> fock.FockVector:
@@ -75,10 +74,10 @@ def _check_engines_agree(cutoff: int) -> list[CheckResult]:
 
 def _check_commutation() -> list[CheckResult]:
     rng = np.random.default_rng(20240514)
-    cutoff = fock.Cutoff(6)
+    cutoff = 6
     gain = 2.0
     theta = math.pi / 4
-    ideal = fock.ModeOperator(cutoff, np.diag(nla.gain_diagonal(gain, cutoff)).astype(complex))
+    ideal = fock.ModeOperator(np.diag(nla.gain_diagonal(gain, cutoff)).astype(complex))
     worst = 0.0
     for _ in range(4):
         state = _random_two_mode_state(rng, cutoff)
@@ -107,7 +106,7 @@ def _check_commutation() -> list[CheckResult]:
 
 
 def _check_scissor_oracle() -> CheckResult:
-    cutoff = fock.Cutoff(6)
+    cutoff = 6
     worst = 0.0
     for gain in (1.0, 1.5, 2.0, 3.0):
         circuit = nla.scissor_kraus(gain, cutoff).entries
@@ -124,13 +123,13 @@ def _check_scissor_oracle() -> CheckResult:
 
 
 def _check_projector_law(scissors: int) -> CheckResult:
-    cutoff = fock.Cutoff(max(6, scissors + 1))
+    cutoff = max(6, scissors + 1)
     gain = 1.7
     pi = nla.projector_pi(scissors, gain, cutoff).entries
     diag = np.diag(pi).real
     worst = abs(diag[0] - (1.0 / (gain * gain + 1.0)) ** (scissors / 2.0))
     # coefficient recurrence c_n / c_{n-1} = (N - n + 1) / N, zero above N
-    for n in range(1, cutoff.dim):
+    for n in range(1, cutoff + 1):
         expected = diag[n - 1] * (scissors - n + 1) / scissors if n <= scissors else 0.0
         worst = max(worst, abs(diag[n] - expected))
     return CheckResult(
@@ -141,7 +140,7 @@ def _check_projector_law(scissors: int) -> CheckResult:
 
 
 def _check_clipped_gain_after_loss() -> CheckResult:
-    cutoff = fock.Cutoff(24)
+    cutoff = 24
     eta = 0.5
     source = fock.normalize(fock.sv_fock(0.04, cutoff))[0].amplitudes
     # loss as its pure Kraus branches, summed into a plain density matrix

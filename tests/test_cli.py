@@ -389,6 +389,27 @@ def test_validate_writes_report_to_out(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        pytest.fail("the command ran before its --out path was checked")
+
+    monkeypatch.setattr(cli, "simulate_practical", no_work)
+    monkeypatch.setattr(cli, "run_validation_suite", no_work)
+    missing = str(tmp_path / "missing_dir" / "v.csv")
+    for command in ("sweep-nla", "sweep-sensitivity", "validate"):
+        assert main([command, "--out", missing]) == 2
+        assert "cannot write" in capsys.readouterr().err
+
+
+def test_failed_run_keeps_an_existing_out_file(tmp_path, capsys):
+    # the path is checked in append mode, which does not truncate
+    out = tmp_path / "v.csv"
+    out.write_bytes(b"earlier,bytes\n")
+    assert main(["sweep-nla", "--cutoff", "2", "--g-steps", "2", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert read(out) == b"earlier,bytes\n"
+
+
 GAUSSIAN = "gaussian engine matches closed-form sensitivity"
 FOCK = "fock pipeline matches closed-form sensitivity"
 COMMUTES = "ideal gain operator commutes with the splitter"
@@ -408,7 +429,7 @@ def _scaled_at(values, n):
 def _untruncated(pi):
     # the projector forgets its scissor truncation, so Pi_N g^n becomes a
     # multiple of g^n and commutes with the splitter like the ideal gain
-    return fock.ModeOperator(pi.cutoff, pi.entries[0, 0] * np.eye(pi.cutoff.dim))
+    return fock.ModeOperator(pi.entries[0, 0] * np.eye(len(pi.entries)))
 
 
 @pytest.mark.parametrize(
@@ -427,14 +448,14 @@ def _untruncated(pi):
             nla, "gain_diagonal", lambda d: _scaled_at(d, 2), {CLIPPED, COMMUTES}, id="gain_diagonal"
         ),
         pytest.param(
-            nla, "projector_pi", lambda pi: fock.ModeOperator(pi.cutoff, _scaled_at(pi.entries, 1)),
+            nla, "projector_pi", lambda pi: fock.ModeOperator(_scaled_at(pi.entries, 1)),
             {SCISSOR, PROJECTOR}, id="projector_coefficient",
         ),
         pytest.param(
             nla, "projector_pi", _untruncated, {WITNESS, SCISSOR, PROJECTOR}, id="projector_truncation"
         ),
         pytest.param(
-            sensing, "nla_operator", lambda t: fock.ModeOperator(t.cutoff, _scaled_at(t.entries, 0)),
+            sensing, "nla_operator", lambda t: fock.ModeOperator(_scaled_at(t.entries, 0)),
             {VACUUM}, id="practical_engine_amplifier",
         ),
     ],

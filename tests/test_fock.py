@@ -5,8 +5,9 @@ import pytest
 
 from cvdqs import fock
 from cvdqs.fock import (
-    Cutoff,
     FockVector,
+    ModeOperator,
+    apply_mode_operator,
     balanced_splitter,
     basis_vector,
     beamsplitter,
@@ -19,18 +20,17 @@ from cvdqs.fock import (
 
 def random_vector(rng, mode_count, cutoff, max_total=None):
     """Random pure state, optionally restricted to total photons <= max_total."""
-    c = fock.as_cutoff(cutoff)
-    shape = (c.dim,) * mode_count
+    shape = (cutoff + 1,) * mode_count
     amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     if max_total is not None:
         totals = np.zeros(shape)
         for axis in range(mode_count):
             idx = [None] * mode_count
             idx[axis] = slice(None)
-            totals = totals + np.arange(c.dim)[tuple(idx)]
+            totals = totals + np.arange(cutoff + 1)[tuple(idx)]
         amps = np.where(totals <= max_total, amps, 0.0)
     amps /= np.linalg.norm(amps)
-    return FockVector(c, amps)
+    return FockVector(amps)
 
 
 def projector(psi):
@@ -55,13 +55,34 @@ def lossy(eta, rho, cutoff):
 # ---------------------------------------------------------------------------
 
 def test_cutoff_rejects_zero():
+    # a cap of 0 is refused, and so is the one-entry basis it would give
+    with pytest.raises(ValueError, match="photon cap"):
+        sv_fock(0.04, 0)
     with pytest.raises(ValueError):
-        Cutoff(0)
+        FockVector(np.ones(1, dtype=complex))
+    with pytest.raises(ValueError):
+        FockVector(np.ones((3, 1), dtype=complex))
+    with pytest.raises(ValueError):
+        ModeOperator(np.ones((1, 1), dtype=complex))
+    assert sv_fock(0.04, 1).n_max == 1
 
 
 def test_vector_shape_must_match_cutoff():
+    # every axis of a state has one length; an operator is square and must
+    # match the state it acts on
     with pytest.raises(ValueError):
-        FockVector(Cutoff(3), np.zeros(5, dtype=complex))
+        FockVector(np.zeros((4, 5), dtype=complex))
+    with pytest.raises(ValueError):
+        FockVector(np.zeros((), dtype=complex))
+    with pytest.raises(ValueError):
+        ModeOperator(np.zeros((4, 5), dtype=complex))
+    with pytest.raises(ValueError):
+        ModeOperator(np.zeros(4, dtype=complex))
+    psi = basis_vector((1, 0), 3)
+    assert psi.n_max == 3
+    with pytest.raises(ValueError, match="differ"):
+        apply_mode_operator(quadratures(4)[0], 0, psi)
+    assert apply_mode_operator(quadratures(3)[0], 0, psi).n_max == 3
 
 
 def test_states_are_frozen():
@@ -194,12 +215,12 @@ def test_beamsplitter_rejects_bad_modes():
 
 def test_beamsplitter_preserves_photon_sectors():
     rng = np.random.default_rng(11)
-    c = Cutoff(5)
-    totals = np.add.outer(np.arange(c.dim), np.arange(c.dim))
+    n_max = 5
+    totals = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1))
     for _ in range(3):
-        psi = random_vector(rng, 2, c)
+        psi = random_vector(rng, 2, n_max)
         out = beamsplitter(0.7, 0, 1, psi)
-        for sector in range(2 * c.n_max + 1):
+        for sector in range(2 * n_max + 1):
             mask = totals == sector
             before = np.sum(np.abs(psi.amplitudes[mask]) ** 2)
             after = np.sum(np.abs(out.amplitudes[mask]) ** 2)
@@ -239,7 +260,7 @@ def test_balanced_splitter_comb_has_multinomial_amplitudes():
     for modes in range(1, 6):
         comb = np.zeros((cap + 1,) * modes, dtype=complex)
         comb[(slice(None),) + (0,) * (modes - 1)] = 1.0
-        out = balanced_splitter(modes, FockVector(Cutoff(cap), comb)).amplitudes
+        out = balanced_splitter(modes, FockVector(comb)).amplitudes
         want = np.zeros(out.shape)
         for occ in np.ndindex(out.shape):
             total = sum(occ)
@@ -262,7 +283,7 @@ def test_balanced_splitter_sv_symmetric_variance():
     psi, _ = normalize(sv_fock(0.04, 14))
     spread = np.zeros((15, 15), dtype=complex)
     spread[:, 0] = psi.amplitudes
-    out = balanced_splitter(2, FockVector(Cutoff(14), spread))
+    out = balanced_splitter(2, FockVector(spread))
     x_op, _ = quadratures(14)
     xbar = sum(fock.apply_mode_operator(x_op, mode, out).amplitudes for mode in (0, 1)) / 2.0
     mean = np.vdot(out.amplitudes, xbar).real
@@ -341,7 +362,7 @@ def test_channels_preserve_hermiticity_and_positivity():
 # ---------------------------------------------------------------------------
 
 def test_normalize_reports_weight():
-    scaled = FockVector(Cutoff(3), 0.2 * basis_vector((0,), 3).amplitudes)
+    scaled = FockVector(0.2 * basis_vector((0,), 3).amplitudes)
     unit, weight = normalize(scaled)
     assert weight == pytest.approx(0.04, abs=1e-15)
     assert np.vdot(unit.amplitudes, unit.amplitudes).real == pytest.approx(1.0, abs=1e-12)
@@ -349,7 +370,7 @@ def test_normalize_reports_weight():
 
 def test_normalize_rejects_zero_state():
     with pytest.raises(ValueError):
-        normalize(FockVector(Cutoff(3), np.zeros(4, dtype=complex)))
+        normalize(FockVector(np.zeros(4, dtype=complex)))
 
 
 def test_loss_kraus_cache_is_bounded():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvdqs import fock, sensing
-from cvdqs.fock import Cutoff, FockVector, basis_vector, normalize
+from cvdqs.fock import FockVector, basis_vector, normalize
 from cvdqs.nla import (
     NlaSpec,
     UnphysicalGainError,
@@ -155,7 +155,7 @@ def test_nla_operator_vacuum_eigenvalue():
 
 def apply_practical(state, gain, scissors):
     """One practical amplifier per mode: the heralded state and the joint success probability."""
-    op = nla_operator(scissors, gain, state.cutoff)
+    op = nla_operator(scissors, gain, state.n_max)
     for mode in range(state.mode_count):
         state = fock.apply_mode_operator(op, mode, state)
     return normalize(state)
@@ -177,13 +177,12 @@ def test_apply_practical_single_photon():
 def test_apply_practical_matches_explicit_sandwich():
     # brute-force route on a 2-mode instance: build the diagonal by hand
     rng = np.random.default_rng(41)
-    cutoff = Cutoff(4)
     amps = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     totals = np.add.outer(np.arange(5), np.arange(5))
     amps = np.where(totals <= 2, amps, 0.0)
     amps /= np.linalg.norm(amps)
     scissors, gain = 3, 1.4
-    out, p = apply_practical(FockVector(cutoff, amps), gain, scissors)
+    out, p = apply_practical(FockVector(amps), gain, scissors)
     single = np.zeros(5)
     for n in range(scissors + 1):
         if n <= 4:
@@ -202,13 +201,12 @@ def test_apply_practical_matches_explicit_sandwich():
 def test_apply_practical_high_scissor_count_is_gentle():
     # many scissors at unit gain: output approaches the input on low-photon states
     scissors = 12
-    cutoff = Cutoff(scissors)
-    amps = np.zeros((cutoff.dim, cutoff.dim), dtype=complex)
+    amps = np.zeros((scissors + 1, scissors + 1), dtype=complex)
     amps[0, 0] = 1.0
     amps[1, 0] = amps[0, 1] = 0.2
     amps[1, 1] = amps[2, 0] = amps[0, 2] = 0.04
     amps /= np.linalg.norm(amps)
-    out, p = apply_practical(FockVector(cutoff, amps), 1.0, scissors)
+    out, p = apply_practical(FockVector(amps), 1.0, scissors)
     assert np.max(np.abs(out.amplitudes - amps)) < 0.01
     assert p == pytest.approx(2.0 ** (-scissors * 2), rel=0.2)
 

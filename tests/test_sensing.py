@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cvdqs import cli, fock, gaussian, nla, sensing
-from cvdqs.fock import Cutoff, TruncationError
+from cvdqs.fock import TruncationError
 from cvdqs.nla import NlaSpec, UnphysicalGainError, nla_operator
 from cvdqs.sensing import (
     _lossy_source,
@@ -181,7 +181,7 @@ def _mixture_moments(branches, nodes, cutoff):
     """Moments of an (unnormalised) mixture of pure branches, from dense
     per-mode x and n passes over each branch."""
     x_op, _ = fock.quadratures(cutoff)
-    lower = fock.ModeOperator(cutoff, fock.annihilation_matrix(cutoff))
+    lower = fock.ModeOperator(fock.annihilation_matrix(cutoff))
     weight = 0.0
     mean_x = np.zeros(nodes)
     xbar_first = 0.0
@@ -207,15 +207,15 @@ def _mixture_moments(branches, nodes, cutoff):
 def _per_branch_oracle(nodes, mean_photons, eta, cutoff):
     """Each loss branch of the source spread over the dense ``(cutoff+1)^M``
     tensor by its own ``fock.balanced_splitter`` call, then dense ladder passes."""
-    amps, _ = _lossy_source(mean_photons, eta, Cutoff(cutoff))
+    amps, _ = _lossy_source(mean_photons, eta, cutoff)
 
     def branches():
         for amp in amps:
             spread = np.zeros((cutoff + 1,) * nodes, dtype=complex)
             spread[(slice(None),) + (0,) * (nodes - 1)] = amp
-            yield fock.balanced_splitter(nodes, fock.FockVector(Cutoff(cutoff), spread))
+            yield fock.balanced_splitter(nodes, fock.FockVector(spread))
 
-    return _mixture_moments(branches(), nodes, Cutoff(cutoff))
+    return _mixture_moments(branches(), nodes, cutoff)
 
 
 def test_no_nla_pipeline_matches_per_branch_splits(monkeypatch, trunc_tol):
@@ -389,7 +389,7 @@ def test_cached_source_arrays_are_read_only():
     # one gather over every photon total a pair of modes can hold, 0..2N+2,
     # whatever the node count; the one-mode overlaps read its first N+2 sectors
     for nodes in (1, 4):
-        source = sensing._practical_source(nodes, 0.04, 0.5, Cutoff(8), 2)
+        source = sensing._practical_source(nodes, 0.04, 0.5, 8, 2)
         assert source.weights.shape == (3, 3, 2 * 2 + 3, 8 + 1)
         for array in (source.weights, source.lower.entries, source.upper.entries):
             assert not array.flags.writeable
@@ -607,25 +607,25 @@ def _multinomial_oracle(nodes, mean_photons, eta, scissors, gain, cutoff):
     amplitude ``b_k[s]`` times the split amplitude ``sqrt(s!/prod n_i!) M^(-s/2)``
     times ``prod_i t[n_i]``, zero where ``s`` exceeds the source cap; moments
     from the dense per-mode ladder passes of ``_mixture_moments``."""
-    basis = Cutoff(scissors + 1)
-    occupations = np.indices((basis.dim,) * nodes)
+    n_max = scissors + 1
+    occupations = np.indices((n_max + 1,) * nodes)
     total = occupations.sum(axis=0)
     log_factorial = np.array([math.lgamma(n + 1.0) for n in range(total.max() + 1)])
     split = np.exp(
         0.5 * (log_factorial[total] - log_factorial[occupations].sum(axis=0))
         - 0.5 * math.log(nodes) * total
     )
-    diag = np.diag(nla_operator(scissors, gain, basis).entries).real
+    diag = np.diag(nla_operator(scissors, gain, n_max).entries).real
     factor = split * np.prod(diag[occupations], axis=0)
-    amps, _ = _lossy_source(mean_photons, eta, Cutoff(cutoff))
+    amps, _ = _lossy_source(mean_photons, eta, cutoff)
     sectors = np.zeros(max(total.max(), cutoff) + 1, dtype=complex)
 
     def branches():  # one branch alive at a time
         for amp in amps:
             sectors[: cutoff + 1] = amp
-            yield fock.FockVector(basis, sectors[total] * factor)
+            yield fock.FockVector(sectors[total] * factor)
 
-    moments = _mixture_moments(branches(), nodes, basis)
+    moments = _mixture_moments(branches(), nodes, n_max)
     return math.sqrt(moments.xbar_variance), moments.total_photons, moments.weight
 
 
@@ -799,7 +799,7 @@ def test_variance_invariant_under_displacement():
     x_op, _ = fock.quadratures(n_max)
     a = fock.annihilation_matrix(n_max)
     # exp(alpha (a^dag - a)) shifts <x> by alpha = 0.05
-    shift = fock.ModeOperator(Cutoff(n_max), fock._unitary_from_generator(0.05 * (a.conj().T - a)))
+    shift = fock.ModeOperator(fock._unitary_from_generator(0.05 * (a.conj().T - a)))
     displaced = probe
     for mode in range(nodes):
         displaced = fock.apply_mode_operator(shift, mode, displaced)
@@ -902,8 +902,8 @@ def test_scenario_config_validation():
         (partial(delta_alpha_ideal_nla, 4, 0.04, 0.5, math.nan), "gain"),
         (partial(ScenarioConfig, nodes=2.5, **_PRACTICAL), "node count"),
         (partial(delta_alpha_entangled, 2.5, 0.04, 0.5), "node count"),
-        (partial(Cutoff, 8.7), "photon cap"),
-        (partial(Cutoff, math.inf), "photon cap"),
+        (partial(fock.sv_fock, 0.04, 8.7), "photon cap"),
+        (partial(fock.sv_fock, 0.04, math.inf), "photon cap"),
         (partial(NlaSpec, 2.0, 2.5), "scissor count"),
         (partial(fock.sv_fock, math.nan, 4), "mean photon number"),
         (partial(gaussian.sv_gaussian, math.nan), "mean photon number"),
@@ -927,3 +927,34 @@ def test_non_finite_and_non_integral_inputs_raise_naming_the_parameter(build, na
     # round them down or fail later with an error about another parameter
     with pytest.raises(ValueError, match=name):
         build()
+
+
+_CAP_TAKERS = {
+    "sv_fock": lambda cap: fock.sv_fock(0.04, cap).amplitudes,
+    "loss_kraus_operators": lambda cap: np.array(fock.loss_kraus_operators(0.5, cap)),
+    "annihilation_matrix": fock.annihilation_matrix,
+    "quadratures": lambda cap: fock.quadratures(cap)[1].entries,
+    "basis_vector": lambda cap: fock.basis_vector((1, 0), cap).amplitudes,
+    "projector_pi": lambda cap: nla.projector_pi(1, 1.5, cap).entries,
+    "gain_diagonal": lambda cap: nla.gain_diagonal(1.5, cap),
+    "nla_operator": lambda cap: nla.nla_operator(1, 1.5, cap).entries,
+    "clipped_gain_operator": lambda cap: nla.clipped_gain_operator(1.5, cap).entries,
+    "scissor_kraus": lambda cap: nla.scissor_kraus(1.5, cap).entries,
+    "lossless_cvmp_vector": lambda cap: lossless_cvmp_vector(2, 0.04, cap).amplitudes,
+    "ScenarioConfig": lambda cap: ScenarioConfig(
+        nodes=4, mean_photons=0.04, eta=0.5, scheme=SCHEME_NO_NLA, cutoff=cap
+    ).cutoff,
+}
+
+
+@pytest.mark.parametrize("name", list(_CAP_TAKERS))
+def test_every_photon_cap_is_a_checked_whole_number(name):
+    # the cap is a plain int everywhere: each public function that takes one
+    # refuses what is not a whole number >= 1, and runs a whole float as the int
+    build = _CAP_TAKERS[name]
+    for bad in (0, -1, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="photon cap"):
+            build(bad)
+    whole, exact = build(8.0), build(8)
+    assert type(whole) is type(exact)
+    assert np.shape(whole) == np.shape(exact) and np.array_equal(whole, exact)
