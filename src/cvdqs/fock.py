@@ -32,11 +32,11 @@ class TruncationError(RuntimeError):
     """Probability weight lost to the photon cutoff exceeds the declared tolerance."""
 
 
-def _photon_cap(n_max) -> int:
-    """``n_max`` as an int, after checking that it is a whole number >= 1."""
-    if not n_max >= 1 or not float(n_max).is_integer():
-        raise ValueError(f"photon cap must be a whole number >= 1, got {n_max}")
-    return int(n_max)
+def _whole_number(value, quantity: str) -> int:
+    """``value`` as an int, after checking that it is a whole number >= 1; errors name ``quantity``."""
+    if value is None or not value >= 1 or not float(value).is_integer():
+        raise ValueError(f"{quantity} must be a whole number >= 1, got {value}")
+    return int(value)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -91,7 +91,7 @@ class ModeOperator:
 # ---------------------------------------------------------------------------
 
 def annihilation_matrix(n_max: int) -> np.ndarray:
-    n_max = _photon_cap(n_max)
+    n_max = _whole_number(n_max, "photon cap")
     return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1).astype(complex)
 
 
@@ -104,7 +104,7 @@ def quadratures(n_max: int) -> tuple[ModeOperator, ModeOperator]:
 
 
 def basis_vector(occupation: Sequence[int], n_max: int) -> FockVector:
-    n_max = _photon_cap(n_max)
+    n_max = _whole_number(n_max, "photon cap")
     occ = tuple(int(n) for n in occupation)
     if not occ:
         raise ValueError("need at least one mode")
@@ -124,7 +124,7 @@ def sv_fock(mean_photons: float, n_max: int) -> FockVector:
     """
     if not 0 <= mean_photons < math.inf:
         raise ValueError(f"mean photon number must be finite and non-negative, got {mean_photons}")
-    n_max = _photon_cap(n_max)
+    n_max = _whole_number(n_max, "photon cap")
     amps = np.zeros(n_max + 1, dtype=complex)
     if mean_photons == 0:
         amps[0] = 1.0
@@ -145,28 +145,19 @@ def sv_fock(mean_photons: float, n_max: int) -> FockVector:
 # linear-algebra plumbing
 # ---------------------------------------------------------------------------
 
-def _unitary_from_generator(generator: np.ndarray) -> np.ndarray:
-    """Exponential of an anti-Hermitian generator via eigendecomposition.
-
-    Exact (to rounding) and exactly unitary, unlike a truncated series.
-    """
-    herm = 1j * generator
-    asym = np.max(np.abs(herm - herm.conj().T))
-    if asym > 1e-12:
-        raise ValueError("generator is not anti-Hermitian")
-    evals, evecs = np.linalg.eigh(herm)
-    return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
-
-
 @lru_cache(maxsize=32)
 def _two_mode_bs_unitary(theta: float, n_max: int) -> np.ndarray:
-    """exp(theta (a^dag b - a b^dag)) on two truncated modes, kron(a-basis, b-basis)."""
+    """exp(theta (a^dag b - a b^dag)) on two truncated modes, kron(a-basis, b-basis).
+
+    Formed from the eigendecomposition of the Hermitian ``i theta (a^dag b - a b^dag)``:
+    exact (to rounding) and exactly unitary, unlike a truncated series.
+    """
     a1 = annihilation_matrix(n_max)
     ident = np.eye(n_max + 1, dtype=complex)
     big_a = np.kron(a1, ident)
     big_b = np.kron(ident, a1)
-    gen = theta * (big_a.conj().T @ big_b - big_a @ big_b.conj().T)
-    return _frozen(_unitary_from_generator(gen))
+    evals, evecs = np.linalg.eigh(1j * (theta * (big_a.conj().T @ big_b - big_a @ big_b.conj().T)))
+    return _frozen((evecs * np.exp(-1j * evals)) @ evecs.conj().T)
 
 
 def _apply_matrix_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
@@ -210,20 +201,6 @@ def beamsplitter(theta: float, mode_a: int, mode_b: int, state: FockVector) -> F
     return FockVector(_apply_pair(unitary, state.amplitudes, mode_a, mode_b, state.n_max + 1))
 
 
-def balanced_splitter_thetas(mode_count: int) -> tuple[float, ...]:
-    """Mixing angles of the two-mode chain that spreads mode 0 evenly.
-
-    Chain step k mixes modes (0, k); the angle signs are chosen so mode 0
-    contributes amplitude ``+1/sqrt(M)`` to every output, which makes the
-    symmetric combination of the outputs carry the input statistics.
-    """
-    if mode_count < 1:
-        raise ValueError(f"mode count must be at least 1, got {mode_count}")
-    return tuple(
-        -math.asin(1.0 / math.sqrt(mode_count - k + 1)) for k in range(1, mode_count)
-    )
-
-
 def balanced_splitter(mode_count: int, state: FockVector) -> FockVector:
     """Spread mode 0 of ``state`` evenly over all ``mode_count`` modes.
 
@@ -231,13 +208,17 @@ def balanced_splitter(mode_count: int, state: FockVector) -> FockVector:
     ``1 / mode_count``; that interface contract (not the particular chain
     decomposition) is what callers may rely on.
     """
+    mode_count = _whole_number(mode_count, "mode count")
     if state.mode_count != mode_count:
         raise ValueError(
             f"state has {state.mode_count} mode(s), expected {mode_count}"
         )
     out = state
-    for k, theta in enumerate(balanced_splitter_thetas(mode_count), start=1):
-        out = beamsplitter(theta, 0, k, out)
+    for k in range(1, mode_count):
+        # chain step k mixes modes (0, k); the sign makes mode 0 contribute
+        # +1/sqrt(M) to every output, so the symmetric combination of the
+        # outputs carries the input statistics
+        out = beamsplitter(-math.asin(1.0 / math.sqrt(mode_count - k + 1)), 0, k, out)
     return out
 
 
@@ -263,7 +244,7 @@ def loss_kraus_operators(eta: float, n_max: int) -> tuple[np.ndarray, ...]:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    return _loss_kraus_set(float(eta), _photon_cap(n_max))
+    return _loss_kraus_set(float(eta), _whole_number(n_max, "photon cap"))
 
 
 # ---------------------------------------------------------------------------

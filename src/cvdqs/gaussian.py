@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import _whole_number
+
 VACUUM_VARIANCE = 0.25
 
 #: Var(p) in the Fock kernel's convention = this factor times Var(p) here.
@@ -69,8 +71,7 @@ def loss_gaussian(state: GaussianState, eta: float) -> GaussianState:
 
 def splitter_gaussian(state: GaussianState, mode_count: int) -> GaussianState:
     """Spread a single-mode state evenly over ``mode_count`` modes (rest vacuum)."""
-    if mode_count < 1:
-        raise ValueError(f"mode count must be at least 1, got {mode_count}")
+    mode_count = _whole_number(mode_count, "mode count")
     if state.mode_count != 1:
         raise ValueError("splitter input must be a single-mode state")
     excess = (state.cov - VACUUM_VARIANCE * np.eye(2)) / mode_count

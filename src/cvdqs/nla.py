@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, ModeOperator, _photon_cap, basis_vector, beamsplitter
+from .fock import FockVector, ModeOperator, _whole_number, basis_vector, beamsplitter
 
 class UnphysicalGainError(ValueError):
     """The requested amplification cannot be realised on this source brightness."""
@@ -51,9 +51,7 @@ class NlaSpec:
                 "amplitude gain must be finite and >= 1 (noiseless attenuation unsupported), "
                 f"got {self.gain}"
             )
-        if self.scissors is None or self.scissors < 1 or not float(self.scissors).is_integer():
-            raise ValueError(f"scissor count must be a whole number >= 1, got {self.scissors}")
-        object.__setattr__(self, "scissors", int(self.scissors))
+        object.__setattr__(self, "scissors", _whole_number(self.scissors, "scissor count"))
 
     @staticmethod
     def practical(gain: float, scissors: int) -> "NlaSpec":
@@ -118,9 +116,8 @@ def projector_pi(scissors: int, gain: float, n_max: int) -> ModeOperator:
     n the coefficient rises monotonically to 1 as the scissor count grows, so
     the practical amplifier approaches the ideal one.
     """
-    n_max = _photon_cap(n_max)
-    if scissors < 1:
-        raise ValueError(f"scissor count must be >= 1, got {scissors}")
+    n_max = _whole_number(n_max, "photon cap")
+    scissors = _whole_number(scissors, "scissor count")
     if not 1.0 <= gain < math.inf:
         raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
     if scissors > n_max:
@@ -135,7 +132,7 @@ def projector_pi(scissors: int, gain: float, n_max: int) -> ModeOperator:
 
 
 def gain_diagonal(gain: float, n_max: int) -> np.ndarray:
-    return np.power(float(gain), np.arange(_photon_cap(n_max) + 1, dtype=float))
+    return np.power(float(gain), np.arange(_whole_number(n_max, "photon cap") + 1, dtype=float))
 
 
 def nla_operator(scissors: int, gain: float, n_max: int) -> ModeOperator:
@@ -197,7 +194,7 @@ def scissor_kraus(gain: float, n_max: int) -> ModeOperator:
     """
     if not 1.0 <= gain < math.inf:
         raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
-    n_max = _photon_cap(n_max)
+    n_max = _whole_number(n_max, "photon cap")
     gamma = 1.0 / (gain * gain + 1.0)
     theta_split = -math.acos(math.sqrt(gamma))
     kraus = np.zeros((n_max + 1, n_max + 1), dtype=complex)

@@ -40,8 +40,11 @@ The practical pipeline runs in two stages: a source stage that builds ``R``
 and gathers its weights over every photon total a pair of modes can hold,
 cached because it does not depend on the gain (a gain sweep builds it once),
 and a gain stage that forms the amplifier and contracts its power series with
-those weights.  The truncation guard runs once, in ``_source_density``, so a
-source whose deficit exceeds ``TRUNC_TOL`` raises and is never cached.
+those weights.  The source stage caches those weights and the source's
+truncation deficit, nothing more.  The truncation guard runs once, in
+``_source_density``, so a source whose deficit exceeds ``TRUNC_TOL`` raises
+and is never cached.  The x ladders depend only on the basis, so both
+pipelines read one cached ``(a, a^dag)`` pair per basis size (``_ladder_pair``).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -107,7 +110,7 @@ class ScenarioConfig:
                 f"no engine simulates scheme {self.scheme!r}; "
                 f"expected {SCHEME_NO_NLA!r} or {SCHEME_PRACTICAL_NLA!r}"
             )
-        object.__setattr__(self, "cutoff", fock._photon_cap(self.cutoff))
+        object.__setattr__(self, "cutoff", fock._whole_number(self.cutoff, "photon cap"))
         if self.scheme == SCHEME_NO_NLA and self.nla is not None:
             raise ValueError("the amplifier-free scheme takes no NlaSpec")
         if self.scheme == SCHEME_PRACTICAL_NLA and self.nla is None:
@@ -211,40 +214,29 @@ def _check_scenario(nodes: int, mean_photons: float, eta: float) -> None:
 # Fock pipeline (pure Kraus branches of the lossy split source)
 # ---------------------------------------------------------------------------
 
-def _lossy_source(mean_photons: float, eta: float, n_max: int) -> tuple[np.ndarray, float]:
-    """Kraus branches of loss on the normalised single-mode source, one per row.
-
-    Loss is applied to the single source mode before splitting; with equal
-    per-mode transmissivity this is exactly equivalent to splitting first
-    (pinned by ``test_practical_pipeline_matches_independent_oracle``, whose
-    oracle loses photons after the split) and needs one mode instead of M.
-    A branch that loses more photons than the source holds is exactly zero.
-    Also returns the source's truncation deficit.
-    """
-    source = sv_fock(mean_photons, n_max)
-    unit = normalize(source)[0].amplitudes
-    return np.array([kraus @ unit for kraus in loss_kraus_operators(eta, n_max)]), source.norm_deficit
-
-
-def _require_converged(deficit: float, n_max: int) -> None:
-    if deficit > TRUNC_TOL:
-        raise TruncationError(
-            f"truncation deficit {deficit:.3e} exceeds tolerance {TRUNC_TOL:.3e} "
-            f"at n_max={n_max}; increase the cutoff"
-        )
-
-
 def _source_density(
     mean_photons: float, eta: float, n_max: int, scale: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """``R[s, s'] = sum_k conj(c_k[s]) c_k[s']`` over ``c_k = scale * b_k``, ``b_k`` the lossy source.
 
+    ``b_k`` is loss branch ``k`` (``k`` photons lost) of the normalised
+    single-mode source.  Loss is applied to the source mode before splitting;
+    with equal per-mode transmissivity this is exactly equivalent to splitting
+    first (pinned by ``test_practical_pipeline_matches_independent_oracle``,
+    whose oracle loses photons after the split) and needs one mode instead of
+    M.  A branch that loses more photons than the source holds is exactly zero.
     ``R`` is ``(n_max+1) x (n_max+1)``.  Also returns the source's truncation
     deficit, after raising ``TruncationError`` if it exceeds ``TRUNC_TOL``.
     """
-    branches, deficit = _lossy_source(mean_photons, eta, n_max)
-    _require_converged(deficit, n_max)
-    branches = branches * scale
+    source = sv_fock(mean_photons, n_max)
+    deficit = source.norm_deficit
+    if deficit > TRUNC_TOL:
+        raise TruncationError(
+            f"truncation deficit {deficit:.3e} exceeds tolerance {TRUNC_TOL:.3e} "
+            f"at n_max={n_max}; increase the cutoff"
+        )
+    unit = normalize(source)[0].amplitudes
+    branches = np.array([kraus @ unit for kraus in loss_kraus_operators(eta, n_max)]) * scale
     return branches.conj().T @ branches, deficit
 
 
@@ -287,8 +279,16 @@ def _overlaps(weights, totals, coefficients):
     return overlap
 
 
-def _ladders(state: FockVector, mode: int, lower: ModeOperator, upper: ModeOperator) -> list:
+@functools.lru_cache(maxsize=8)
+def _ladder_pair(n_max: int) -> tuple[ModeOperator, ModeOperator]:
+    """``(a, a^dag)`` on ``{0..n_max}``: one pair per basis, shared by both engines."""
+    lower = ModeOperator(annihilation_matrix(n_max))
+    return lower, ModeOperator(lower.entries.conj().T)
+
+
+def _ladders(state: FockVector, mode: int) -> list:
     """x = (a + a^dag)/2 on one mode: a lowers the tensor, so its source sits one above."""
+    lower, upper = _ladder_pair(state.n_max)
     return [
         (apply_mode_operator(lower, mode, state).amplitudes, 1),
         (apply_mode_operator(upper, mode, state).amplitudes, -1),
@@ -334,24 +334,25 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     included; every moment is an overlap of these tensors (``_overlaps``).
     ``Phi`` is symmetric under permuting the modes, so the moments come from
     the ladders of modes 0 and 1 alone, through the practical engine's
-    ``_symmetric_moments``.  A tensor of more than ``2**22`` amplitudes raises
+    ``_symmetric_moments``.  A tensor of more than ``2**22`` amplitudes, or
+    from ``M=2`` a splitter unitary of more than ``2**22`` entries, raises
     ``ValueError`` before anything is built.
     """
     if cfg.scheme != SCHEME_NO_NLA:
         raise ValueError(f"expected scheme {SCHEME_NO_NLA!r}, got {cfg.scheme!r}")
     nodes, cap = cfg.nodes, cfg.cutoff
-    if (cap + 1) ** nodes > 2**22:  # about 200 B of peak memory per amplitude
-        raise ValueError(f"cutoff {cap} on M={nodes} nodes needs over 2**22 dense Fock amplitudes")
+    # about 200 B of peak memory per amplitude; from M=2 the splitter's two-mode
+    # unitary has (cap+1)^4 entries, more than the state below M=4
+    if (cap + 1) ** (max(nodes, 4) if nodes > 1 else 1) > 2**22:
+        raise ValueError(f"cutoff {cap} on M={nodes} nodes needs over 2**22 dense Fock entries")
     density, deficit = _source_density(cfg.mean_photons, cfg.eta, cap, np.ones(cap + 1))
     comb = np.zeros((cap + 1,) * nodes, dtype=complex)
     comb[(slice(None),) + (0,) * (nodes - 1)] = 1.0
     split = fock.balanced_splitter(nodes, FockVector(comb))
     totals = _photon_totals(cap + 1, nodes)
     overlap = _overlaps(_gather_weights(density, totals.max() + 1, 1), totals, np.ones(1))
-    lower = ModeOperator(annihilation_matrix(cap))
-    upper = ModeOperator(lower.entries.conj().T)
-    x_first = _ladders(split, 0, lower, upper)
-    x_pair = (x_first, _ladders(split, 1, lower, upper)) if nodes > 1 else None
+    x_first = _ladders(split, 0)
+    x_pair = (x_first, _ladders(split, 1)) if nodes > 1 else None
     _, variance, power = _symmetric_moments(nodes, overlap, (split.amplitudes, 0), x_first, overlap, x_pair)
     return SensitivityPoint(
         scheme=SCHEME_NO_NLA,
@@ -372,33 +373,22 @@ def _power_series(poly: np.ndarray, power: int, length: int) -> np.ndarray:
     return out
 
 
-class _PracticalSource(NamedTuple):
-    lower: ModeOperator
-    upper: ModeOperator
-    weights: np.ndarray
-    deficit: float
-
-
 @functools.lru_cache(maxsize=32)
 def _practical_source(
     nodes: int, mean_photons: float, eta: float, n_max: int, scissors: int
-) -> _PracticalSource:
+) -> tuple[np.ndarray, float]:
     """Source stage of ``simulate_practical``: all of a point that does not depend on the gain.
 
-    The x ladders on the amplifier's basis ``{0..N+1}`` (cap ``N+1``), and the
-    weights gathered once from the density ``R`` for every photon total
-    ``0..2N+2`` that a pair of modes can hold, frozen; the one-mode overlaps
-    read the first ``N+2`` sectors.  A source that fails the truncation guard
-    raises and is not cached.
+    The weights gathered once from the density ``R`` for every photon total
+    ``0..2N+2`` that a pair of modes can hold, frozen, and the source's
+    truncation deficit; the one-mode overlaps read the first ``N+2`` sectors.
+    A source that fails the truncation guard raises and is not cached.
     """
     s = np.arange(n_max + 1)
     log_factorial = np.array([math.lgamma(n + 1.0) for n in s])
     split = np.exp(0.5 * log_factorial - 0.5 * math.log(nodes) * s)
     density, deficit = _source_density(mean_photons, eta, n_max, split)
-    lower = ModeOperator(annihilation_matrix(scissors + 1))
-    upper = ModeOperator(lower.entries.conj().T)
-    weights = fock._frozen(_gather_weights(density, 2 * scissors + 3, n_max + 1))
-    return _PracticalSource(lower, upper, weights, deficit)
+    return fock._frozen(_gather_weights(density, 2 * scissors + 3, n_max + 1)), deficit
 
 
 def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
@@ -439,7 +429,7 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     if cfg.scheme != SCHEME_PRACTICAL_NLA:
         raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
     spec, nodes, cap = cfg.nla, cfg.nodes, cfg.cutoff
-    source = _practical_source(nodes, cfg.mean_photons, cfg.eta, cap, spec.scissors)
+    weights, deficit = _practical_source(nodes, cfg.mean_photons, cfg.eta, cap, spec.scissors)
 
     # a moment that leaves the floats is caught below, not warned about
     with np.errstate(all="ignore"):
@@ -450,8 +440,8 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
         f = amp**2
         rest = _power_series(f, max(nodes - 2, 0), cap + 1)
         rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest
-        on_one = _overlaps(source.weights, slice(len(t)), rest_of_one)
-        pair_table = source.weights @ rest
+        on_one = _overlaps(weights, slice(len(t)), rest_of_one)
+        pair_table = weights @ rest
 
         def on_pair(bra, ket) -> float:
             # <l_i x amp| T(n_1 + n_2) |amp x l_j>, summed over the pair's photon total (amp is real)
@@ -459,7 +449,7 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
             profile = np.convolve(first.conj() * amp, amp * second)
             return float(np.dot(pair_table[bra_shift + 1, ket_shift + 1], profile).real)
 
-        x_one = _ladders(FockVector(amp), 0, source.lower, source.upper)
+        x_one = _ladders(FockVector(amp), 0)
         weight, variance, power = _symmetric_moments(nodes, on_one, (amp, 0), x_one, on_pair, (x_one, x_one))
     if not all(map(math.isfinite, (weight, variance, power))):
         raise AmplifierRangeError(
@@ -472,7 +462,7 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
         delta_alpha=math.sqrt(variance),
         p_success=weight * float(t[0]) ** (2 * nodes),
         cutoff=cap,
-        trunc_deficit=source.deficit,
+        trunc_deficit=deficit,
     )
 
 

@@ -66,7 +66,7 @@ def _check_engines_agree(cutoff: int) -> list[CheckResult]:
         CheckResult(
             "fock pipeline matches closed-form sensitivity",
             worst_fock <= 1e-4,
-            f"max deviation {worst_fock:.3e} (tol 1e-4, n_max={cutoff})",
+            f"max deviation {worst_fock:.3e} (tol 1e-4, n_max={point.cutoff})",
         )
     )
     return results
@@ -255,14 +255,12 @@ def run_validation_suite(*, cutoff: int = 8, scissors: int = 2) -> list[CheckRes
 
     ``cutoff`` is the photon cap of the amplifier-free Fock pipeline checked
     against the closed form, and no other check reads it; a cap its truncation
-    guard refuses raises ``fock.TruncationError``, and one above 44 ``ValueError``.
-    ``scissors`` sets the scissor count of the projector-law check and of the
-    vacuum-heralding check, which runs ``sensing.simulate_practical``.
+    guard refuses raises ``fock.TruncationError``, and one that is not a whole
+    number >= 1, or is above 44, ``ValueError``.  ``scissors`` sets the scissor
+    count of the projector-law check and of the vacuum-heralding check, which
+    runs ``sensing.simulate_practical``.
     """
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
-    if scissors < 1:
-        raise ValueError(f"scissor count must be at least 1, got {scissors}")
+    scissors = fock._whole_number(scissors, "scissor count")
     results = []
     results.extend(_check_engines_agree(cutoff))
     results.extend(_check_commutation())

@@ -272,8 +272,8 @@ def test_balanced_splitter_comb_has_multinomial_amplitudes():
 
 
 def test_balanced_splitter_rejects_zero_modes():
-    with pytest.raises(ValueError):
-        fock.balanced_splitter_thetas(0)
+    with pytest.raises(ValueError, match="mode count"):
+        fock.balanced_splitter(0, basis_vector((1,), 3))
 
 
 def test_balanced_splitter_sv_symmetric_variance():

@@ -7,11 +7,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from cvdqs import cli, fock, gaussian, nla, sensing
+from cvdqs import cli, fock, gaussian, nla, sensing, validate
 from cvdqs.fock import TruncationError
 from cvdqs.nla import NlaSpec, UnphysicalGainError, nla_operator
 from cvdqs.sensing import (
-    _lossy_source,
     SCHEME_IDEAL_NLA,
     SCHEME_NO_NLA,
     SCHEME_PRACTICAL_NLA,
@@ -204,10 +203,16 @@ def _mixture_moments(branches, nodes, cutoff):
     return _Moments(weight, mean_x / weight, var, photons / weight)
 
 
+def _loss_branches(mean_photons, eta, cutoff):
+    """The Kraus branches of loss on the normalised single-mode source, from ``fock`` alone."""
+    unit = fock.normalize(fock.sv_fock(mean_photons, cutoff))[0].amplitudes
+    return [kraus @ unit for kraus in fock.loss_kraus_operators(eta, cutoff)]
+
+
 def _per_branch_oracle(nodes, mean_photons, eta, cutoff):
     """Each loss branch of the source spread over the dense ``(cutoff+1)^M``
     tensor by its own ``fock.balanced_splitter`` call, then dense ladder passes."""
-    amps, _ = _lossy_source(mean_photons, eta, cutoff)
+    amps = _loss_branches(mean_photons, eta, cutoff)
 
     def branches():
         for amp in amps:
@@ -388,13 +393,76 @@ def test_cached_source_gives_the_cold_results():
 def test_cached_source_arrays_are_read_only():
     # one gather over every photon total a pair of modes can hold, 0..2N+2,
     # whatever the node count; the one-mode overlaps read its first N+2 sectors
+    # the shared ladder pair on the amplifier's basis {0..N+1} is frozen too
     for nodes in (1, 4):
-        source = sensing._practical_source(nodes, 0.04, 0.5, 8, 2)
-        assert source.weights.shape == (3, 3, 2 * 2 + 3, 8 + 1)
-        for array in (source.weights, source.lower.entries, source.upper.entries):
+        weights, _ = sensing._practical_source(nodes, 0.04, 0.5, 8, 2)
+        assert weights.shape == (3, 3, 2 * 2 + 3, 8 + 1)
+        for array in (weights, *(op.entries for op in sensing._ladder_pair(2 + 1))):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1.0
+
+
+def test_one_ladder_pair_per_basis_serves_both_engines(monkeypatch):
+    # the ladders depend on the basis alone: practical points at one scissor
+    # count N share the pair on {0..N+1}, whatever (M, ns, eta), and the
+    # amplifier-free engine at cutoff N+1 reads the same pair
+    applied = []
+    apply = sensing.apply_mode_operator
+
+    def recording(op, mode, state):
+        applied.append(op)
+        return apply(op, mode, state)
+
+    monkeypatch.setattr(sensing, "apply_mode_operator", recording)
+    sensing._practical_source.cache_clear()
+    sensing._ladder_pair.cache_clear()
+    pair = sensing._ladder_pair(7 + 1)
+    for nodes, mean_photons, eta in ((1, 0.04, 0.5), (4, 0.1, 0.3), (100, 0.0, 1.0)):
+        simulate_practical(
+            ScenarioConfig(
+                nodes=nodes,
+                mean_photons=mean_photons,
+                eta=eta,
+                scheme=SCHEME_PRACTICAL_NLA,
+                nla=NlaSpec.practical(1.5, 7),
+            )
+        )
+        cached = sensing._practical_source(nodes, mean_photons, eta, 8, 7)
+        assert not any(isinstance(value, fock.ModeOperator) for value in cached)
+    simulate_no_nla_fock(ScenarioConfig(nodes=3, mean_photons=0.04, eta=0.5, scheme=SCHEME_NO_NLA, cutoff=8))
+    assert len(applied) == 3 * 2 + 4
+    assert all(op is pair[0] or op is pair[1] for op in applied)
+    assert sensing._ladder_pair.cache_info().currsize == 1
+
+
+def test_ladder_cache_is_bounded():
+    # each basis size adds an entry; an unbounded cache keeps them all
+    for n_max in range(1, 41):
+        sensing._ladder_pair(n_max)
+    info = sensing._ladder_pair.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("nodes, cutoff", [(2, 45), (3, 45), (2, 100)])
+def test_no_nla_refuses_a_splitter_unitary_too_large(monkeypatch, nodes, cutoff):
+    # the state is small, but from M=2 the splitter's two-mode unitary has
+    # (cutoff+1)^4 entries: 46^4 is over 2**22, and at cutoff 100 each of its
+    # 10,201-square matrices would take 1.66 GB
+    def no_split(*args):
+        raise AssertionError("the splitter was built")
+
+    monkeypatch.setattr(fock, "balanced_splitter", no_split)
+    cfg = ScenarioConfig(nodes=nodes, mean_photons=0.04, eta=0.5, scheme=SCHEME_NO_NLA, cutoff=cutoff)
+    with pytest.raises(ValueError, match=f"cutoff {cutoff} on M={nodes} nodes"):
+        simulate_no_nla_fock(cfg)
+
+
+def test_no_nla_single_node_builds_no_splitter_unitary():
+    # M=1 mixes no modes, so only the state counts against the limit
+    cfg = ScenarioConfig(nodes=1, mean_photons=0.04, eta=0.5, scheme=SCHEME_NO_NLA, cutoff=60)
+    assert simulate_no_nla_fock(cfg).delta_alpha == pytest.approx(delta_alpha_entangled(1, 0.04, 0.5), abs=1e-4)
 
 
 def test_no_nla_vacuum_source():
@@ -617,7 +685,7 @@ def _multinomial_oracle(nodes, mean_photons, eta, scissors, gain, cutoff):
     )
     diag = np.diag(nla_operator(scissors, gain, n_max).entries).real
     factor = split * np.prod(diag[occupations], axis=0)
-    amps, _ = _lossy_source(mean_photons, eta, cutoff)
+    amps = _loss_branches(mean_photons, eta, cutoff)
     sectors = np.zeros(max(total.max(), cutoff) + 1, dtype=complex)
 
     def branches():  # one branch alive at a time
@@ -799,7 +867,7 @@ def test_variance_invariant_under_displacement():
     x_op, _ = fock.quadratures(n_max)
     a = fock.annihilation_matrix(n_max)
     # exp(alpha (a^dag - a)) shifts <x> by alpha = 0.05
-    shift = fock.ModeOperator(fock._unitary_from_generator(0.05 * (a.conj().T - a)))
+    shift = fock.ModeOperator(_taylor_expm(0.05 * (a.conj().T - a)))
     displaced = probe
     for mode in range(nodes):
         displaced = fock.apply_mode_operator(shift, mode, displaced)
@@ -958,3 +1026,32 @@ def test_every_photon_cap_is_a_checked_whole_number(name):
     whole, exact = build(8.0), build(8)
     assert type(whole) is type(exact)
     assert np.shape(whole) == np.shape(exact) and np.array_equal(whole, exact)
+
+
+_COUNT_TAKERS = {
+    "NlaSpec": ("scissor count", lambda n: NlaSpec(2.0, n).scissors),
+    "projector_pi": ("scissor count", lambda n: nla.projector_pi(n, 1.5, 8).entries),
+    "nla_operator": ("scissor count", lambda n: nla.nla_operator(n, 1.5, 8).entries),
+    "run_validation_suite": ("scissor count", lambda n: validate.run_validation_suite(scissors=n)),
+    "balanced_splitter": (
+        "mode count", lambda m: fock.balanced_splitter(m, fock.basis_vector((1, 0), 3)).amplitudes
+    ),
+    "splitter_gaussian": ("mode count", lambda m: gaussian.splitter_gaussian(gaussian.sv_gaussian(0.1), m).cov),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNT_TAKERS))
+def test_every_count_is_a_checked_whole_number(name):
+    # scissor and mode counts share the photon cap's validator: each taker
+    # refuses what is not a whole number >= 1, naming the count, and runs a
+    # whole float as the int
+    quantity, build = _COUNT_TAKERS[name]
+    for bad in (0, -1, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"{quantity} must be a whole number >= 1"):
+            build(bad)
+    whole, exact = build(2.0), build(2)
+    assert type(whole) is type(exact)
+    if isinstance(exact, list):
+        assert whole == exact
+    else:
+        assert np.shape(whole) == np.shape(exact) and np.array_equal(whole, exact)
