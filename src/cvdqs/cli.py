@@ -171,7 +171,13 @@ def render_csv(columns, rows, precision: int) -> str:
     spec = f".{precision}e"
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_cell(row.get(col), spec) for col in columns))
+        # a plain float is the common cell: format it without _cell's type tests
+        lines.append(
+            ",".join(
+                format(value, spec) if type(value) is float else _cell(value, spec)
+                for value in map(row.get, columns)
+            )
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -119,8 +119,10 @@ def sv_fock(mean_photons: float, n_max: int) -> FockVector:
     """Squeezed vacuum with the given mean photon number, squeezed along x.
 
     Amplitudes follow ``c_{2k} = (-tanh r)^k sqrt((2k)!) / (2^k k! sqrt(cosh r))``
-    with ``sinh^2 r = mean_photons``; odd components vanish.  The vector is
-    returned as truncated, so its ``norm_deficit`` is the weight beyond the cap.
+    with ``sinh^2 r = mean_photons``; odd components vanish.  The factorials
+    enter as ``C(2k, k) / 4^k``, one correctly rounded int division, so no
+    factorial leaves the float range.  The vector is returned as truncated,
+    so its ``norm_deficit`` is the weight beyond the cap.
     """
     if not 0 <= mean_photons < math.inf:
         raise ValueError(f"mean photon number must be finite and non-negative, got {mean_photons}")
@@ -133,11 +135,7 @@ def sv_fock(mean_photons: float, n_max: int) -> FockVector:
     tanh_r = math.tanh(r)
     root_cosh = math.sqrt(math.cosh(r))
     for k in range(n_max // 2 + 1):
-        amps[2 * k] = (
-            (-tanh_r) ** k
-            * math.sqrt(math.factorial(2 * k))
-            / (2**k * math.factorial(k) * root_cosh)
-        )
+        amps[2 * k] = (-tanh_r) ** k * math.sqrt(math.comb(2 * k, k) / 4**k) / root_cosh
     return FockVector(amps)
 
 
@@ -160,11 +158,6 @@ def _two_mode_bs_unitary(theta: float, n_max: int) -> np.ndarray:
     return _frozen((evecs * np.exp(-1j * evals)) @ evecs.conj().T)
 
 
-def _apply_matrix_axis(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, arr, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
 def _apply_pair(unitary: np.ndarray, arr: np.ndarray, axis_a: int, axis_b: int, d1: int) -> np.ndarray:
     nd = arr.ndim
     moved = np.moveaxis(arr, (axis_a, axis_b), (nd - 2, nd - 1))
@@ -179,7 +172,18 @@ def apply_mode_operator(op: ModeOperator, mode: int, psi: FockVector) -> FockVec
         raise ValueError("operator and state cutoffs differ")
     if not 0 <= mode < psi.mode_count:
         raise ValueError(f"mode {mode} out of range for {psi.mode_count} mode(s)")
-    return FockVector(_apply_matrix_axis(op.entries, psi.amplitudes, mode))
+    mat, amps = op.entries, psi.amplitudes
+    dim = len(mat)
+    after = amps.size // dim ** (mode + 1)  # entries per slot of the axis that follow it
+    if after == 1:
+        out = amps.reshape(-1, dim) @ mat.T
+    elif after == dim:
+        # a batch of dim x dim products loses to one product on a moved copy
+        moved = np.moveaxis(amps, mode, 0)
+        out = np.moveaxis((mat @ moved.reshape(dim, -1)).reshape(moved.shape), 0, mode)
+    else:
+        out = mat @ amps.reshape(-1, dim, after)
+    return FockVector(out.reshape(amps.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -23,25 +23,29 @@ pins it against an oracle that loses photons after the split.
 sum the branches into one source density ``R`` indexed by the source's photon
 total, and read every moment off as overlaps weighted by ``R`` in the sector
 of each side: ``_gather_weights`` takes the weights of every overlap from
-``R`` in a single pass, and ``_overlaps`` contracts them with the
-coefficients of the summed-out modes.  Both probe states are symmetric under
-permuting the nodes, so both pipelines read ``Var(xbar)`` and the power off
-the x ladders of modes 0 and 1 through one formula (``_symmetric_moments``).
-The amplifier-free pipeline splits one comb of photon numbers over the dense
-``(cutoff+1)^M`` tensor, once per point rather than once per branch, and
-applies the ladders to its first two modes.  The practical pipeline forms no
+``R`` in a single pass.  Both probe states are symmetric under permuting the
+nodes, so every moment is an overlap of the kets ``[a^dag psi, psi, a psi]``
+of mode 0 or 1 (``_shift_stack``, source shifts -1, 0, +1), and both
+pipelines hand two 3x3 Gram matrices of them, one mode and a pair, to one
+formula (``_symmetric_moments``).  The amplifier-free pipeline splits one comb
+of photon numbers over the dense ``(cutoff+1)^M`` tensor, once per point
+rather than once per branch, applies the ladders to its first two modes, and
+forms each Gram matrix in one contraction (``_gram``) over the entries that
+hold at most ``cutoff + 1`` photons.  The practical pipeline forms no
 ``M``-mode tensor at all: its amplifier is zero above ``N`` photons per mode
 and an even split has closed-form amplitudes, so its ladders act on one mode
-on ``{0..N+1}``, and a pair of modes enters only through its photon total, as
-a 1-D convolution of one-mode arrays.  Its cost grows with ``M`` only through
-the polynomial powers ``f^(M-1)`` and ``f^(M-2)`` that sum out the other modes.
+on ``{0..N+1}``, and a pair of modes enters only through its photon total,
+read off a Hankel gather of the weights.  Its cost grows with ``M`` only
+through the polynomial powers ``f^(M-1)`` and ``f^(M-2)`` that sum out the
+other modes.
 
 The practical pipeline runs in two stages: a source stage that builds ``R``
 and gathers its weights over every photon total a pair of modes can hold,
 cached because it does not depend on the gain (a gain sweep builds it once),
-and a gain stage that forms the amplifier and contracts its power series with
-those weights.  The source stage caches those weights and the source's
-truncation deficit, nothing more.  The truncation guard runs once, in
+and a gain stage that forms the amplifier, contracts both power series with
+those weights in one product, and reads the two Gram matrices off the
+result.  The source stage caches those weights and the source's truncation
+deficit, nothing more.  The truncation guard runs once, in
 ``_source_density``, so a source whose deficit exceeds ``TRUNC_TOL`` raises
 and is never cached.  The x ladders depend only on the basis, so both
 pipelines read one cached ``(a, a^dag)`` pair per basis size (``_ladder_pair``).
@@ -248,9 +252,9 @@ def _photon_totals(dim: int, modes: int) -> np.ndarray:
 def _gather_weights(density: np.ndarray, sectors: int, length: int) -> np.ndarray:
     """``density[sector + b, sector + k]`` for every shift pair ``b, k`` in ``{-1, 0, 1}``.
 
-    Shape ``(3, 3, sectors, length)``: the weights that ``_overlaps`` contracts
-    with ``length`` coefficients of the summed-out modes.  Source totals
-    outside ``density`` read zero.
+    Shape ``(3, 3, sectors, length)``: contracted with ``length`` coefficients
+    of the summed-out modes, it gives the table that ``_gram`` reads.  Source
+    totals outside ``density`` read zero.
     """
     padded = np.zeros((sectors + length + 1,) * 2, dtype=density.dtype)
     padded[1 : len(density) + 1, 1 : len(density) + 1] = density
@@ -259,24 +263,14 @@ def _gather_weights(density: np.ndarray, sectors: int, length: int) -> np.ndarra
     return padded[sector + shifts, sector + shifts.swapaxes(0, 1)]
 
 
-def _overlaps(weights, totals, coefficients):
-    """``overlap(bra, ket)``: sum_k <bra|ket> over the loss branches and the summed-out modes.
+def _gram(bras: np.ndarray, table: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """``G[i, j] = Re sum_n conj(bras[i, n]) table[i, j, n] kets[j, n]``, all nine overlaps at once.
 
-    ``bra`` and ``ket`` are ``(tensor, shift)``: an amplitude tensor whose
-    entry at photon total ``totals`` carries the source total
-    ``totals + shift``, with ``shift`` in ``{-1, 0, 1}``.
-    ``coefficients[r]`` weighs the part where the summed-out modes hold ``r``
-    photons between them.  ``weights`` comes from ``_gather_weights``; it is
-    contracted with the coefficients once, and each overlap reads its shift
-    pair at ``totals``, an index: ``slice(dim)`` when the tensor is one mode.
+    ``bras`` and ``kets`` stack three flattened amplitude tensors in source-shift
+    order ``-1, 0, +1`` (``_shift_stack``); ``table[i, j, n]`` is the summed
+    weight of their shift pair at the photon total of entry ``n``.
     """
-    table = weights @ coefficients
-
-    def overlap(bra, ket) -> float:
-        (bra_amps, bra_shift), (ket_amps, ket_shift) = bra, ket
-        return float(np.vdot(bra_amps, ket_amps * table[bra_shift + 1, ket_shift + 1][totals]).real)
-
-    return overlap
+    return np.einsum("in,ijn,jn->ij", bras.conj(), table, kets).real
 
 
 @functools.lru_cache(maxsize=8)
@@ -286,13 +280,19 @@ def _ladder_pair(n_max: int) -> tuple[ModeOperator, ModeOperator]:
     return lower, ModeOperator(lower.entries.conj().T)
 
 
-def _ladders(state: FockVector, mode: int) -> list:
-    """x = (a + a^dag)/2 on one mode: a lowers the tensor, so its source sits one above."""
+def _shift_stack(state: FockVector, mode: int) -> np.ndarray:
+    """``[a^dag psi, psi, a psi]`` on one mode: their source totals sit at shifts -1, 0 and +1.
+
+    a lowers the tensor, so its source sits one above.
+    """
     lower, upper = _ladder_pair(state.n_max)
-    return [
-        (apply_mode_operator(lower, mode, state).amplitudes, 1),
-        (apply_mode_operator(upper, mode, state).amplitudes, -1),
-    ]
+    return np.array(
+        [
+            apply_mode_operator(upper, mode, state).amplitudes,
+            state.amplitudes,
+            apply_mode_operator(lower, mode, state).amplitudes,
+        ]
+    )
 
 
 def _require_unbiased(mean_x: float) -> None:
@@ -302,24 +302,24 @@ def _require_unbiased(mean_x: float) -> None:
         )
 
 
-def _symmetric_moments(nodes, on_one, state, x_one, on_pair, x_pair) -> tuple[float, float, float]:
+def _symmetric_moments(nodes: int, one: np.ndarray, pair: Optional[np.ndarray]) -> tuple[float, float, float]:
     """Weight, ``Var(xbar)`` and power of a state symmetric under permuting the nodes.
 
     ``Var(xbar) = [<x_1^2> + (M-1) <x_1 x_2>] / M - <x_1>^2`` and the power is
-    ``M <n_1>``.  ``on_one`` overlaps ``state`` and ``x_one``, the two ladders
-    of mode 0 on it; ``on_pair`` overlaps a ladder of mode 0 from ``x_pair[0]``
-    with one of mode 1 from ``x_pair[1]``, which only ``M > 1`` reads.
+    ``M <n_1>``.  ``one`` is the Gram matrix (``_gram``) of mode 0's
+    ``_shift_stack`` with itself; ``pair``, which only ``M > 1`` reads, that of
+    mode 0's stack against mode 1's.  ``x = (a + a^dag)/2`` reads the entries
+    of the outer kets, 0 and 2, and the power reads ``<a psi|a psi>``.
     """
-    weight = on_one(state, state)
-    mean_x = sum(on_one(state, ket) for ket in x_one) / (2.0 * weight)
+    (up_up, up, up_down), (_, weight, down), (down_up, _, down_down) = one.tolist()
+    mean_x = (up + down) / (2.0 * weight)
     _require_unbiased(mean_x)
-    x_sq = sum(on_one(bra, ket) for bra in x_one for ket in x_one) / (4.0 * weight)
+    x_sq = (up_up + up_down + down_up + down_down) / (4.0 * weight)
     x_cross = 0.0
     if nodes > 1:
-        first, second = x_pair
-        x_cross = sum(on_pair(bra, ket) for bra in first for ket in second) / (4.0 * weight)
-    power = nodes * (on_one(x_one[0], x_one[0]) / weight)
-    return weight, (x_sq + (nodes - 1) * x_cross) / nodes - mean_x**2, power
+        (cross_uu, _, cross_ud), _, (cross_du, _, cross_dd) = pair.tolist()
+        x_cross = (cross_uu + cross_ud + cross_du + cross_dd) / (4.0 * weight)
+    return weight, (x_sq + (nodes - 1) * x_cross) / nodes - mean_x**2, nodes * (down_down / weight)
 
 
 def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
@@ -331,12 +331,16 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     The splitter conserves photon number, so loss branch ``b_k`` splits into
     ``Phi[n] b_k[T(n)]``, ``T`` the photon total, and ``a_i`` (``a_i^dag``) of
     it is ``(a_i Phi)[n] b_k[T(n) + 1]`` (``b_k[T(n) - 1]``), truncation edge
-    included; every moment is an overlap of these tensors (``_overlaps``).
-    ``Phi`` is symmetric under permuting the modes, so the moments come from
-    the ladders of modes 0 and 1 alone, through the practical engine's
-    ``_symmetric_moments``.  A tensor of more than ``2**22`` amplitudes, or
-    from ``M=2`` a splitter unitary of more than ``2**22`` entries, raises
-    ``ValueError`` before anything is built.
+    included; every moment is an overlap of these tensors.  ``Phi`` is
+    symmetric under permuting the modes, so the moments come from the
+    ladders of modes 0 and 1 alone: one ``_gram`` of mode 0's
+    ``_shift_stack`` with itself and one against mode 1's, read through the
+    practical engine's ``_symmetric_moments``.  ``Phi`` holds at most
+    ``cutoff`` photons and a ladder adds one, so both contract only the
+    entries with at most ``cutoff + 1`` photons; every other weight is
+    zero.  A tensor of more than ``2**22`` amplitudes, or from ``M=2`` a
+    splitter unitary of more than ``2**22`` entries, raises ``ValueError``
+    before anything is built.
     """
     if cfg.scheme != SCHEME_NO_NLA:
         raise ValueError(f"expected scheme {SCHEME_NO_NLA!r}, got {cfg.scheme!r}")
@@ -349,11 +353,15 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     comb = np.zeros((cap + 1,) * nodes, dtype=complex)
     comb[(slice(None),) + (0,) * (nodes - 1)] = 1.0
     split = fock.balanced_splitter(nodes, FockVector(comb))
-    totals = _photon_totals(cap + 1, nodes)
-    overlap = _overlaps(_gather_weights(density, totals.max() + 1, 1), totals, np.ones(1))
-    x_first = _ladders(split, 0)
-    x_pair = (x_first, _ladders(split, 1)) if nodes > 1 else None
-    _, variance, power = _symmetric_moments(nodes, overlap, (split.amplitudes, 0), x_first, overlap, x_pair)
+    totals = _photon_totals(cap + 1, nodes).ravel()
+    # the comb holds at most cap photons and a ladder adds one; every weight
+    # past cap + 1 photons reads beyond R and is zero
+    held = np.flatnonzero(totals <= cap + 1)
+    table = _gather_weights(density, cap + 2, 1)[..., 0][:, :, totals[held]]
+    first = _shift_stack(split, 0).reshape(3, -1)[:, held]
+    one = _gram(first, table, first)
+    pair = _gram(first, table, _shift_stack(split, 1).reshape(3, -1)[:, held]) if nodes > 1 else None
+    _, variance, power = _symmetric_moments(nodes, one, pair)
     return SensitivityPoint(
         scheme=SCHEME_NO_NLA,
         probe_power=power,
@@ -371,6 +379,14 @@ def _power_series(poly: np.ndarray, power: int, length: int) -> np.ndarray:
     for _ in range(power):
         out = np.convolve(out, poly)[:length]
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _amplifier_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``0.5 * log(n!)`` on ``{0..dim-1}``, and the pair total ``m + n`` of two modes on it, frozen."""
+    n = np.arange(dim)
+    half_log_factorial = np.array([0.5 * math.lgamma(k + 1.0) for k in range(dim)])
+    return fock._frozen(half_log_factorial), fock._frozen(n[:, None] + n)
 
 
 @functools.lru_cache(maxsize=32)
@@ -413,10 +429,17 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     branches leaves the source density ``R[s, s'] = sum_k beta_k[s] beta_k[s']``.
     The x ladders act on ``amp`` on ``{0..N+1}``, so only the two one-mode
     ladders are applied; each shifts the source total by a known one, which
-    picks the entry of ``R``.  A pair overlap ``<l_i x amp| T |amp x l_j>``
-    reads ``T`` only at the pair's photon total, so it is ``T`` summed against
-    the convolution of ``conj(l_i) amp`` and ``conj(amp) l_j``.
-    The source cap ``cutoff`` is the only truncation.
+    picks the entry of ``R``.  The kets ``l = [a^dag amp, amp, a amp]`` sit at
+    source shifts -1, 0, +1, the order of the gathered weights, so one product
+    of the weights with the two columns ``[f^(M-1), f^(M-2)]`` gives the tables
+    ``T1`` and ``T2`` of every shift pair.  The one-mode moments are the Gram
+    matrix ``sum_n conj(l_i[n]) T1_ij[n] l_j[n]``.  A pair overlap
+    ``<l_i x amp| T2 |amp x l_j>`` reads ``T2`` only at the pair's photon total,
+    so all nine come from one contraction of ``conj(l_i) amp`` and
+    ``amp l_j`` with the Hankel gather ``T2_ij[m + n]``.  Unlike their
+    convolution, the contraction never forms the product of those two arrays
+    unweighted, which overflows at 40 scissors and g=1000.  The source cap
+    ``cutoff`` is the only truncation.
 
     Two stages: ``_practical_source``, cached on ``(M, N_S, eta, cutoff, N)``,
     builds ``R`` and gathers the weights of every shift pair once, so a gain
@@ -436,21 +459,19 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
         # amp is scaled by t[0] so f^p stays finite at any M; the scale t[0]^(2M)
         # is common to every moment and comes back in the herald probability
         t = np.diag(nla_operator(spec.scissors, spec.gain, spec.scissors + 1).entries).real
-        amp = np.exp(np.log(t / t[0]) - np.array([0.5 * math.lgamma(n + 1.0) for n in range(len(t))]))
+        half_log_factorial, pair_totals = _amplifier_basis(len(t))
+        amp = np.exp(np.log(t / t[0]) - half_log_factorial)
         f = amp**2
         rest = _power_series(f, max(nodes - 2, 0), cap + 1)
         rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest
-        on_one = _overlaps(weights, slice(len(t)), rest_of_one)
-        pair_table = weights @ rest
-
-        def on_pair(bra, ket) -> float:
-            # <l_i x amp| T(n_1 + n_2) |amp x l_j>, summed over the pair's photon total (amp is real)
-            (first, bra_shift), (second, ket_shift) = bra, ket
-            profile = np.convolve(first.conj() * amp, amp * second)
-            return float(np.dot(pair_table[bra_shift + 1, ket_shift + 1], profile).real)
-
-        x_one = _ladders(FockVector(amp), 0)
-        weight, variance, power = _symmetric_moments(nodes, on_one, (amp, 0), x_one, on_pair, (x_one, x_one))
+        # one contraction for both: the last axis sums out M-1 modes, then M-2
+        tables = (weights.reshape(-1, cap + 1) @ np.array([rest_of_one, rest]).T).reshape(3, 3, -1, 2)
+        kets = _shift_stack(FockVector(amp), 0)
+        one = _gram(kets, tables[:, :, : len(t), 0], kets)
+        # <l_i x amp| T(m + n) |amp x l_j>: l_i amp on mode 0, amp l_j on mode 1 (amp is real)
+        pair_kets = kets * amp
+        pair = np.einsum("im,ijmn,jn->ij", pair_kets.conj(), tables[:, :, pair_totals, 1], pair_kets).real
+        weight, variance, power = _symmetric_moments(nodes, one, pair)
     if not all(map(math.isfinite, (weight, variance, power))):
         raise AmplifierRangeError(
             f"the heralded moments at gain {spec.gain:g} on M={nodes} nodes leave the float range; "

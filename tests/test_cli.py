@@ -95,6 +95,29 @@ def test_render_csv_cell_rules():
         assert '"' not in cell and cell
 
 
+def test_render_csv_equals_the_per_cell_join():
+    # plain floats skip _cell's type tests; every cell must still render as _cell renders it
+    values = [
+        1.5, -2.0e-300, 0.0, -0.0, 1e300, float("inf"), float("-inf"), float("nan"),
+        np.float64(3.25), np.float64("nan"), np.int64(-7), 12, True, False, None, "",
+        'say "hi"', "a,b", "two\nlines", "entangled_no_nla",
+    ]
+    columns = ("a", "b", "c", "d", "missing")
+    rows = [{col: values[(i + j) % len(values)] for j, col in enumerate(columns[:-1])} for i in range(len(values))]
+    for precision in (0, 3, 12):
+        spec = f".{precision}e"
+        want = [",".join(columns)] + [",".join(cli._cell(row.get(col), spec) for col in columns) for row in rows]
+        assert render_csv(columns, rows, precision) == "\n".join(want) + "\n"
+
+
+def test_bounds_csv_bytes(tmp_path):
+    # SHA-256 of `bounds --eta-steps 1000`, recorded before render_csv formatted
+    # plain floats on a fast path: every cell of it is a plain float
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--eta-steps", "1000", "--out", str(out)]) == 0
+    assert hashlib.sha256(read(out)).hexdigest() == "2877d7b978fce424d11f608f46220ddc47334e30470040de857133fef20c6231"
+
+
 def test_sensitivity_csv_schema_and_determinism(tmp_path):
     argv = [
         "sweep-sensitivity",

@@ -85,6 +85,32 @@ def test_vector_shape_must_match_cutoff():
     assert apply_mode_operator(quadratures(3)[0], 0, psi).n_max == 3
 
 
+def test_apply_mode_operator_matches_tensordot():
+    # the kernel multiplies a reshaped view instead of moving axes; with one
+    # real entry per row (the ladders and real diagonals the engines apply)
+    # every output is a single product, so it equals the tensordot form bit
+    # for bit, and a dense complex operator, whose products and sums the two
+    # forms order differently, agrees to rounding
+    rng = np.random.default_rng(11)
+    n_max = 4
+    lower = fock.annihilation_matrix(n_max)
+    sparse = [lower, lower.conj().T, np.diag(rng.standard_normal(n_max + 1)).astype(complex)]
+    dense = rng.standard_normal((n_max + 1,) * 2) + 1j * rng.standard_normal((n_max + 1,) * 2)
+    for modes in range(1, 6):
+        big = rng.standard_normal((2 * n_max + 2,) * modes) + 1j * rng.standard_normal((2 * n_max + 2,) * modes)
+        stepped = big[(slice(None, None, 2),) * modes]
+        for amps in (np.ascontiguousarray(stepped), stepped, stepped.T):
+            assert amps.shape == (n_max + 1,) * modes
+            for mode in range(modes):
+                for op in sparse:
+                    got = apply_mode_operator(ModeOperator(op), mode, FockVector(amps)).amplitudes
+                    want = np.moveaxis(np.tensordot(op, amps, ([1], [mode])), 0, mode)
+                    assert np.array_equal(got, want), (modes, mode)
+                got = apply_mode_operator(ModeOperator(dense), mode, FockVector(amps)).amplitudes
+                want = np.moveaxis(np.tensordot(dense, amps, ([1], [mode])), 0, mode)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
 def test_states_are_frozen():
     psi = basis_vector((0,), 4)
     with pytest.raises(ValueError):

@@ -311,17 +311,18 @@ def test_practical_ladder_passes_do_not_grow_with_nodes(monkeypatch):
 
 def test_overlaps_match_one_gather_per_overlap():
     # oracle: each overlap reads its own weights from the density, entry by
-    # entry, with every source total outside it (below 0 or above the cap) zero
+    # entry, with every source total outside it (below 0 or above the cap)
+    # zero; _gram forms all nine overlaps of two stacks in one contraction
     rng = np.random.default_rng(7)
     for modes in (1, 2, 4):
         dim, n_coef = 4, 5
-        totals = sensing._photon_totals(dim, modes)
+        totals = sensing._photon_totals(dim, modes).ravel()
         density = rng.normal(size=(n_coef, n_coef))
         density = density + density.T
         coefficients = rng.normal(size=n_coef)
         weights = sensing._gather_weights(density, totals.max() + 1, n_coef)
-        overlap = sensing._overlaps(weights, totals, coefficients)
-        bra, ket = rng.normal(size=(2,) + totals.shape)
+        bras, kets = rng.normal(size=(2, 3, totals.size)) + 1j * rng.normal(size=(2, 3, totals.size))
+        gram = sensing._gram(bras, (weights @ coefficients)[:, :, totals], kets)
 
         def entry(row, col):
             return density[row, col] if 0 <= min(row, col) and max(row, col) < n_coef else 0.0
@@ -331,8 +332,8 @@ def test_overlaps_match_one_gather_per_overlap():
                 sum(entry(s + r + b, s + r + k) * coefficients[r] for r in range(n_coef))
                 for s in range(totals.max() + 1)
             ]
-            want = np.vdot(bra, ket * np.array(table)[totals]).real
-            assert overlap((bra, b), (ket, k)) == pytest.approx(want, rel=1e-13)
+            want = np.vdot(bras[b + 1], kets[k + 1] * np.array(table)[totals]).real
+            assert gram[b + 1, k + 1] == pytest.approx(want, rel=1e-13)
 
 
 def _practical_cfg(nodes, gain, cutoff=8):
