@@ -26,8 +26,8 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .fock import TruncationError
-from .nla import AmplifierRangeError, NlaSpec, UnphysicalGainError
+from .fock import TruncationError, _gain, _photon_number, _transmissivity, _whole_number
+from .nla import NlaSpec, UnphysicalGainError
 from .sensing import (
     SCHEME_IDEAL_NLA,
     SCHEME_NO_NLA,
@@ -106,18 +106,16 @@ class SweepRequest:
             value = getattr(self, setting.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise UsageError(f"{setting.metadata['key']} must be finite, got {value}")
-        if self.nodes < 1:
-            raise UsageError(f"M must be at least 1, got {self.nodes}")
-        if self.mean_photons < 0:
-            raise UsageError(f"ns must be non-negative, got {self.mean_photons}")
-        if not 0.0 < self.eta <= 1.0:
-            raise UsageError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.scissors < 1:
-            raise UsageError(f"scissors must be at least 1, got {self.scissors}")
-        if self.cutoff < 1:
-            raise UsageError(f"cutoff must be at least 1, got {self.cutoff}")
-        if self.g_min < 1.0:
-            raise UsageError(f"gain grid must start at or above 1, got {self.g_min}")
+        # the library's checks: every command refuses these before any work, read or not
+        try:
+            _whole_number(self.nodes, "M")
+            _photon_number(self.mean_photons, "ns")
+            _transmissivity(self.eta, "eta")
+            _whole_number(self.scissors, "scissors")
+            _whole_number(self.cutoff, "cutoff")
+            _gain(self.g_min, "g_min")
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         if self.g_max < self.g_min:
             raise UsageError("g-max must not be below g-min")
         if self.g_steps < 2:
@@ -305,21 +303,14 @@ def _csv_runner(columns, build_rows):
     """A command that writes ``build_rows(req)`` as CSV to ``req.out`` or stdout."""
 
     def run(req: SweepRequest) -> int:
-        try:
-            text = render_csv(columns, build_rows(req), req.precision)
-        except (TruncationError, AmplifierRangeError) as exc:
-            raise UsageError(str(exc)) from exc
-        _write_output(req, text)
+        _write_output(req, render_csv(columns, build_rows(req), req.precision))
         return 0
 
     return run
 
 
 def run_validate(req: SweepRequest) -> int:
-    try:
-        results = run_validation_suite(cutoff=req.cutoff, scissors=req.scissors)
-    except (TruncationError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    results = run_validation_suite(cutoff=req.cutoff, scissors=req.scissors)
     _write_output(req, render_report(results) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
@@ -408,12 +399,13 @@ def build_request(argv) -> SweepRequest:
 
 
 def main(argv=None) -> int:
+    """Run one command; a usage error or a refused scenario prints ``error: ...`` and exits 2."""
     try:
         request = build_request(argv)
         # an unwritable --out fails before the work; append mode keeps an existing file's bytes
         _write_output(request, "", "a")
         return _COMMANDS[request.command][1](request)
-    except UsageError as exc:
+    except (UsageError, TruncationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,6 +39,27 @@ def _whole_number(value, quantity: str) -> int:
     return int(value)
 
 
+def _photon_number(value, quantity: str = "mean photon number") -> float:
+    """``value`` as a float, after checking that it is finite and >= 0; errors name ``quantity``."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{quantity} must be finite and non-negative, got {value}")
+    return float(value)
+
+
+def _transmissivity(value, quantity: str = "transmissivity", allow_zero: bool = False) -> float:
+    """``value`` as a float, after checking that it lies in (0, 1] ([0, 1] for a bare loss channel)."""
+    if not (0 <= value if allow_zero else 0 < value) or not value <= 1:
+        raise ValueError(f"{quantity} must lie in {'[0, 1]' if allow_zero else '(0, 1]'}, got {value}")
+    return float(value)
+
+
+def _gain(value, quantity: str = "amplitude gain") -> float:
+    """``value`` as a float, after checking that it is finite and >= 1; errors name ``quantity``."""
+    if not 1 <= value < math.inf:
+        raise ValueError(f"{quantity} must be finite and >= 1, got {value}")
+    return float(value)
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -124,8 +145,7 @@ def sv_fock(mean_photons: float, n_max: int) -> FockVector:
     factorial leaves the float range.  The vector is returned as truncated,
     so its ``norm_deficit`` is the weight beyond the cap.
     """
-    if not 0 <= mean_photons < math.inf:
-        raise ValueError(f"mean photon number must be finite and non-negative, got {mean_photons}")
+    mean_photons = _photon_number(mean_photons)
     n_max = _whole_number(n_max, "photon cap")
     amps = np.zeros(n_max + 1, dtype=complex)
     if mean_photons == 0:
@@ -246,9 +266,7 @@ def loss_kraus_operators(eta: float, n_max: int) -> tuple[np.ndarray, ...]:
     The set resolves the identity exactly on the truncated basis, so the
     channel is trace preserving within truncation.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
-    return _loss_kraus_set(float(eta), _whole_number(n_max, "photon cap"))
+    return _loss_kraus_set(_transmissivity(eta, allow_zero=True), _whole_number(n_max, "photon cap"))
 
 
 # ---------------------------------------------------------------------------

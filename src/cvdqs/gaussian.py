@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _whole_number
+from .fock import _photon_number, _transmissivity, _whole_number
 
 VACUUM_VARIANCE = 0.25
 
@@ -55,16 +55,13 @@ class GaussianState:
 
 def sv_gaussian(mean_photons: float) -> GaussianState:
     """Single-mode squeezed vacuum, squeezed along x, sinh^2(r) = mean_photons."""
-    if not 0 <= mean_photons < np.inf:
-        raise ValueError(f"mean photon number must be finite and non-negative, got {mean_photons}")
-    r = np.arcsinh(np.sqrt(mean_photons))
+    r = np.arcsinh(np.sqrt(_photon_number(mean_photons)))
     return GaussianState(np.diag([np.exp(-2 * r), np.exp(2 * r)]) / 4.0)
 
 
 def loss_gaussian(state: GaussianState, eta: float) -> GaussianState:
     """Uniform pure loss on every mode: cov -> eta cov + (1-eta)/4."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
+    eta = _transmissivity(eta, allow_zero=True)
     dim = state.cov.shape[0]
     return GaussianState(eta * state.cov + (1.0 - eta) * VACUUM_VARIANCE * np.eye(dim))
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, ModeOperator, _whole_number, basis_vector, beamsplitter
+from .fock import FockVector, ModeOperator, basis_vector, beamsplitter
+from .fock import _gain, _photon_number, _transmissivity, _whole_number
 
 class UnphysicalGainError(ValueError):
     """The requested amplification cannot be realised on this source brightness."""
@@ -46,11 +47,7 @@ class NlaSpec:
     scissors: int
 
     def __post_init__(self):
-        if not 1.0 <= self.gain < math.inf:
-            raise ValueError(
-                "amplitude gain must be finite and >= 1 (noiseless attenuation unsupported), "
-                f"got {self.gain}"
-            )
+        _gain(self.gain)
         object.__setattr__(self, "scissors", _whole_number(self.scissors, "scissor count"))
 
     @staticmethod
@@ -60,7 +57,7 @@ class NlaSpec:
 
 def effective_gain(gain: float, eta: float) -> float:
     """Gain of the equivalent source-side amplifier: sqrt(1 + (g^2 - 1) eta)."""
-    _check_gain_eta(gain, eta)
+    gain, eta = _gain(gain), _transmissivity(eta)
     return math.sqrt(1.0 + (gain * gain - 1.0) * eta)
 
 
@@ -70,15 +67,8 @@ def effective_transmissivity(gain: float, eta: float) -> float:
     Strictly greater than ``eta`` whenever g > 1 and eta < 1: the amplifier
     effectively removes channel loss.
     """
-    _check_gain_eta(gain, eta)
+    gain, eta = _gain(gain), _transmissivity(eta)
     return gain * gain * eta / (1.0 + (gain * gain - 1.0) * eta)
-
-
-def _check_gain_eta(gain: float, eta: float) -> None:
-    if not 1.0 <= gain < math.inf:
-        raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in (0, 1], got {eta}")
 
 
 def effective_sv_photons(mean_photons: float, gain_eff: float) -> float:
@@ -88,10 +78,7 @@ def effective_sv_photons(mean_photons: float, gain_eff: float) -> float:
     the right-hand side stays below 1; beyond that boundary the amplified
     squeezing parameter would leave the physical range.
     """
-    if not 0 <= mean_photons < math.inf:
-        raise ValueError(f"mean photon number must be finite and non-negative, got {mean_photons}")
-    if not 1.0 <= gain_eff < math.inf:
-        raise ValueError(f"effective gain must be finite and >= 1, got {gain_eff}")
+    mean_photons, gain_eff = _photon_number(mean_photons), _gain(gain_eff, "effective gain")
     lam = gain_eff * gain_eff * math.sqrt(mean_photons / (mean_photons + 1.0))
     if lam >= 1.0:
         raise UnphysicalGainError(
@@ -118,8 +105,7 @@ def projector_pi(scissors: int, gain: float, n_max: int) -> ModeOperator:
     """
     n_max = _whole_number(n_max, "photon cap")
     scissors = _whole_number(scissors, "scissor count")
-    if not 1.0 <= gain < math.inf:
-        raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
+    gain = _gain(gain)
     if scissors > n_max:
         raise ValueError(
             f"cutoff n_max={n_max} cannot hold the {scissors}-photon scissor truncation"
@@ -167,8 +153,7 @@ def clipped_gain_operator(gain: float, n_max: int) -> ModeOperator:
     Stand-in for the ideal amplifier in validation runs; the overall scale is
     irrelevant after post-selection, and rescaling keeps entries bounded.
     """
-    if not 1.0 <= gain < math.inf:
-        raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
+    gain = _gain(gain)
     diag = gain_diagonal(gain, n_max)
     return ModeOperator(np.diag(diag / diag[-1]).astype(complex))
 
@@ -192,8 +177,7 @@ def scissor_kraus(gain: float, n_max: int) -> ModeOperator:
     ``nla_operator(1, g) / sqrt(2)``; summing both heralds reproduces the
     closed-form success probability.
     """
-    if not 1.0 <= gain < math.inf:
-        raise ValueError(f"amplitude gain must be finite and >= 1, got {gain}")
+    gain = _gain(gain)
     n_max = _whole_number(n_max, "photon cap")
     gamma = 1.0 / (gain * gain + 1.0)
     theta_split = -math.acos(math.sqrt(gamma))

@@ -131,7 +131,6 @@ class SensitivityPoint:
     p_success: float
     cutoff: Optional[int] = None
     trunc_deficit: Optional[float] = None
-    note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +170,8 @@ def delta_alpha_ideal_nla(nodes: int, mean_photons: float, eta: float, gain: flo
     Composes the effective gain and transmissivity with the amplified source
     brightness, then evaluates the loss-only formula on the effective
     scenario.  Probe power is the effective brightness times the effective
-    transmissivity.  Ideal amplifiers succeed with probability zero, which is
-    flagged rather than asserted away.
+    transmissivity.  Ideal amplifiers succeed with probability zero, which
+    ``p_success`` reports as 0.
     """
     _check_scenario(nodes, mean_photons, eta)
     g_eff = effective_gain(gain, eta)
@@ -183,7 +182,6 @@ def delta_alpha_ideal_nla(nodes: int, mean_photons: float, eta: float, gain: flo
         probe_power=n_eff * eta_eff,
         delta_alpha=delta_alpha_entangled(nodes, n_eff, eta_eff),
         p_success=0.0,
-        note="ideal NLA: zero-success idealization",
     )
 
 
@@ -206,12 +204,9 @@ def crlb_product(nodes: int, mean_photons: float, eta: float) -> float:
 
 
 def _check_scenario(nodes: int, mean_photons: float, eta: float) -> None:
-    if nodes < 1 or not float(nodes).is_integer():
-        raise ValueError(f"node count must be a whole number >= 1, got {nodes}")
-    if not 0.0 <= mean_photons < math.inf:
-        raise ValueError(f"mean photon number must be finite and non-negative, got {mean_photons}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"transmissivity must lie in (0, 1], got {eta}")
+    fock._whole_number(nodes, "node count")
+    fock._photon_number(mean_photons)
+    fock._transmissivity(eta)
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +393,18 @@ def _practical_source(
     The weights gathered once from the density ``R`` for every photon total
     ``0..2N+2`` that a pair of modes can hold, frozen, and the source's
     truncation deficit; the one-mode overlaps read the first ``N+2`` sectors.
-    A source that fails the truncation guard raises and is not cached.
+    A source that fails the truncation guard, or a cap whose split amplitudes
+    ``sqrt(s!) M^(-s/2)`` leave the float range, raises and is not cached.
     """
     s = np.arange(n_max + 1)
     log_factorial = np.array([math.lgamma(n + 1.0) for n in s])
-    split = np.exp(0.5 * log_factorial - 0.5 * math.log(nodes) * s)
-    density, deficit = _source_density(mean_photons, eta, n_max, split)
+    log_split = 0.5 * log_factorial - 0.5 * math.log(nodes) * s
+    if log_split.max() > math.log(np.finfo(float).max):
+        raise ValueError(
+            f"the split amplitudes sqrt(s!) M^(-s/2) of cutoff {n_max} on M={nodes} nodes "
+            "leave the float range; use a lower cutoff"
+        )
+    density, deficit = _source_density(mean_photons, eta, n_max, np.exp(log_split))
     return fock._frozen(_gather_weights(density, 2 * scissors + 3, n_max + 1)), deficit
 
 
@@ -446,8 +447,10 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     sweep builds it once; the gain stage forms ``t``, ``amp`` and the powers
     of ``f``, contracts them with those weights and applies the two ladders.
     The source stage raises ``TruncationError`` when the deficit exceeds
-    ``TRUNC_TOL``.  Too many scissors for the gain, or a weight, variance or
-    power that is not finite, raise ``nla.AmplifierRangeError``.
+    ``TRUNC_TOL``, and ``ValueError`` when the cap's split amplitudes
+    ``sqrt(s!) M^(-s/2)`` leave the float range (from cap 395 at M=4).  Too
+    many scissors for the gain, or a weight, variance or power that is not
+    finite, raise ``nla.AmplifierRangeError``.
     """
     if cfg.scheme != SCHEME_PRACTICAL_NLA:
         raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")

@@ -61,6 +61,31 @@ def test_request_rejects_bad_eta_grid():
         SweepRequest(command="bounds", eta_max=1.1)
 
 
+@pytest.mark.parametrize("command", ["sweep-sensitivity", "sweep-nla", "bounds", "validate"])
+@pytest.mark.parametrize(
+    "key, flag, value",
+    [
+        ("M", "--M", "0"),
+        ("ns", "--ns", "-1"),
+        ("eta", "--eta", "0"),
+        ("eta", "--eta", "1.5"),
+        ("scissors", "--scissors", "0"),
+        ("cutoff", "--cutoff", "0"),
+        ("g_min", "--g-min", "0.5"),
+    ],
+    ids=["M-0", "ns--1", "eta-0", "eta-1.5", "scissors-0", "cutoff-0", "g_min-0.5"],
+)
+def test_every_command_refuses_a_physical_setting_before_any_work(tmp_path, capsys, command, key, flag, value):
+    # the request checks every setting, also those the command does not read,
+    # so the refusal comes before any work and before --out is created
+    out = tmp_path / "new.csv"
+    assert main([command, flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} must ") and value in captured.err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # CSV mechanics
 # ---------------------------------------------------------------------------
@@ -175,9 +200,10 @@ def test_many_scissors_exit_zero(tmp_path):
 def test_scissors_beyond_the_float_range_exit_two(tmp_path):
     # at g=3 the vacuum entry (g^2+1)^(-N/2) of the amplifier leaves the normal
     # floats from N=616 and g^n overflows from N=646; the powers of f overflow
-    # at M=1000 with a cap of 170, and the amplitudes at g=1000.  Each command
-    # stops with a usage error naming the scissor count or node count and the
-    # gain instead of a nan row, a warning or a traceback
+    # at M=1000 with a cap of 170, the amplitudes at g=1000, and the source's
+    # split amplitudes sqrt(s!) M^(-s/2) from cap 395 at M=4.  Each command
+    # stops with a usage error naming the scissor count, node count or cap and
+    # the gain or node count instead of a nan row, a warning or a traceback
     out = tmp_path / "out.csv"
     assert main(["sweep-nla", "--scissors", "615", "--g-steps", "2", "--out", str(out)]) == 0
     rows = read(out).decode().splitlines()[1:]
@@ -195,6 +221,7 @@ def test_scissors_beyond_the_float_range_exit_two(tmp_path):
         ),
         (["sweep-nla", "--M", "2", *high_gain], "at gain 1000 on M=2 "),
         (["sweep-sensitivity", "--M", "2", *high_gain], "at gain 1000 on M=2 "),
+        (["sweep-nla", "--cutoff", "395", "--g-steps", "2"], "cutoff 395 on M=4 "),
     ):
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "cvdqs.cli", *argv],

@@ -67,7 +67,6 @@ def test_ideal_nla_reduces_to_no_nla_at_unit_gain():
     assert point.delta_alpha == pytest.approx(delta_alpha_entangled(4, 0.04, 0.5), abs=1e-14)
     assert point.probe_power == pytest.approx(0.02, abs=1e-14)
     assert point.p_success == 0.0
-    assert "zero-success" in point.note
 
 
 def test_ideal_nla_reference_point():
@@ -959,6 +958,80 @@ def test_scenario_config_validation():
     )
 
 
+# every public taker of a real-valued input, by the range its validator holds:
+# (quantity named in the error, {id: taker}, refused values, accepted edges).
+# A scenario or an effective channel needs eta > 0; a bare loss channel admits 0
+_REAL_INPUTS = [
+    (
+        "mean photon number",
+        {
+            "sv-fock": lambda ns: fock.sv_fock(ns, 4),
+            "sv-gaussian": gaussian.sv_gaussian,
+            "effective-sv": lambda ns: nla.effective_sv_photons(ns, 1.0),
+            "config": lambda ns: ScenarioConfig(nodes=4, mean_photons=ns, **_NO_NLA),
+            "closed-form": lambda ns: delta_alpha_entangled(4, ns, 0.5),
+            "product": lambda ns: delta_alpha_product(4, ns),
+            "ideal": lambda ns: delta_alpha_ideal_nla(4, ns, 0.5, 1.0),
+            "crlb": lambda ns: crlb_entangled(4, ns, 0.5),
+            "crlb-product": lambda ns: crlb_product(4, ns, 0.5),
+        },
+        (-1e-12, math.nan, math.inf),
+        (0.0,),
+    ),
+    (
+        "transmissivity must lie in \\(0, 1\\]",
+        {
+            "config": lambda eta: ScenarioConfig(nodes=4, mean_photons=0.04, eta=eta, scheme=SCHEME_NO_NLA),
+            "closed-form": lambda eta: delta_alpha_entangled(4, 0.04, eta),
+            "product": lambda eta: delta_alpha_product(4, 0.04, eta),
+            "ideal": lambda eta: delta_alpha_ideal_nla(4, 0.04, eta, 1.5),
+            "crlb": lambda eta: crlb_entangled(4, 0.04, eta),
+            "crlb-product": lambda eta: crlb_product(4, 0.04, eta),
+            "effective-gain": lambda eta: nla.effective_gain(1.5, eta),
+            "effective-eta": lambda eta: nla.effective_transmissivity(1.5, eta),
+        },
+        (0.0, 1 + 1e-12, math.nan),
+        (1.0,),
+    ),
+    (
+        "transmissivity must lie in \\[0, 1\\]",
+        {
+            "loss-kraus": lambda eta: fock.loss_kraus_operators(eta, 4),
+            "loss-gaussian": lambda eta: gaussian.loss_gaussian(gaussian.sv_gaussian(0.04), eta),
+        },
+        (-1e-12, 1 + 1e-12, math.nan),
+        (0.0, 1.0),
+    ),
+    (
+        "amplitude gain",
+        {
+            "spec": lambda g: NlaSpec(g, 2),
+            "effective-gain": lambda g: nla.effective_gain(g, 0.5),
+            "effective-eta": lambda g: nla.effective_transmissivity(g, 0.5),
+            "ideal": lambda g: delta_alpha_ideal_nla(4, 0.04, 0.5, g),
+            "projector": lambda g: nla.projector_pi(2, g, 4),
+            "nla-operator": lambda g: nla.nla_operator(2, g, 4),
+            "clipped": lambda g: nla.clipped_gain_operator(g, 4),
+            "scissor": lambda g: nla.scissor_kraus(g, 2),
+        },
+        (1 - 1e-12, math.nan, math.inf),
+        (1.0,),
+    ),
+    (
+        "effective gain",
+        {"effective-sv": lambda g: nla.effective_sv_photons(0.04, g)},
+        (1 - 1e-12, math.nan, math.inf),
+        (1.0,),
+    ),
+]
+_EDGE_REFUSALS = {
+    f"{taker}-{name.split()[0]}-{bad}": (partial(take, bad), name)
+    for name, takers, refused, _ in _REAL_INPUTS
+    for taker, take in takers.items()
+    for bad in refused
+}
+
+
 @pytest.mark.parametrize(
     "build, name",
     [
@@ -982,20 +1055,38 @@ def test_scenario_config_validation():
         (partial(nla.projector_pi, 2, math.nan, 4), "amplitude gain"),
         (partial(nla.nla_operator, 2, math.nan, 4), "amplitude gain"),
         (partial(nla.scissor_kraus, math.nan, 2), "amplitude gain"),
-    ],
+    ]
+    + list(_EDGE_REFUSALS.values()),
     ids=[
         "config-ns-nan", "config-ns-inf", "closed-form-ns-nan", "crlb-ns-nan",
         "spec-gain-nan", "spec-gain-inf", "ideal-gain-nan", "config-nodes-2.5",
         "closed-form-nodes-2.5", "cutoff-8.7", "cutoff-inf", "scissors-2.5",
         "sv-fock-ns-nan", "sv-gaussian-ns-nan", "effective-ns-nan", "effective-gain-nan",
         "clipped-gain-nan", "projector-gain-nan", "nla-operator-gain-nan", "scissor-gain-nan",
-    ],
+    ]
+    + list(_EDGE_REFUSALS),
 )
 def test_non_finite_and_non_integral_inputs_raise_naming_the_parameter(build, name):
     # the CLI rejects these; the library used to accept them, return nan,
-    # round them down or fail later with an error about another parameter
+    # round them down or fail later with an error about another parameter.
+    # Every taker of a real-valued input also refuses just past its edge,
+    # naming the quantity and, for the transmissivity, the range it holds
     with pytest.raises(ValueError, match=name):
         build()
+
+
+@pytest.mark.parametrize(
+    "take, edge",
+    [
+        pytest.param(take, edge, id=f"{taker}-{name.split()[0]}-{edge}")
+        for name, takers, _, edges in _REAL_INPUTS
+        for taker, take in takers.items()
+        for edge in edges
+    ],
+)
+def test_each_real_valued_input_accepts_its_edge(take, edge):
+    # ns=0, gain=1, eta=1, and eta=0 for the bare loss channels run
+    take(edge)
 
 
 _CAP_TAKERS = {
