@@ -52,6 +52,11 @@ class NlaSpec:
 
     @staticmethod
     def practical(gain: float, scissors: int) -> "NlaSpec":
+        """Alias of ``NlaSpec(gain, scissors)``, kept for the benchmark.
+
+        Only ``bench/worker.py`` and ``bench/make_references.py`` call it; it
+        goes with the next change to the benchmark.
+        """
         return NlaSpec(gain, scissors)
 
 

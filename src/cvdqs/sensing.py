@@ -125,7 +125,6 @@ class ScenarioConfig:
 class SensitivityPoint:
     """One sweep result: rms error at a probe power, with herald probability."""
 
-    scheme: str
     probe_power: float
     delta_alpha: float
     p_success: float
@@ -142,15 +141,23 @@ def _brightness_factor(mean_photons: float) -> float:
     return (math.sqrt(mean_photons + 1.0) + math.sqrt(mean_photons)) ** 2
 
 
+def _loss_only_error(nodes: int, mean_photons: float, eta: float) -> float:
+    """The loss-only rms error of ``delta_alpha_entangled``, on inputs already checked."""
+    return 0.5 * math.sqrt(eta / (nodes * _brightness_factor(mean_photons)) + (1.0 - eta) / nodes)
+
+
+def _loss_only_bound(nodes: int, mean_photons: float, eta: float) -> float:
+    """The loss-only Cramer-Rao bound of ``crlb_entangled``, on inputs already checked."""
+    return 0.5 / math.sqrt(nodes * eta * _brightness_factor(mean_photons) + nodes * (1.0 - eta))
+
+
 def delta_alpha_entangled(nodes: int, mean_photons: float, eta: float) -> float:
     """Rms error of the split-source scheme without amplifiers.
 
     ``(1/2) sqrt( eta / (M (sqrt(N+1)+sqrt(N))^2) + (1-eta)/M )``.
     """
     _check_scenario(nodes, mean_photons, eta)
-    return 0.5 * math.sqrt(
-        eta / (nodes * _brightness_factor(mean_photons)) + (1.0 - eta) / nodes
-    )
+    return _loss_only_error(nodes, mean_photons, eta)
 
 
 def delta_alpha_product(nodes: int, total_photons: float, eta_local: float = 1.0) -> float:
@@ -161,7 +168,7 @@ def delta_alpha_product(nodes: int, total_photons: float, eta_local: float = 1.0
     distribution loss.
     """
     _check_scenario(nodes, total_photons, eta_local)
-    return delta_alpha_entangled(nodes, total_photons / nodes, eta_local)
+    return _loss_only_error(nodes, total_photons / nodes, eta_local)
 
 
 def delta_alpha_ideal_nla(nodes: int, mean_photons: float, eta: float, gain: float) -> SensitivityPoint:
@@ -178,9 +185,8 @@ def delta_alpha_ideal_nla(nodes: int, mean_photons: float, eta: float, gain: flo
     eta_eff = effective_transmissivity(gain, eta)
     n_eff = effective_sv_photons(mean_photons, g_eff)
     return SensitivityPoint(
-        scheme=SCHEME_IDEAL_NLA,
         probe_power=n_eff * eta_eff,
-        delta_alpha=delta_alpha_entangled(nodes, n_eff, eta_eff),
+        delta_alpha=_loss_only_error(nodes, n_eff, eta_eff),
         p_success=0.0,
     )
 
@@ -192,15 +198,13 @@ def crlb_entangled(nodes: int, mean_photons: float, eta: float) -> float:
     the achieved error at eta = 1 and is loose below.
     """
     _check_scenario(nodes, mean_photons, eta)
-    return 0.5 / math.sqrt(
-        nodes * eta * _brightness_factor(mean_photons) + nodes * (1.0 - eta)
-    )
+    return _loss_only_bound(nodes, mean_photons, eta)
 
 
 def crlb_product(nodes: int, mean_photons: float, eta: float) -> float:
     """Quantum Cramer-Rao lower bound for the product baseline (N/M per node)."""
     _check_scenario(nodes, mean_photons, eta)
-    return crlb_entangled(nodes, mean_photons / nodes, eta)
+    return _loss_only_bound(nodes, mean_photons / nodes, eta)
 
 
 def _check_scenario(nodes: int, mean_photons: float, eta: float) -> None:
@@ -358,7 +362,6 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     pair = _gram(first, table, _shift_stack(split, 1).reshape(3, -1)[:, held]) if nodes > 1 else None
     _, variance, power = _symmetric_moments(nodes, one, pair)
     return SensitivityPoint(
-        scheme=SCHEME_NO_NLA,
         probe_power=power,
         delta_alpha=math.sqrt(variance),
         p_success=1.0,
@@ -481,7 +484,6 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
             "use a lower gain, fewer nodes or a lower cutoff"
         )
     return SensitivityPoint(
-        scheme=SCHEME_PRACTICAL_NLA,
         probe_power=power,
         delta_alpha=math.sqrt(variance),
         p_success=weight * float(t[0]) ** (2 * nodes),

@@ -216,7 +216,7 @@ def _check_success_scaling(scissors: int) -> CheckResult:
                 mean_photons=0.0,
                 eta=0.5,
                 scheme=sensing.SCHEME_PRACTICAL_NLA,
-                nla=nla.NlaSpec.practical(gain, scissors),
+                nla=nla.NlaSpec(gain, scissors),
             )
         )
         expected = (gain * gain + 1.0) ** (-scissors * nodes)

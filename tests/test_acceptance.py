@@ -92,7 +92,7 @@ def _practical_sweep(gains, cutoff=8):
             eta=ETA,
             scheme=SCHEME_PRACTICAL_NLA,
             cutoff=cutoff,
-            nla=NlaSpec.practical(float(gain), 2),
+            nla=NlaSpec(float(gain), 2),
         )
         point = simulate_practical(cfg)
         rows.append(

@@ -43,6 +43,9 @@ def test_request_rejects_bad_grid():
         SweepRequest(command="sweep-nla", g_steps=1)
     with pytest.raises(UsageError):
         SweepRequest(command="sweep-nla", g_min=2.0, g_max=1.5)
+    # a library caller can hand in a float step count; NaN must fail too
+    with pytest.raises(UsageError):
+        SweepRequest(command="sweep-nla", g_steps=math.nan)
 
 
 def test_request_rejects_bad_precision_and_jobs():
@@ -59,6 +62,10 @@ def test_request_rejects_bad_eta_grid():
         SweepRequest(command="bounds", eta_min=0.0)
     with pytest.raises(UsageError):
         SweepRequest(command="bounds", eta_max=1.1)
+    with pytest.raises(UsageError, match="eta-max must not be below eta-min"):
+        SweepRequest(command="bounds", eta_min=0.8, eta_max=0.5)
+    with pytest.raises(UsageError):
+        SweepRequest(command="bounds", eta_steps=math.nan)
 
 
 @pytest.mark.parametrize("command", ["sweep-sensitivity", "sweep-nla", "bounds", "validate"])
@@ -72,8 +79,15 @@ def test_request_rejects_bad_eta_grid():
         ("scissors", "--scissors", "0"),
         ("cutoff", "--cutoff", "0"),
         ("g_min", "--g-min", "0.5"),
+        ("g_max", "--g-max", "0.5"),
+        ("eta_min", "--eta-min", "0"),
+        ("eta_max", "--eta-max", "1.5"),
+        ("jobs", "--jobs", "0"),
     ],
-    ids=["M-0", "ns--1", "eta-0", "eta-1.5", "scissors-0", "cutoff-0", "g_min-0.5"],
+    ids=[
+        "M-0", "ns--1", "eta-0", "eta-1.5", "scissors-0", "cutoff-0", "g_min-0.5",
+        "g_max-0.5", "eta_min-0", "eta_max-1.5", "jobs-0",
+    ],
 )
 def test_every_command_refuses_a_physical_setting_before_any_work(tmp_path, capsys, command, key, flag, value):
     # the request checks every setting, also those the command does not read,
@@ -265,7 +279,7 @@ def test_sensitivity_rows_match_simulation_rerun():
     point = simulate_practical(
         ScenarioConfig(
             nodes=4, mean_photons=0.04, eta=0.5, scheme=SCHEME_PRACTICAL_NLA,
-            cutoff=8, nla=NlaSpec.practical(1.0, 2),
+            cutoff=8, nla=NlaSpec(1.0, 2),
         )
     )
     for row in practical:

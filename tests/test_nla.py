@@ -23,15 +23,17 @@ from cvdqs.nla import (
 
 def test_spec_rejects_attenuation():
     with pytest.raises(ValueError):
-        NlaSpec.practical(0.5, 2)
+        NlaSpec(0.5, 2)
 
 
 def test_spec_requires_scissors_for_practical():
     with pytest.raises(ValueError):
-        NlaSpec.practical(2.0, None)
+        NlaSpec(2.0, None)
     with pytest.raises(ValueError):
-        NlaSpec.practical(2.0, 0)
-    assert NlaSpec.practical(2.0, 2).scissors == 2
+        NlaSpec(2.0, 0)
+    assert NlaSpec(2.0, 2).scissors == 2
+    # the benchmark still builds its specs through this alias
+    assert NlaSpec.practical(2.0, 2) == NlaSpec(2.0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +232,7 @@ def test_vacuum_success_scaling_exact():
                         eta=0.5,
                         scheme=sensing.SCHEME_PRACTICAL_NLA,
                         cutoff=3,
-                        nla=NlaSpec.practical(gain, scissors),
+                        nla=NlaSpec(gain, scissors),
                     )
                 )
                 assert point.p_success == pytest.approx(

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 from functools import lru_cache, partial
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -108,6 +109,46 @@ def test_bounds_strictly_below_with_loss():
 def test_bounds_shot_noise_floor():
     assert crlb_entangled(4, 0.0, 0.6) == pytest.approx(0.25, abs=1e-15)
     assert crlb_product(4, 0.0, 0.6) == pytest.approx(0.25, abs=1e-15)
+
+
+def _count_scenario_checks(monkeypatch) -> list:
+    calls = []
+    check = sensing._check_scenario
+
+    def counting(*args):
+        calls.append(args)
+        check(*args)
+
+    monkeypatch.setattr(sensing, "_check_scenario", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "form, args",
+    [
+        pytest.param(form, args, id=form.__name__)
+        for form, args in [
+            (delta_alpha_entangled, (4, 0.04, 0.5)),
+            (delta_alpha_product, (4, 0.04, 0.5)),
+            (delta_alpha_ideal_nla, (4, 0.04, 0.5, 1.5)),
+            (crlb_entangled, (4, 0.04, 0.5)),
+            (crlb_product, (4, 0.04, 0.5)),
+        ]
+    ],
+)
+def test_each_closed_form_checks_its_inputs_once(monkeypatch, form, args):
+    # a product or ideal form hands its checked inputs to an unchecked formula,
+    # not to another public form that would check them again
+    calls = _count_scenario_checks(monkeypatch)
+    form(*args)
+    assert calls == [args[:3]]
+
+
+def test_bounds_rows_check_each_closed_form_once(monkeypatch):
+    req = cli.SweepRequest(command="bounds", eta_steps=7)
+    calls = _count_scenario_checks(monkeypatch)
+    assert len(cli.build_bounds_rows(req)) == 7
+    assert len(calls) == 4 * 7
 
 
 def test_qfi_vacuum():
@@ -302,7 +343,7 @@ def test_practical_ladder_passes_do_not_grow_with_nodes(monkeypatch):
                 mean_photons=0.04,
                 eta=0.5,
                 scheme=SCHEME_PRACTICAL_NLA,
-                nla=NlaSpec.practical(2.0, 2),
+                nla=NlaSpec(2.0, 2),
             )
         )
     assert counts == [2, 2, 2, 2], counts
@@ -342,7 +383,7 @@ def _practical_cfg(nodes, gain, cutoff=8):
         eta=0.5,
         scheme=SCHEME_PRACTICAL_NLA,
         cutoff=cutoff,
-        nla=NlaSpec.practical(gain, 2),
+        nla=NlaSpec(gain, 2),
     )
 
 
@@ -425,7 +466,7 @@ def test_one_ladder_pair_per_basis_serves_both_engines(monkeypatch):
                 mean_photons=mean_photons,
                 eta=eta,
                 scheme=SCHEME_PRACTICAL_NLA,
-                nla=NlaSpec.practical(1.5, 7),
+                nla=NlaSpec(1.5, 7),
             )
         )
         cached = sensing._practical_source(nodes, mean_photons, eta, 8, 7)
@@ -503,7 +544,7 @@ def test_practical_vacuum_source():
             eta=0.5,
             scheme=SCHEME_PRACTICAL_NLA,
             cutoff=cutoff,
-            nla=NlaSpec.practical(2.0, scissors),
+            nla=NlaSpec(2.0, scissors),
         )
         point = simulate_practical(cfg)
         assert point.delta_alpha == pytest.approx(1.0 / (2.0 * math.sqrt(nodes)), rel=1e-13)
@@ -637,7 +678,7 @@ def _assert_matches_oracle(nodes, mean_photons, eta, scissors, gain, cutoff):
         eta=eta,
         scheme=SCHEME_PRACTICAL_NLA,
         cutoff=cutoff,
-        nla=NlaSpec.practical(gain, scissors),
+        nla=NlaSpec(gain, scissors),
     )
     point = simulate_practical(cfg)
     want_da, want_power, want_p = _oracle_practical(
@@ -707,7 +748,7 @@ def test_practical_matches_multinomial_oracle_at_many_nodes():
             eta=0.5,
             scheme=SCHEME_PRACTICAL_NLA,
             cutoff=8,
-            nla=NlaSpec.practical(gain, scissors),
+            nla=NlaSpec(gain, scissors),
         )
         point = simulate_practical(cfg)
         want_da, want_power, want_p = _multinomial_oracle(nodes, 0.04, 0.5, scissors, gain, 8)
@@ -810,7 +851,7 @@ def test_practical_matches_type_class_oracle_at_large_nodes():
             eta=0.5,
             scheme=SCHEME_PRACTICAL_NLA,
             cutoff=128,
-            nla=NlaSpec.practical(gain, 2),
+            nla=NlaSpec(gain, 2),
         )
         point = simulate_practical(cfg)
         want_da, want_power, want_p = _type_class_oracle(nodes, 0.04, 0.5, 2, gain, 128)
@@ -828,7 +869,7 @@ def test_practical_reference_point_frozen():
         eta=0.5,
         scheme=SCHEME_PRACTICAL_NLA,
         cutoff=5,
-        nla=NlaSpec.practical(2.2, 2),
+        nla=NlaSpec(2.2, 2),
     )
     point = simulate_practical(cfg)
     assert point.delta_alpha == pytest.approx(0.185186412, abs=1e-8)
@@ -896,7 +937,7 @@ def test_benefit_ordering_at_matched_power():
             eta=0.5,
             scheme=SCHEME_PRACTICAL_NLA,
             cutoff=5,
-            nla=NlaSpec.practical(gain, 2),
+            nla=NlaSpec(gain, 2),
         )
         practical = simulate_practical(cfg)
         power = practical.probe_power
@@ -917,7 +958,7 @@ def test_practical_approaches_ideal_limit():
             eta=0.5,
             scheme=SCHEME_PRACTICAL_NLA,
             cutoff=40,
-            nla=NlaSpec.practical(1.5, scissors),
+            nla=NlaSpec(1.5, scissors),
         )
         ideal = delta_alpha_ideal_nla(nodes, 0.04, 0.5, 1.5).delta_alpha
         return abs(simulate_practical(cfg).delta_alpha - ideal) / ideal
@@ -946,7 +987,7 @@ def test_scenario_config_validation():
     # an amplifier on the amplifier-free scheme would be silently ignored
     with pytest.raises(ValueError, match="takes no NlaSpec"):
         ScenarioConfig(
-            nodes=4, mean_photons=0.04, eta=0.5, scheme=SCHEME_NO_NLA, nla=NlaSpec.practical(2.5, 2)
+            nodes=4, mean_photons=0.04, eta=0.5, scheme=SCHEME_NO_NLA, nla=NlaSpec(2.5, 2)
         )
     # closed-form-only schemes have no engine to run a config through
     for scheme in (SCHEME_IDEAL_NLA, SCHEME_PRODUCT):
@@ -1147,3 +1188,17 @@ def test_every_count_is_a_checked_whole_number(name):
         assert whole == exact
     else:
         assert np.shape(whole) == np.shape(exact) and np.array_equal(whole, exact)
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 4
+    assert all(math.isfinite(float(value)) for value in printed)
