@@ -115,7 +115,12 @@ class SweepRequest:
             _whole_number(self.jobs, "jobs")
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        # a library caller may pass a float count, so each is written so that NaN fails it
+        # a library caller may pass a float count: it must be whole, and is kept as an int
+        for key in ("g_steps", "eta_steps", "precision"):
+            value = getattr(self, key)
+            if not float(value).is_integer():
+                raise UsageError(f"{key} must be a whole number, got {value}")
+            object.__setattr__(self, key, int(value))
         if not self.g_max >= self.g_min:
             raise UsageError("g-max must not be below g-min")
         if not self.g_steps >= 2:

@@ -148,9 +148,6 @@ def sv_fock(mean_photons: float, n_max: int) -> FockVector:
     mean_photons = _photon_number(mean_photons)
     n_max = _whole_number(n_max, "photon cap")
     amps = np.zeros(n_max + 1, dtype=complex)
-    if mean_photons == 0:
-        amps[0] = 1.0
-        return FockVector(amps)
     r = math.asinh(math.sqrt(mean_photons))
     tanh_r = math.tanh(r)
     root_cosh = math.sqrt(math.cosh(r))
@@ -178,14 +175,6 @@ def _two_mode_bs_unitary(theta: float, n_max: int) -> np.ndarray:
     return _frozen((evecs * np.exp(-1j * evals)) @ evecs.conj().T)
 
 
-def _apply_pair(unitary: np.ndarray, arr: np.ndarray, axis_a: int, axis_b: int, d1: int) -> np.ndarray:
-    nd = arr.ndim
-    moved = np.moveaxis(arr, (axis_a, axis_b), (nd - 2, nd - 1))
-    shape = moved.shape
-    flat = moved.reshape(-1, d1 * d1) @ unitary.T
-    return np.moveaxis(flat.reshape(shape), (nd - 2, nd - 1), (axis_a, axis_b))
-
-
 def apply_mode_operator(op: ModeOperator, mode: int, psi: FockVector) -> FockVector:
     """Apply a (not necessarily unitary) single-mode operator to one mode."""
     if len(op.entries) != psi.n_max + 1:
@@ -197,10 +186,6 @@ def apply_mode_operator(op: ModeOperator, mode: int, psi: FockVector) -> FockVec
     after = amps.size // dim ** (mode + 1)  # entries per slot of the axis that follow it
     if after == 1:
         out = amps.reshape(-1, dim) @ mat.T
-    elif after == dim:
-        # a batch of dim x dim products loses to one product on a moved copy
-        moved = np.moveaxis(amps, mode, 0)
-        out = np.moveaxis((mat @ moved.reshape(dim, -1)).reshape(moved.shape), 0, mode)
     else:
         out = mat @ amps.reshape(-1, dim, after)
     return FockVector(out.reshape(amps.shape))
@@ -222,7 +207,10 @@ def beamsplitter(theta: float, mode_a: int, mode_b: int, state: FockVector) -> F
     if mode_a == mode_b or not (0 <= mode_a < mode_count and 0 <= mode_b < mode_count):
         raise ValueError(f"invalid mode pair ({mode_a}, {mode_b}) for {mode_count} mode(s)")
     unitary = _two_mode_bs_unitary(float(theta), state.n_max)
-    return FockVector(_apply_pair(unitary, state.amplitudes, mode_a, mode_b, state.n_max + 1))
+    last = (mode_count - 2, mode_count - 1)
+    moved = np.moveaxis(state.amplitudes, (mode_a, mode_b), last)
+    mixed = (moved.reshape(-1, unitary.shape[0]) @ unitary.T).reshape(moved.shape)
+    return FockVector(np.moveaxis(mixed, last, (mode_a, mode_b)))
 
 
 def balanced_splitter(mode_count: int, state: FockVector) -> FockVector:

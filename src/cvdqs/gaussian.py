@@ -3,17 +3,17 @@
 States are zero-mean: each is a covariance matrix over interleaved
 quadratures ``(x_1, p_1, x_2, p_2, ...)`` with the symmetric vacuum
 normalisation ``Var(x) = Var(p) = 1/4``.  This keeps the covariance algebra
-standard; the only wrinkle against the Fock kernel is its
-``p = -i (a - a^dag)`` normalisation, whose variances are exactly
-``FOCK_P_VARIANCE_SCALE`` times the symmetric ones.  ``x`` variances agree
-between the engines as-is.
+standard; the Fock kernel's ``p = -i (a - a^dag)`` has variances 4 times
+these, while ``x`` variances agree between the engines as-is.  Only the x
+block is read out here: the averaged-x error of ``avg_x_std``.
 
 The balanced split of one mode over ``M`` modes, the others vacuum, is the
 closed form ``cov_out = 1/4 I + tile((cov_in - 1/4 I_2) / M, (M, M))``: any
 passive splitter whose first column is uniformly ``1/sqrt(M)`` gives it.
 
 Besides serving the closed-form scenarios, this module is the independent
-oracle the Fock pipeline is validated against.
+oracle the Fock pipeline is validated against; the Fock engine
+(:mod:`cvdqs.sensing`) does not import it.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ import numpy as np
 from .fock import _photon_number, _transmissivity, _whole_number
 
 VACUUM_VARIANCE = 0.25
-
-#: Var(p) in the Fock kernel's convention = this factor times Var(p) here.
-FOCK_P_VARIANCE_SCALE = 4.0
 
 SYMMETRY_TOL = 1e-12
 
@@ -76,21 +73,12 @@ def splitter_gaussian(state: GaussianState, mode_count: int) -> GaussianState:
     return GaussianState(vacuum + np.tile(excess, (mode_count, mode_count)))
 
 
-def quadrature_sum_variance(state: GaussianState, quad: str = "x") -> float:
-    """Var(sum_m q_m) for q in {x, p}, in the symmetric 1/4 convention."""
-    if quad not in ("x", "p"):
-        raise ValueError("quad must be 'x' or 'p'")
-    offset = 0 if quad == "x" else 1
-    sel = np.zeros(state.cov.shape[0])
-    sel[offset::2] = 1.0
-    return float(sel @ state.cov @ sel)
-
-
 def avg_x_std(state: GaussianState) -> float:
     """Standard deviation of the averaged-x estimator (1/M) sum_m x_m.
 
     For an unbiased homodyne estimate of a common displacement this equals
     the rms estimation error.
     """
-    m = state.mode_count
-    return float(np.sqrt(quadrature_sum_variance(state, "x"))) / m
+    sel = np.zeros(state.cov.shape[0])
+    sel[::2] = 1.0  # the x block: Var(sum_m x_m) = sel cov sel
+    return float(np.sqrt(sel @ state.cov @ sel)) / state.mode_count

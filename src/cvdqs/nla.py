@@ -31,10 +31,6 @@ class UnphysicalGainError(ValueError):
     """The requested amplification cannot be realised on this source brightness."""
 
 
-class AmplifierRangeError(ValueError):
-    """The practical amplifier's Kraus element, or the moments it leaves, cannot be held in floats."""
-
-
 @dataclass(frozen=True)
 class NlaSpec:
     """A practical amplifier: amplitude gain and scissor count.
@@ -133,7 +129,7 @@ def nla_operator(scissors: int, gain: float, n_max: int) -> ModeOperator:
     leaves on a state is exactly the joint heralding probability, which
     ``sensing.simulate_practical`` reports.
 
-    Raises ``AmplifierRangeError`` when the vacuum entry ``(g^2+1)^(-N/2)``
+    Raises ``ValueError`` when the vacuum entry ``(g^2+1)^(-N/2)``
     falls below the smallest normal float (every ratio to it would lose
     digits) or ``g^n`` overflows on the basis.
     """
@@ -144,7 +140,7 @@ def nla_operator(scissors: int, gain: float, n_max: int) -> ModeOperator:
     except OverflowError:
         in_range = False
     if not in_range or pi[0, 0].real < sys.float_info.min:
-        raise AmplifierRangeError(
+        raise ValueError(
             f"the amplifier with {scissors} scissors at gain {gain:g} leaves the float range "
             "((g^2+1)^(-N/2) below the smallest normal float, or g^n overflows); "
             "use fewer scissors or a lower gain"

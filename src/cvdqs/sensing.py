@@ -14,6 +14,10 @@ comparing schemes.  The product baseline generates its squeezed states
 locally, so by default it suffers no distribution loss (``eta_local`` exists
 for equal-loss comparisons).
 
+The numerical pipelines are Fock-only: the covariance engine in
+:mod:`cvdqs.gaussian` is their independent oracle, and this module does not
+import it.
+
 The numerical pipelines represent the lossy source as its pure Kraus
 branches rather than one dense multimode density matrix, keeping memory
 linear in the basis size.  Uniform loss commutes with the balanced splitter,
@@ -56,7 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -72,9 +76,7 @@ from .fock import (
     quadratures,
     sv_fock,
 )
-from .gaussian import FOCK_P_VARIANCE_SCALE, GaussianState, quadrature_sum_variance
 from .nla import (
-    AmplifierRangeError,
     NlaSpec,
     effective_gain,
     effective_sv_photons,
@@ -453,7 +455,7 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     ``TRUNC_TOL``, and ``ValueError`` when the cap's split amplitudes
     ``sqrt(s!) M^(-s/2)`` leave the float range (from cap 395 at M=4).  Too
     many scissors for the gain, or a weight, variance or power that is not
-    finite, raise ``nla.AmplifierRangeError``.
+    finite, raise ``ValueError``.
     """
     if cfg.scheme != SCHEME_PRACTICAL_NLA:
         raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
@@ -479,7 +481,7 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
         pair = np.einsum("im,ijmn,jn->ij", pair_kets.conj(), tables[:, :, pair_totals, 1], pair_kets).real
         weight, variance, power = _symmetric_moments(nodes, one, pair)
     if not all(map(math.isfinite, (weight, variance, power))):
-        raise AmplifierRangeError(
+        raise ValueError(
             f"the heralded moments at gain {spec.gain:g} on M={nodes} nodes leave the float range; "
             "use a lower gain, fewer nodes or a lower cutoff"
         )
@@ -504,15 +506,12 @@ def lossless_cvmp_vector(nodes: int, mean_photons: float, n_max: int) -> FockVec
 # Fisher information
 # ---------------------------------------------------------------------------
 
-def qfi_pure_displacement(state: Union[FockVector, GaussianState]) -> float:
-    """Quantum Fisher information of a pure probe for a common displacement.
+def qfi_pure_displacement(state: FockVector) -> float:
+    """Quantum Fisher information of a pure Fock probe for a common displacement.
 
     For the generator sum_m p_m the information is 4 Var(sum_m p_m), in the
     Fock kernel's p convention; the rms bound is 1/sqrt(I_F).
     """
-    if isinstance(state, GaussianState):
-        # symmetric-convention variance, rescaled to the Fock p normalisation
-        return 4.0 * FOCK_P_VARIANCE_SCALE * quadrature_sum_variance(state, "p")
     unit, _ = normalize(state)
     _, p_op = quadratures(unit.n_max)
     amps = unit.amplitudes

@@ -68,6 +68,31 @@ def test_request_rejects_bad_eta_grid():
         SweepRequest(command="bounds", eta_steps=math.nan)
 
 
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("sweep-nla", "g_steps", 2.5), ("bounds", "eta_steps", 3.5), ("bounds", "precision", 5.5)],
+)
+def test_request_refuses_a_fractional_count_by_name(command, key, value):
+    # the CLI parses these as int, so only a library caller can hand in a fraction
+    with pytest.raises(UsageError, match=rf"^{key} must be a whole number, got {value}$"):
+        SweepRequest(command=command, **{key: value})
+
+
+def test_request_keeps_whole_float_counts_and_integer_messages():
+    req = SweepRequest(command="bounds", eta_steps=3.0, precision=4.0)
+    assert len(build_bounds_rows(req)) == 3
+    assert render_csv(("x",), [{"x": 1.0}], req.precision) == "x\n1.0000e+00\n"
+    for key, value, message in (
+        ("g_steps", 1, "gain grid needs at least 2 steps, got 1"),
+        ("eta_steps", 0, "eta grid needs at least 2 steps, got 0"),
+        ("precision", 18, "precision must lie in [3, 17], got 18"),
+    ):
+        with pytest.raises(UsageError) as exc:
+            SweepRequest(command="bounds", **{key: value})
+        assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("command", ["sweep-sensitivity", "sweep-nla", "bounds", "validate"])
 @pytest.mark.parametrize(
     "key, flag, value",

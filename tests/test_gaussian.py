@@ -7,7 +7,6 @@ from cvdqs.gaussian import (
     GaussianState,
     avg_x_std,
     loss_gaussian,
-    quadrature_sum_variance,
     splitter_gaussian,
     sv_gaussian,
 )
@@ -121,13 +120,3 @@ def test_states_satisfy_uncertainty():
     ):
         omega = np.kron(np.eye(state.mode_count), [[0.0, 1.0], [-1.0, 0.0]])
         assert np.linalg.eigvalsh(state.cov + 0.25j * omega).min() >= -1e-10
-
-
-def test_quadrature_sum_variance_selects_blocks():
-    state = sv_gaussian(0.04)
-    squeeze = (math.sqrt(1.04) - 0.2) ** 2
-    stretch = (math.sqrt(1.04) + 0.2) ** 2
-    assert quadrature_sum_variance(state, "x") == pytest.approx(squeeze / 4.0, abs=1e-12)
-    assert quadrature_sum_variance(state, "p") == pytest.approx(stretch / 4.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        quadrature_sum_variance(state, "y")

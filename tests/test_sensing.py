@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import NamedTuple
@@ -151,6 +154,22 @@ def test_bounds_rows_check_each_closed_form_once(monkeypatch):
     assert len(calls) == 4 * 7
 
 
+def test_fock_engine_does_not_load_the_gaussian_oracle():
+    # a fresh interpreter, so no other test's import of cvdqs.gaussian counts
+    src = Path(sensing.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "import sys, cvdqs.sensing; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout
+    assert "'cvdqs.sensing'" in loaded and "'cvdqs.fock'" in loaded
+    assert "'cvdqs.gaussian'" not in loaded
+
+
 def test_qfi_vacuum():
     for nodes in (1, 3):
         vac = fock.basis_vector((0,) * nodes, 6)
@@ -168,13 +187,6 @@ def test_qfi_cvmp_matches_bound():
     info = qfi_pure_displacement(probe)
     assert info == pytest.approx(4.0 * 4.0 * (math.sqrt(1.04) + 0.2) ** 2, abs=1e-5)
     assert 1.0 / math.sqrt(info) == pytest.approx(crlb_entangled(4, 0.04, 1.0), abs=1e-7)
-
-
-def test_qfi_from_gaussian_state():
-    state = gaussian.splitter_gaussian(gaussian.sv_gaussian(0.04), 4)
-    assert qfi_pure_displacement(state) == pytest.approx(
-        4.0 * 4.0 * (math.sqrt(1.04) + 0.2) ** 2, abs=1e-10
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +810,7 @@ def _lossy_sv_density(mean_photons, eta, cap):
     return density
 
 
+@lru_cache(maxsize=None)
 def _type_class_oracle(nodes, mean_photons, eta, scissors, gain, cap):
     """Heralded moments conditioned on the occupations of nodes 1 and 2.
 
@@ -841,23 +854,37 @@ def _type_class_oracle(nodes, mean_photons, eta, scissors, gain, cap):
     return math.sqrt(variance), nodes * n_1 / weight, weight * t[0] ** (2 * nodes)
 
 
-def test_practical_matches_type_class_oracle_at_large_nodes():
-    # converged cap 128; the multinomial oracle stops near M=8, this one runs
-    # C(M-2+N, N) types (4,950 at M=100, N=2)
-    for nodes, gain in ((30, 3.0), (100, 2.0), (100, 3.0)):
-        cfg = ScenarioConfig(
-            nodes=nodes,
-            mean_photons=0.04,
-            eta=0.5,
-            scheme=SCHEME_PRACTICAL_NLA,
-            cutoff=128,
-            nla=NlaSpec(gain, 2),
-        )
-        point = simulate_practical(cfg)
-        want_da, want_power, want_p = _type_class_oracle(nodes, 0.04, 0.5, 2, gain, 128)
-        assert point.delta_alpha == pytest.approx(want_da, rel=1e-12)
-        assert point.probe_power == pytest.approx(want_power, rel=1e-12)
-        assert point.p_success == pytest.approx(want_p, rel=1e-12)
+@pytest.mark.parametrize(
+    "nodes, gain, cap",
+    [
+        (30, 3.0, 128),
+        (100, 2.0, 128),
+        (100, 3.0, 128),
+        pytest.param(
+            100, 3.0, 8,
+            marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError, reason="ROADMAP item 1: source cut at the cap before loss"
+            ),
+        ),
+    ],
+)
+def test_practical_matches_type_class_oracle_at_large_nodes(nodes, gain, cap):
+    # the engine at cap `cap` against the oracle at the converged cap 128; the
+    # multinomial oracle stops near M=8, this one runs C(M-2+N, N) types (4,950
+    # at M=100, N=2), once per (nodes, gain)
+    cfg = ScenarioConfig(
+        nodes=nodes,
+        mean_photons=0.04,
+        eta=0.5,
+        scheme=SCHEME_PRACTICAL_NLA,
+        cutoff=cap,
+        nla=NlaSpec(gain, 2),
+    )
+    point = simulate_practical(cfg)
+    want_da, want_power, want_p = _type_class_oracle(nodes, 0.04, 0.5, 2, gain, 128)
+    assert point.delta_alpha == pytest.approx(want_da, rel=1e-12)
+    assert point.probe_power == pytest.approx(want_power, rel=1e-12)
+    assert point.p_success == pytest.approx(want_p, rel=1e-12)
 
 
 def test_practical_reference_point_frozen():
