@@ -56,10 +56,30 @@ class NlaSpec:
         return NlaSpec(gain, scissors)
 
 
+def _effective_gain(gain: float, eta: float) -> float:
+    """The formula of ``effective_gain``, on inputs already checked."""
+    return math.sqrt(1.0 + (gain * gain - 1.0) * eta)
+
+
+def _effective_transmissivity(gain: float, eta: float) -> float:
+    """The formula of ``effective_transmissivity``, on inputs already checked."""
+    return gain * gain * eta / (1.0 + (gain * gain - 1.0) * eta)
+
+
+def _effective_sv_photons(mean_photons: float, gain_eff: float) -> float:
+    """The formula and range check of ``effective_sv_photons``, on inputs already checked."""
+    lam = gain_eff * gain_eff * math.sqrt(mean_photons / (mean_photons + 1.0))
+    if lam >= 1.0:
+        raise UnphysicalGainError(
+            f"unphysical NLA gain for this source brightness: "
+            f"g_eff^2 sqrt(N/(N+1)) = {lam:.6f} >= 1"
+        )
+    return lam * lam / (1.0 - lam * lam)
+
+
 def effective_gain(gain: float, eta: float) -> float:
     """Gain of the equivalent source-side amplifier: sqrt(1 + (g^2 - 1) eta)."""
-    gain, eta = _gain(gain), _transmissivity(eta)
-    return math.sqrt(1.0 + (gain * gain - 1.0) * eta)
+    return _effective_gain(_gain(gain), _transmissivity(eta))
 
 
 def effective_transmissivity(gain: float, eta: float) -> float:
@@ -68,8 +88,7 @@ def effective_transmissivity(gain: float, eta: float) -> float:
     Strictly greater than ``eta`` whenever g > 1 and eta < 1: the amplifier
     effectively removes channel loss.
     """
-    gain, eta = _gain(gain), _transmissivity(eta)
-    return gain * gain * eta / (1.0 + (gain * gain - 1.0) * eta)
+    return _effective_transmissivity(_gain(gain), _transmissivity(eta))
 
 
 def effective_sv_photons(mean_photons: float, gain_eff: float) -> float:
@@ -79,14 +98,7 @@ def effective_sv_photons(mean_photons: float, gain_eff: float) -> float:
     the right-hand side stays below 1; beyond that boundary the amplified
     squeezing parameter would leave the physical range.
     """
-    mean_photons, gain_eff = _photon_number(mean_photons), _gain(gain_eff, "effective gain")
-    lam = gain_eff * gain_eff * math.sqrt(mean_photons / (mean_photons + 1.0))
-    if lam >= 1.0:
-        raise UnphysicalGainError(
-            f"unphysical NLA gain for this source brightness: "
-            f"g_eff^2 sqrt(N/(N+1)) = {lam:.6f} >= 1"
-        )
-    return lam * lam / (1.0 - lam * lam)
+    return _effective_sv_photons(_photon_number(mean_photons), _gain(gain_eff, "effective gain"))
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,9 @@ from .fock import (
 )
 from .nla import (
     NlaSpec,
-    effective_gain,
-    effective_sv_photons,
-    effective_transmissivity,
+    _effective_gain,
+    _effective_sv_photons,
+    _effective_transmissivity,
     nla_operator,
 )
 
@@ -139,18 +139,32 @@ class SensitivityPoint:
 # ---------------------------------------------------------------------------
 
 def _brightness_factor(mean_photons: float) -> float:
-    """(sqrt(N+1) + sqrt(N))^2, the anti-squeezed variance of the source."""
-    return (math.sqrt(mean_photons + 1.0) + math.sqrt(mean_photons)) ** 2
+    """(sqrt(N+1) + sqrt(N))^2, the anti-squeezed variance of the source; ``ValueError`` past the floats."""
+    try:
+        return (math.sqrt(mean_photons + 1.0) + math.sqrt(mean_photons)) ** 2
+    except OverflowError:
+        raise ValueError(
+            f"mean photon number {mean_photons} is too large: the source brightness "
+            "(sqrt(N+1) + sqrt(N))^2 leaves the float range"
+        ) from None
 
 
-def _loss_only_error(nodes: int, mean_photons: float, eta: float) -> float:
-    """The loss-only rms error of ``delta_alpha_entangled``, on inputs already checked."""
-    return 0.5 * math.sqrt(eta / (nodes * _brightness_factor(mean_photons)) + (1.0 - eta) / nodes)
+def _loss_only_error(nodes: int, mean_photons: float, eta):
+    """The loss-only rms error of ``delta_alpha_entangled``, on inputs already checked.
+
+    ``eta`` may be a float or an array; the result is a numpy float or array of its shape.
+    """
+    return 0.5 * np.sqrt(eta / (nodes * _brightness_factor(mean_photons)) + (1.0 - eta) / nodes)
 
 
-def _loss_only_bound(nodes: int, mean_photons: float, eta: float) -> float:
-    """The loss-only Cramer-Rao bound of ``crlb_entangled``, on inputs already checked."""
-    return 0.5 / math.sqrt(nodes * eta * _brightness_factor(mean_photons) + nodes * (1.0 - eta))
+def _loss_only_bound(nodes: int, mean_photons: float, eta):
+    """The loss-only Cramer-Rao bound of ``crlb_entangled``, on inputs already checked.
+
+    ``eta`` may be a float or an array; the result is a numpy float or array of its shape.
+    A denominator past the floats reads inf, and the bound 0; an array also warns of
+    the overflow, which ``cli.build_bounds_rows`` silences.
+    """
+    return 0.5 / np.sqrt(nodes * eta * _brightness_factor(mean_photons) + nodes * (1.0 - eta))
 
 
 def delta_alpha_entangled(nodes: int, mean_photons: float, eta: float) -> float:
@@ -159,7 +173,7 @@ def delta_alpha_entangled(nodes: int, mean_photons: float, eta: float) -> float:
     ``(1/2) sqrt( eta / (M (sqrt(N+1)+sqrt(N))^2) + (1-eta)/M )``.
     """
     _check_scenario(nodes, mean_photons, eta)
-    return _loss_only_error(nodes, mean_photons, eta)
+    return float(_loss_only_error(nodes, mean_photons, eta))
 
 
 def delta_alpha_product(nodes: int, total_photons: float, eta_local: float = 1.0) -> float:
@@ -170,7 +184,7 @@ def delta_alpha_product(nodes: int, total_photons: float, eta_local: float = 1.0
     distribution loss.
     """
     _check_scenario(nodes, total_photons, eta_local)
-    return _loss_only_error(nodes, total_photons / nodes, eta_local)
+    return float(_loss_only_error(nodes, total_photons / nodes, eta_local))
 
 
 def delta_alpha_ideal_nla(nodes: int, mean_photons: float, eta: float, gain: float) -> SensitivityPoint:
@@ -183,12 +197,13 @@ def delta_alpha_ideal_nla(nodes: int, mean_photons: float, eta: float, gain: flo
     ``p_success`` reports as 0.
     """
     _check_scenario(nodes, mean_photons, eta)
-    g_eff = effective_gain(gain, eta)
-    eta_eff = effective_transmissivity(gain, eta)
-    n_eff = effective_sv_photons(mean_photons, g_eff)
+    gain = fock._gain(gain)
+    g_eff = _effective_gain(gain, eta)
+    eta_eff = _effective_transmissivity(gain, eta)
+    n_eff = _effective_sv_photons(mean_photons, g_eff)
     return SensitivityPoint(
         probe_power=n_eff * eta_eff,
-        delta_alpha=_loss_only_error(nodes, n_eff, eta_eff),
+        delta_alpha=float(_loss_only_error(nodes, n_eff, eta_eff)),
         p_success=0.0,
     )
 
@@ -200,13 +215,13 @@ def crlb_entangled(nodes: int, mean_photons: float, eta: float) -> float:
     the achieved error at eta = 1 and is loose below.
     """
     _check_scenario(nodes, mean_photons, eta)
-    return _loss_only_bound(nodes, mean_photons, eta)
+    return float(_loss_only_bound(nodes, mean_photons, eta))
 
 
 def crlb_product(nodes: int, mean_photons: float, eta: float) -> float:
     """Quantum Cramer-Rao lower bound for the product baseline (N/M per node)."""
     _check_scenario(nodes, mean_photons, eta)
-    return _loss_only_bound(nodes, mean_photons / nodes, eta)
+    return float(_loss_only_bound(nodes, mean_photons / nodes, eta))
 
 
 def _check_scenario(nodes: int, mean_photons: float, eta: float) -> None:

@@ -401,6 +401,44 @@ def test_bounds_rows_monotone_and_tight_at_unity():
         assert row["crlb_product"] <= row["delta_alpha_product"] + 1e-12
 
 
+@pytest.mark.parametrize("steps", [2, 1000])
+@pytest.mark.parametrize("ns", [0.0, 0.04, 3.0])
+@pytest.mark.parametrize("nodes", [1, 4, 7])
+def test_bounds_rows_equal_the_scalar_closed_forms(nodes, ns, steps):
+    # the grid is evaluated as arrays; every cell must be the public scalar
+    # form's float, bit for bit
+    req = SweepRequest(command="bounds", nodes=nodes, mean_photons=ns, eta_min=1e-6, eta_max=1.0, eta_steps=steps)
+    rows = build_bounds_rows(req)
+    assert [row["eta"] for row in rows] == np.linspace(1e-6, 1.0, steps).tolist()
+    for row in rows:
+        eta = row["eta"]
+        assert row == {
+            "eta": eta,
+            "crlb_entangled": sensing.crlb_entangled(nodes, ns, eta),
+            "crlb_product": sensing.crlb_product(nodes, ns, eta),
+            "delta_alpha_entangled": sensing.delta_alpha_entangled(nodes, ns, eta),
+            "delta_alpha_product": sensing.delta_alpha_product(nodes, ns, eta_local=eta),
+        }
+        assert all(type(value) is float for value in row.values())
+
+
+def test_bounds_refuses_a_brightness_past_the_float_range(capsys):
+    # (sqrt(N+1) + sqrt(N))^2 overflows above N of about 4.5e307
+    assert main(["bounds", "--ns", "5e307"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: mean photon number 5e+307 is too large")
+
+
+def test_bounds_rows_stay_finite_below_the_brightness_limit(capsys):
+    # the bound's denominator leaves the float range: the bound reads 0, with no
+    # overflow warning (pytest raises warnings as errors)
+    assert main(["bounds", "--ns", "4e307"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    cells = [float(cell) for row in rows for cell in row.split(",")]
+    assert len(cells) == 10 * 5 and all(map(math.isfinite, cells))
+
+
 def test_bounds_loss_dominated_limit():
     req = SweepRequest(command="bounds", eta_min=1e-6, eta_max=1.0, eta_steps=5)
     rows = build_bounds_rows(req)

@@ -147,11 +147,48 @@ def test_each_closed_form_checks_its_inputs_once(monkeypatch, form, args):
     assert calls == [args[:3]]
 
 
-def test_bounds_rows_check_each_closed_form_once(monkeypatch):
-    req = cli.SweepRequest(command="bounds", eta_steps=7)
+@pytest.mark.parametrize("steps", [7, 1000])
+def test_bounds_rows_check_no_row(monkeypatch, steps):
+    # the request checked M, ns and both ends of the grid; no row checks them again
+    req = cli.SweepRequest(command="bounds", eta_steps=steps)
     calls = _count_scenario_checks(monkeypatch)
-    assert len(cli.build_bounds_rows(req)) == 7
-    assert len(calls) == 4 * 7
+    assert len(cli.build_bounds_rows(req)) == steps
+    assert calls == []
+
+
+def test_ideal_nla_checks_each_input_once(monkeypatch):
+    # M, ns and eta through _check_scenario, the gain through fock._gain; the
+    # effective channel reads them unchecked
+    calls = []
+    for name in ("_whole_number", "_photon_number", "_transmissivity", "_gain"):
+        check = getattr(fock, name)
+
+        def counting(*args, _check=check, _name=name, **kwargs):
+            calls.append(_name)
+            return _check(*args, **kwargs)
+
+        for module in (fock, nla, sensing):
+            if getattr(module, name, None) is check:
+                monkeypatch.setattr(module, name, counting)
+    delta_alpha_ideal_nla(4, 0.04, 0.5, 1.5)
+    assert sorted(calls) == ["_gain", "_photon_number", "_transmissivity", "_whole_number"]
+
+
+@pytest.mark.parametrize(
+    "form, args",
+    [
+        (crlb_entangled, (4, 1e308, 0.5)),
+        (crlb_entangled, (1, 1e308, 0.5)),
+        (crlb_product, (1, 1e308, 0.5)),
+        (delta_alpha_entangled, (1, 1e308, 0.5)),
+        (delta_alpha_product, (1, 1e308, 0.5)),
+    ],
+    ids=["crlb_entangled-M4", "crlb_entangled", "crlb_product", "delta_alpha_entangled", "delta_alpha_product"],
+)
+def test_closed_forms_refuse_a_brightness_past_the_float_range(form, args):
+    # (sqrt(N+1) + sqrt(N))^2 overflows above N of about 4.5e307
+    with pytest.raises(ValueError, match="mean photon number 1e\\+308 is too large"):
+        form(*args)
 
 
 def test_fock_engine_does_not_load_the_gaussian_oracle():
