@@ -118,8 +118,11 @@ class SweepRequest:
         # a library caller may pass a float count: it must be whole, and is kept as an int
         for key in ("g_steps", "eta_steps", "precision"):
             value = getattr(self, key)
-            if not float(value).is_integer():
+            # an int is compared as it is: float() of one past the float range overflows
+            if not (isinstance(value, int) or float(value).is_integer()):
                 raise UsageError(f"{key} must be a whole number, got {value}")
+            if not abs(value) <= sys.float_info.max:
+                raise UsageError(f"{key} must lie within the float range, got {value}")
             object.__setattr__(self, key, int(value))
         if not self.g_max >= self.g_min:
             raise UsageError("g-max must not be below g-min")

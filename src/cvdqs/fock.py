@@ -4,6 +4,9 @@ Every mode shares one photon cap ``n_max``; the single-mode basis is
 ``{|0>, ..., |n_max>}``.  States are pure: complex tensors with one axis per
 mode.  Loss is handed out as its Kraus set (``loss_kraus_operators``), so a
 lossy state is a list of pure branches rather than a density operator.
+The two-mode mixer conserves the photon total and has a real generator, so
+``beamsplitter`` applies a real orthogonal matrix, built one block per total,
+to the real and imaginary parts of the amplitudes at once.
 
 Quadrature convention
 ---------------------
@@ -22,6 +25,7 @@ scenario evaluations may safely run concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -33,9 +37,14 @@ class TruncationError(RuntimeError):
 
 
 def _whole_number(value, quantity: str) -> int:
-    """``value`` as an int, after checking that it is a whole number >= 1; errors name ``quantity``."""
-    if value is None or not value >= 1 or not float(value).is_integer():
-        raise ValueError(f"{quantity} must be a whole number >= 1, got {value}")
+    """``value`` as an int, after checking that it is a whole number >= 1; errors name ``quantity``.
+
+    Every count enters float arithmetic, so one past the float range is
+    refused too; the range is compared first, since ``float`` of such an int
+    overflows.
+    """
+    if value is None or not 1 <= value <= sys.float_info.max or not float(value).is_integer():
+        raise ValueError(f"{quantity} must be a whole number >= 1 within the float range, got {value}")
     return int(value)
 
 
@@ -164,15 +173,23 @@ def sv_fock(mean_photons: float, n_max: int) -> FockVector:
 def _two_mode_bs_unitary(theta: float, n_max: int) -> np.ndarray:
     """exp(theta (a^dag b - a b^dag)) on two truncated modes, kron(a-basis, b-basis).
 
-    Formed from the eigendecomposition of the Hermitian ``i theta (a^dag b - a b^dag)``:
-    exact (to rounding) and exactly unitary, unlike a truncated series.
+    The generator conserves the photon total ``t = a + b`` and is real
+    antisymmetric, so the mixer is a real orthogonal matrix built one block
+    per total: on ``|a, t - a>`` the generator is tridiagonal with
+    ``theta sqrt((a+1)(t-a))`` below the diagonal.  Each block is exponentiated
+    through the eigendecomposition of the Hermitian ``i`` times it, exact (to
+    rounding) and exactly orthogonal, unlike a truncated series; entries
+    between different totals are exactly zero.
     """
-    a1 = annihilation_matrix(n_max)
-    ident = np.eye(n_max + 1, dtype=complex)
-    big_a = np.kron(a1, ident)
-    big_b = np.kron(ident, a1)
-    evals, evecs = np.linalg.eigh(1j * (theta * (big_a.conj().T @ big_b - big_a @ big_b.conj().T)))
-    return _frozen((evecs * np.exp(-1j * evals)) @ evecs.conj().T)
+    dim = n_max + 1
+    unitary = np.zeros((dim * dim, dim * dim))
+    for total in range(2 * n_max + 1):
+        a = np.arange(max(0, total - n_max), min(total, n_max) + 1)
+        below = theta * np.sqrt((a[:-1] + 1.0) * (total - a[:-1]))
+        evals, evecs = np.linalg.eigh(1j * (np.diag(below, -1) - np.diag(below, 1)))
+        index = a * dim + total - a
+        unitary[np.ix_(index, index)] = ((evecs * np.exp(-1j * evals)) @ evecs.conj().T).real
+    return _frozen(unitary)
 
 
 def apply_mode_operator(op: ModeOperator, mode: int, psi: FockVector) -> FockVector:
@@ -201,16 +218,19 @@ def beamsplitter(theta: float, mode_a: int, mode_b: int, state: FockVector) -> F
     The generator preserves total photon number, so amplitude never leaks
     between photon-number sectors even on the truncated basis.  On a single
     photon in ``mode_a`` the action is
-    ``|1,0> -> cos(theta)|1,0> - sin(theta)|0,1>``.
+    ``|1,0> -> cos(theta)|1,0> - sin(theta)|0,1>``.  The mixer is real, so it
+    multiplies the real and imaginary parts at once: the pair is moved to the
+    front and the remaining amplitudes, viewed as float pairs, form the
+    columns of one real product.
     """
     mode_count = state.mode_count
     if mode_a == mode_b or not (0 <= mode_a < mode_count and 0 <= mode_b < mode_count):
         raise ValueError(f"invalid mode pair ({mode_a}, {mode_b}) for {mode_count} mode(s)")
     unitary = _two_mode_bs_unitary(float(theta), state.n_max)
-    last = (mode_count - 2, mode_count - 1)
-    moved = np.moveaxis(state.amplitudes, (mode_a, mode_b), last)
-    mixed = (moved.reshape(-1, unitary.shape[0]) @ unitary.T).reshape(moved.shape)
-    return FockVector(np.moveaxis(mixed, last, (mode_a, mode_b)))
+    moved = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
+    flat = np.ascontiguousarray(moved).reshape(unitary.shape[0], -1)
+    mixed = (unitary @ flat.view(float)).view(complex).reshape(moved.shape)
+    return FockVector(np.moveaxis(mixed, (0, 1), (mode_a, mode_b)))
 
 
 def balanced_splitter(mode_count: int, state: FockVector) -> FockVector:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, ModeOperator, basis_vector, beamsplitter
+from .fock import FockVector, ModeOperator, beamsplitter
 from .fock import _gain, _photon_number, _transmissivity, _whole_number
 
 class UnphysicalGainError(ValueError):
@@ -189,16 +189,18 @@ def scissor_kraus(gain: float, n_max: int) -> ModeOperator:
     amplitude map of that single herald, which is exactly
     ``nla_operator(1, g) / sqrt(2)``; summing both heralds reproduces the
     closed-form success probability.
+
+    The circuit runs once, on the Choi state ``sum_n |n>_ref |n, 1, 0>`` with
+    a reference mode in front: column ``n`` of the map is the output held
+    against ``|n>_ref`` and the herald.
     """
     gain = _gain(gain)
     n_max = _whole_number(n_max, "photon cap")
     gamma = 1.0 / (gain * gain + 1.0)
-    theta_split = -math.acos(math.sqrt(gamma))
-    kraus = np.zeros((n_max + 1, n_max + 1), dtype=complex)
-    for n in range(n_max + 1):
-        # modes: 0 = signal, 1 = ancilla photon, 2 = scissor output
-        state: FockVector = basis_vector((n, 1, 0), n_max)
-        state = beamsplitter(theta_split, 1, 2, state)
-        state = beamsplitter(math.pi / 4.0, 0, 1, state)
-        kraus[:, n] = state.amplitudes[1, 0, :]
-    return ModeOperator(kraus)
+    # modes: 0 = reference, 1 = signal, 2 = ancilla photon, 3 = scissor output
+    choi = np.zeros((n_max + 1,) * 4, dtype=complex)
+    photons = np.arange(n_max + 1)
+    choi[photons, photons, 1, 0] = 1.0
+    state = beamsplitter(-math.acos(math.sqrt(gamma)), 2, 3, FockVector(choi))
+    state = beamsplitter(math.pi / 4.0, 1, 2, state)
+    return ModeOperator(state.amplitudes[:, 1, 0, :].T)

@@ -362,7 +362,7 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
         raise ValueError(f"expected scheme {SCHEME_NO_NLA!r}, got {cfg.scheme!r}")
     nodes, cap = cfg.nodes, cfg.cutoff
     # about 200 B of peak memory per amplitude; from M=2 the splitter's two-mode
-    # unitary has (cap+1)^4 entries, more than the state below M=4
+    # unitary has (cap+1)^4 real entries of 8 B each, more than the state below M=4
     if (cap + 1) ** (max(nodes, 4) if nodes > 1 else 1) > 2**22:
         raise ValueError(f"cutoff {cap} on M={nodes} nodes needs over 2**22 dense Fock entries")
     density, deficit = _source_density(cfg.mean_photons, cfg.eta, cap, np.ones(cap + 1))

@@ -143,9 +143,9 @@ def _check_clipped_gain_after_loss() -> CheckResult:
     cutoff = 24
     eta = 0.5
     source = fock.normalize(fock.sv_fock(0.04, cutoff))[0].amplitudes
-    # loss as its pure Kraus branches, summed into a plain density matrix
-    branches = [kraus @ source for kraus in fock.loss_kraus_operators(eta, cutoff)]
-    rho = sum(np.outer(branch, branch.conj()) for branch in branches)
+    # loss as its pure Kraus branches, one per row, summed into a plain density matrix
+    branches = np.stack(fock.loss_kraus_operators(eta, cutoff)) @ source
+    rho = branches.T @ branches.conj()
     x_op, p_op = fock.quadratures(cutoff)
 
     def variance(op: fock.ModeOperator, state: np.ndarray) -> float:

@@ -253,6 +253,55 @@ def test_beamsplitter_preserves_photon_sectors():
             assert after == pytest.approx(before, abs=1e-12)
 
 
+def dense_mixer(theta, n_max):
+    """exp(theta (a^dag b - a b^dag)) from one eigendecomposition of the whole two-mode generator."""
+    a1 = fock.annihilation_matrix(n_max)
+    ident = np.eye(n_max + 1, dtype=complex)
+    big_a, big_b = np.kron(a1, ident), np.kron(ident, a1)
+    evals, evecs = np.linalg.eigh(1j * (theta * (big_a.conj().T @ big_b - big_a @ big_b.conj().T)))
+    return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
+
+
+ANGLES = (0.0, 0.3, -0.7, math.pi / 4, -math.acos(math.sqrt(0.2)), 2.5)
+
+
+@pytest.mark.parametrize("n_max", (1, 3, 8))
+def test_mixer_blocks_match_the_dense_generator(n_max):
+    # built one photon total at a time, the mixer is the exponential of the
+    # whole generator
+    for theta in ANGLES:
+        got = fock._two_mode_bs_unitary(theta, n_max)
+        assert np.max(np.abs(got - dense_mixer(theta, n_max))) < 1e-13, theta
+
+
+@pytest.mark.parametrize("n_max", (1, 3, 8))
+def test_mixer_is_real_orthogonal_and_conserves_the_photon_total(n_max):
+    totals = np.add.outer(np.arange(n_max + 1), np.arange(n_max + 1)).ravel()
+    across = totals[:, None] != totals[None, :]
+    for theta in ANGLES:
+        mixer = fock._two_mode_bs_unitary(theta, n_max)
+        assert mixer.dtype == np.float64
+        assert np.max(np.abs(mixer.T @ mixer - np.eye(len(mixer)))) < 1e-14, theta
+        assert np.all(mixer[across] == 0.0), theta
+
+
+def test_beamsplitter_matches_the_dense_mixer_on_every_mode_pair():
+    # the real mixer acts on the real and imaginary parts together, whichever
+    # two modes it joins and whatever the layout of the amplitudes
+    rng = np.random.default_rng(5)
+    n_max, theta = 3, 0.4
+    dense = dense_mixer(theta, n_max).reshape((n_max + 1,) * 4)
+    psi = random_vector(rng, 4, n_max)
+    for amps in (psi.amplitudes, psi.amplitudes.T):
+        for mode_a in range(4):
+            for mode_b in range(4):
+                if mode_a == mode_b:
+                    continue
+                got = beamsplitter(theta, mode_a, mode_b, FockVector(amps)).amplitudes
+                want = np.moveaxis(np.tensordot(dense, amps, ([2, 3], [mode_a, mode_b])), (0, 1), (mode_a, mode_b))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # balanced splitter
 # ---------------------------------------------------------------------------

@@ -219,3 +219,24 @@ HIGH_GAIN = ["--M", "2", "--ns", "3", "--scissors", "40", "--cutoff", "60", "--g
 )
 def test_known_edge_input_gives_finite_rows_or_exits_two(argv):
     assert _outcome(argv) in ("ok", "usage")
+
+
+PAST_FLOAT_RANGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command", ("bounds", "validate", *COMMANDS))
+@pytest.mark.parametrize(
+    "flag, key",
+    [
+        ("--M", "M"), ("--scissors", "scissors"), ("--cutoff", "cutoff"), ("--jobs", "jobs"),
+        ("--eta-steps", "eta_steps"), ("--g-steps", "g_steps"), ("--precision", "precision"),
+    ],
+)
+def test_a_count_past_the_float_range_exits_two_naming_its_key(command, flag, key):
+    # float() of such an int overflows; every command refuses it before any
+    # work, read or not, with a usage error rather than a traceback
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        assert main([command, flag, PAST_FLOAT_RANGE]) == 2
+    assert stderr.getvalue().startswith(f"error: {key} must ")

@@ -1215,9 +1215,10 @@ _CAP_TAKERS = {
 @pytest.mark.parametrize("name", list(_CAP_TAKERS))
 def test_every_photon_cap_is_a_checked_whole_number(name):
     # the cap is a plain int everywhere: each public function that takes one
-    # refuses what is not a whole number >= 1, and runs a whole float as the int
+    # refuses what is not a whole number >= 1 within the float range, and runs
+    # a whole float as the int
     build = _CAP_TAKERS[name]
-    for bad in (0, -1, 2.5, math.nan, math.inf):
+    for bad in (0, -1, 2.5, math.nan, math.inf, 10**400):
         with pytest.raises(ValueError, match="photon cap"):
             build(bad)
     whole, exact = build(8.0), build(8)
@@ -1240,10 +1241,10 @@ _COUNT_TAKERS = {
 @pytest.mark.parametrize("name", list(_COUNT_TAKERS))
 def test_every_count_is_a_checked_whole_number(name):
     # scissor and mode counts share the photon cap's validator: each taker
-    # refuses what is not a whole number >= 1, naming the count, and runs a
-    # whole float as the int
+    # refuses what is not a whole number >= 1 within the float range, naming
+    # the count, and runs a whole float as the int
     quantity, build = _COUNT_TAKERS[name]
-    for bad in (0, -1, 2.5, math.nan, math.inf):
+    for bad in (0, -1, 2.5, math.nan, math.inf, 10**400):
         with pytest.raises(ValueError, match=f"{quantity} must be a whole number >= 1"):
             build(bad)
     whole, exact = build(2.0), build(2)
