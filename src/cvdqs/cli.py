@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, get_type_hints
@@ -98,7 +97,7 @@ class SweepRequest:
     eta_steps: int = _setting("eta_steps", 10)
     out: Optional[str] = _setting("out", None, "output file path (default: stdout)")
     precision: int = _setting("precision", 10, "float digits, 3..17")
-    jobs: int = _setting("jobs", 1, "concurrent sweep evaluations")
+    jobs: int = _setting("jobs", 1, "accepted and checked; has no effect")
 
     def __post_init__(self):
         # the library's checks: every command refuses these before any work, read or not
@@ -136,10 +135,18 @@ class SweepRequest:
             raise UsageError(f"precision must lie in [3, 17], got {self.precision}")
 
     def gain_grid(self) -> np.ndarray:
-        return np.linspace(self.g_min, self.g_max, self.g_steps)
+        return _grid(self.g_min, self.g_max, self.g_steps, "g_steps")
 
     def eta_grid(self) -> np.ndarray:
-        return np.linspace(self.eta_min, self.eta_max, self.eta_steps)
+        return _grid(self.eta_min, self.eta_max, self.eta_steps, "eta_steps")
+
+
+def _grid(low: float, high: float, steps: int, key: str) -> np.ndarray:
+    """``steps`` evenly spaced points from ``low`` to ``high``; a count numpy cannot allocate names ``key``."""
+    try:
+        return np.linspace(low, high, steps)
+    except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
+        raise UsageError(f"{key} must be small enough for one array, got {steps}: {exc}") from exc
 
 
 # config key -> (field name, value type, flag help), in flag order; the
@@ -189,20 +196,24 @@ def render_csv(columns, rows, precision: int) -> str:
 # sweep bodies
 # ---------------------------------------------------------------------------
 
-def _practical_config(req: SweepRequest, gain: float) -> ScenarioConfig:
-    return ScenarioConfig(
-        nodes=req.nodes,
-        mean_photons=req.mean_photons,
-        eta=req.eta,
-        scheme=SCHEME_PRACTICAL_NLA,
-        cutoff=req.cutoff,
-        nla=NlaSpec(gain, req.scissors),
+def _practical_points(req: SweepRequest) -> tuple[np.ndarray, list]:
+    """The gain grid and the practical scheme's point at each of its gains, from one engine call."""
+    gains = req.gain_grid()
+    points = simulate_practical(
+        ScenarioConfig(
+            nodes=req.nodes,
+            mean_photons=req.mean_photons,
+            eta=req.eta,
+            scheme=SCHEME_PRACTICAL_NLA,
+            cutoff=req.cutoff,
+            nla=NlaSpec(gains, req.scissors),
+        )
     )
+    return gains, points
 
 
-def _sensitivity_rows_at(req: SweepRequest, gain: float) -> list[dict]:
+def _sensitivity_rows_at(req: SweepRequest, gain: float, point) -> list[dict]:
     base = {"M": req.nodes, "N_S": req.mean_photons, "eta": req.eta, "g": gain}
-    point = simulate_practical(_practical_config(req, gain))
     rows = [
         dict(
             base,
@@ -251,32 +262,20 @@ def _sensitivity_rows_at(req: SweepRequest, gain: float) -> list[dict]:
     return rows
 
 
-def _map_grid(req: SweepRequest, worker, grid) -> list:
-    values = [float(g) for g in grid]
-    if req.jobs <= 1 or len(values) <= 1:
-        return [worker(g) for g in values]
-    # evaluate the first point alone so the threads find the practical engine's
-    # source stage (sensing._practical_source) cached
-    head = worker(values[0])
-    with ThreadPoolExecutor(max_workers=req.jobs) as pool:
-        tail = list(pool.map(worker, values[1:]))
-    return [head] + tail
-
-
 def build_sensitivity_rows(req: SweepRequest) -> list[dict]:
-    per_gain = _map_grid(req, lambda g: _sensitivity_rows_at(req, g), req.gain_grid())
-    rows = [row for group in per_gain for row in group]
+    gains, points = _practical_points(req)
+    rows = [row for gain, point in zip(gains.tolist(), points) for row in _sensitivity_rows_at(req, gain, point)]
     rows.sort(key=lambda row: (row["scheme"], row["g"]))
     return rows
 
 
 def build_nla_rows(req: SweepRequest) -> list[dict]:
-    def one(gain: float) -> dict:
-        point = simulate_practical(_practical_config(req, gain))
-        return {"g": gain, "p_success": point.p_success, "probe_power": point.probe_power}
-
-    # the grid ascends and _map_grid keeps its order, so the rows are sorted by g
-    return _map_grid(req, one, req.gain_grid())
+    # the grid ascends, so the rows are sorted by g
+    gains, points = _practical_points(req)
+    return [
+        {"g": gain, "p_success": point.p_success, "probe_power": point.probe_power}
+        for gain, point in zip(gains.tolist(), points)
+    ]
 
 
 def build_bounds_rows(req: SweepRequest) -> list[dict]:

@@ -35,6 +35,9 @@ class UnphysicalGainError(ValueError):
 class NlaSpec:
     """A practical amplifier: amplitude gain and scissor count.
 
+    ``gain`` is one float, or a 1-D array of gains that
+    ``sensing.simulate_practical`` evaluates in one pass; an array is kept as
+    a read-only float copy, so such a spec is neither hashable nor comparable.
     The ideal amplifier needs no spec: it enters results only through the
     effective-channel algebra below.
     """
@@ -43,7 +46,16 @@ class NlaSpec:
     scissors: int
 
     def __post_init__(self):
-        _gain(self.gain)
+        if np.ndim(self.gain) == 0:
+            _gain(self.gain)
+        else:
+            gains = np.array(self.gain, dtype=float)
+            if gains.ndim != 1 or not gains.size:
+                raise ValueError(f"a gain grid must be a non-empty 1-D array, got shape {gains.shape}")
+            for gain in gains.tolist():
+                _gain(gain)
+            gains.flags.writeable = False
+            object.__setattr__(self, "gain", gains)
         object.__setattr__(self, "scissors", _whole_number(self.scissors, "scissor count"))
 
     @staticmethod
@@ -109,6 +121,11 @@ def _pi_coefficient(scissors: int, n: int) -> float:
     return math.perm(scissors, n) / scissors**n
 
 
+def _vacuum_entry(scissors: int, gain: float) -> float:
+    """``(g^2+1)^(-N/2)``, the vacuum entry of ``Pi_N g^n``."""
+    return (1.0 / (gain * gain + 1.0)) ** (scissors / 2.0)
+
+
 def projector_pi(scissors: int, gain: float, n_max: int) -> ModeOperator:
     """Scissor-count projector: diagonal, zero above ``scissors`` photons.
 
@@ -123,7 +140,7 @@ def projector_pi(scissors: int, gain: float, n_max: int) -> ModeOperator:
         raise ValueError(
             f"cutoff n_max={n_max} cannot hold the {scissors}-photon scissor truncation"
         )
-    prefactor = (1.0 / (gain * gain + 1.0)) ** (scissors / 2.0)
+    prefactor = _vacuum_entry(scissors, gain)
     diag = np.zeros(n_max + 1)
     for n in range(scissors + 1):
         diag[n] = prefactor * _pi_coefficient(scissors, n)
@@ -132,6 +149,25 @@ def projector_pi(scissors: int, gain: float, n_max: int) -> ModeOperator:
 
 def gain_diagonal(gain: float, n_max: int) -> np.ndarray:
     return np.power(float(gain), np.arange(_whole_number(n_max, "photon cap") + 1, dtype=float))
+
+
+def _check_amplifier_range(scissors: int, gain: float, vacuum: float, n_max: int) -> None:
+    """Raise ``ValueError`` unless ``Pi_N g^n`` on ``{0..n_max}``, of vacuum entry ``vacuum``, stays in the floats.
+
+    The vacuum entry (``_vacuum_entry``) must be a normal float (every ratio
+    to it would lose digits otherwise) and ``g^n_max``, the top entry of
+    ``gain_diagonal``, finite.
+    """
+    try:
+        in_range = float(gain) ** n_max < math.inf
+    except OverflowError:
+        in_range = False
+    if not in_range or vacuum < sys.float_info.min:
+        raise ValueError(
+            f"the amplifier with {scissors} scissors at gain {gain:g} leaves the float range "
+            "((g^2+1)^(-N/2) below the smallest normal float, or g^n overflows); "
+            "use fewer scissors or a lower gain"
+        )
 
 
 def nla_operator(scissors: int, gain: float, n_max: int) -> ModeOperator:
@@ -147,16 +183,7 @@ def nla_operator(scissors: int, gain: float, n_max: int) -> ModeOperator:
     """
     pi = projector_pi(scissors, gain, n_max).entries
     n_max = len(pi) - 1
-    try:
-        in_range = float(gain) ** n_max < math.inf  # the top entry of gain_diagonal
-    except OverflowError:
-        in_range = False
-    if not in_range or pi[0, 0].real < sys.float_info.min:
-        raise ValueError(
-            f"the amplifier with {scissors} scissors at gain {gain:g} leaves the float range "
-            "((g^2+1)^(-N/2) below the smallest normal float, or g^n overflows); "
-            "use fewer scissors or a lower gain"
-        )
+    _check_amplifier_range(scissors, gain, pi[0, 0].real, n_max)
     return ModeOperator(pi * gain_diagonal(gain, n_max)[None, :])
 
 

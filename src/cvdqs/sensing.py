@@ -36,23 +36,27 @@ of photon numbers over the dense ``(cutoff+1)^M`` tensor, once per point
 rather than once per branch, applies the ladders to its first two modes, and
 forms each Gram matrix in one contraction (``_gram``) over the entries that
 hold at most ``cutoff + 1`` photons.  The practical pipeline forms no
-``M``-mode tensor at all: its amplifier is zero above ``N`` photons per mode
-and an even split has closed-form amplitudes, so its ladders act on one mode
-on ``{0..N+1}``, and a pair of modes enters only through its photon total,
-read off a Hankel gather of the weights.  Its cost grows with ``M`` only
-through the polynomial powers ``f^(M-1)`` and ``f^(M-2)`` that sum out the
-other modes.
+``M``-mode tensor at all: an even split has closed-form amplitudes, so its
+ladders act on one mode, and a pair of modes enters only through its photon
+total, read off a Hankel view of the weights.  ``R`` holds nothing above
+``cutoff`` photons and a ladder adds one, so that mode's basis stops at
+``min(N, cutoff) + 1`` photons.  Its cost grows with ``M`` only through the
+polynomial powers ``f^(M-1)`` and ``f^(M-2)`` that sum out the other modes,
+taken by repeated squaring.
 
-The practical pipeline runs in two stages: a source stage that builds ``R``
-and gathers its weights over every photon total a pair of modes can hold,
-cached because it does not depend on the gain (a gain sweep builds it once),
-and a gain stage that forms the amplifier, contracts both power series with
-those weights in one product, and reads the two Gram matrices off the
-result.  The source stage caches those weights and the source's truncation
-deficit, nothing more.  The truncation guard runs once, in
-``_source_density``, so a source whose deficit exceeds ``TRUNC_TOL`` raises
-and is never cached.  The x ladders depend only on the basis, so both
-pipelines read one cached ``(a, a^dag)`` pair per basis size (``_ladder_pair``).
+The practical pipeline runs one source stage, then a gain axis.  The source
+stage builds ``R`` and gathers its weights over every photon total a pair of
+modes can hold; it does not depend on the gain and is cached, so a sweep over
+gains builds it once.  It caches
+those weights and the source's truncation deficit, nothing more, and runs the
+truncation guard, so a source whose deficit exceeds ``TRUNC_TOL`` raises and
+is never cached.  The gain stage then takes one gain or a whole grid of them
+in one array pass: the amplifier's shape is read once, at gain 1, and the gain
+``g`` only rescales the power series by ``g^(2r)`` and the kets by ``g^n``, so
+one product per gain with the weights gives the tables of every gain, and two
+batched contractions their Gram matrices.  The x ladders depend only on the
+basis, so both pipelines read one cached ``(a, a^dag)`` pair per basis size
+(``_ladder_pair``).
 """
 
 from __future__ import annotations
@@ -78,6 +82,8 @@ from .fock import (
 )
 from .nla import (
     NlaSpec,
+    _check_amplifier_range,
+    _vacuum_entry,
     _effective_gain,
     _effective_sv_photons,
     _effective_transmissivity,
@@ -284,9 +290,10 @@ def _gram(bras: np.ndarray, table: np.ndarray, kets: np.ndarray) -> np.ndarray:
 
     ``bras`` and ``kets`` stack three flattened amplitude tensors in source-shift
     order ``-1, 0, +1`` (``_shift_stack``); ``table[i, j, n]`` is the summed
-    weight of their shift pair at the photon total of entry ``n``.
+    weight of their shift pair at the photon total of entry ``n``.  Leading
+    axes of all three (one per gain) are kept.
     """
-    return np.einsum("in,ijn,jn->ij", bras.conj(), table, kets).real
+    return np.einsum("...in,...ijn,...jn->...ij", bras.conj(), table, kets).real
 
 
 @functools.lru_cache(maxsize=8)
@@ -318,22 +325,23 @@ def _require_unbiased(mean_x: float) -> None:
         )
 
 
-def _symmetric_moments(nodes: int, one: np.ndarray, pair: Optional[np.ndarray]) -> tuple[float, float, float]:
+def _symmetric_moments(nodes: int, one, pair) -> tuple[float, float, float]:
     """Weight, ``Var(xbar)`` and power of a state symmetric under permuting the nodes.
 
     ``Var(xbar) = [<x_1^2> + (M-1) <x_1 x_2>] / M - <x_1>^2`` and the power is
     ``M <n_1>``.  ``one`` is the Gram matrix (``_gram``) of mode 0's
-    ``_shift_stack`` with itself; ``pair``, which only ``M > 1`` reads, that of
-    mode 0's stack against mode 1's.  ``x = (a + a^dag)/2`` reads the entries
-    of the outer kets, 0 and 2, and the power reads ``<a psi|a psi>``.
+    ``_shift_stack`` with itself, as nested lists; ``pair``, which only
+    ``M > 1`` reads, that of mode 0's stack against mode 1's.
+    ``x = (a + a^dag)/2`` reads the entries of the outer kets, 0 and 2, and
+    the power reads ``<a psi|a psi>``.
     """
-    (up_up, up, up_down), (_, weight, down), (down_up, _, down_down) = one.tolist()
+    (up_up, up, up_down), (_, weight, down), (down_up, _, down_down) = one
     mean_x = (up + down) / (2.0 * weight)
     _require_unbiased(mean_x)
     x_sq = (up_up + up_down + down_up + down_down) / (4.0 * weight)
     x_cross = 0.0
     if nodes > 1:
-        (cross_uu, _, cross_ud), _, (cross_du, _, cross_dd) = pair.tolist()
+        (cross_uu, _, cross_ud), _, (cross_du, _, cross_dd) = pair
         x_cross = (cross_uu + cross_ud + cross_du + cross_dd) / (4.0 * weight)
     return weight, (x_sq + (nodes - 1) * x_cross) / nodes - mean_x**2, nodes * (down_down / weight)
 
@@ -375,8 +383,8 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     held = np.flatnonzero(totals <= cap + 1)
     table = _gather_weights(density, cap + 2, 1)[..., 0][:, :, totals[held]]
     first = _shift_stack(split, 0).reshape(3, -1)[:, held]
-    one = _gram(first, table, first)
-    pair = _gram(first, table, _shift_stack(split, 1).reshape(3, -1)[:, held]) if nodes > 1 else None
+    one = _gram(first, table, first).tolist()
+    pair = _gram(first, table, _shift_stack(split, 1).reshape(3, -1)[:, held]).tolist() if nodes > 1 else None
     _, variance, power = _symmetric_moments(nodes, one, pair)
     return SensitivityPoint(
         probe_power=power,
@@ -388,20 +396,39 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
 
 
 def _power_series(poly: np.ndarray, power: int, length: int) -> np.ndarray:
-    """The first ``length`` coefficients of ``poly(z) ** power``, lowest order first."""
+    """The first ``length`` coefficients of ``poly(z) ** power``, lowest order first.
+
+    By repeated squaring: at most ``2 log2(power)`` truncated convolutions.
+    Every coefficient of an amplifier's ``f`` is positive, so nothing cancels.
+    """
     out = np.zeros(length)
     out[0] = 1.0
-    for _ in range(power):
-        out = np.convolve(out, poly)[:length]
+    while power:
+        if power & 1:
+            out = np.convolve(out, poly)[:length]
+        power >>= 1
+        if power:
+            poly = np.convolve(poly, poly)[:length]
     return out
 
 
 @functools.lru_cache(maxsize=8)
-def _amplifier_basis(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """``0.5 * log(n!)`` on ``{0..dim-1}``, and the pair total ``m + n`` of two modes on it, frozen."""
-    n = np.arange(dim)
+def _amplifier_basis(dim: int, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``0.5 * log(n!)`` on ``{0..dim-1}``, and the gain exponents of the kets and of the series, frozen.
+
+    The kets' exponents ``n + shift``, shape ``(3, dim)`` in source-shift
+    order -1, 0, +1, are clipped to the basis: where ``n + shift`` leaves it
+    the ladder leaves zero.  The series' are ``2r`` for ``r`` in ``0..n_max``.
+    """
     half_log_factorial = np.array([0.5 * math.lgamma(k + 1.0) for k in range(dim)])
-    return fock._frozen(half_log_factorial), fock._frozen(n[:, None] + n)
+    exponents = np.clip(np.arange(dim) + np.arange(-1.0, 2.0)[:, None], 0, dim - 1)
+    even = np.arange(0.0, 2 * n_max + 1, 2.0)
+    return fock._frozen(half_log_factorial), fock._frozen(exponents), fock._frozen(even)
+
+
+def _amplifier_dim(scissors: int, n_max: int) -> int:
+    """The amplifier's basis ``{0..min(N, cap) + 1}``: ``R`` holds no weight above the cap, and a ladder adds one."""
+    return min(scissors, n_max) + 2
 
 
 @functools.lru_cache(maxsize=32)
@@ -411,9 +438,10 @@ def _practical_source(
     """Source stage of ``simulate_practical``: all of a point that does not depend on the gain.
 
     The weights gathered once from the density ``R`` for every photon total
-    ``0..2N+2`` that a pair of modes can hold, frozen, and the source's
-    truncation deficit; the one-mode overlaps read the first ``N+2`` sectors.
-    A source that fails the truncation guard, or a cap whose split amplitudes
+    ``0..2 dim - 2`` that a pair of modes on the amplifier's basis
+    (``_amplifier_dim``) can hold, frozen, and the source's truncation
+    deficit; the one-mode overlaps read the first ``dim`` sectors.  A source
+    that fails the truncation guard, or a cap whose split amplitudes
     ``sqrt(s!) M^(-s/2)`` leave the float range, raises and is not cached.
     """
     s = np.arange(n_max + 1)
@@ -425,16 +453,21 @@ def _practical_source(
             "leave the float range; use a lower cutoff"
         )
     density, deficit = _source_density(mean_photons, eta, n_max, np.exp(log_split))
-    return fock._frozen(_gather_weights(density, 2 * scissors + 3, n_max + 1)), deficit
+    sectors = 2 * _amplifier_dim(scissors, n_max) - 1
+    # the squeezed source and the loss branches are real, so R is
+    return fock._frozen(_gather_weights(density.real, sectors, n_max + 1)), deficit
 
 
-def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
-    """Run the practical-amplifier pipeline on the Fock kernel.
+def simulate_practical(cfg: ScenarioConfig):
+    """Run the practical-amplifier pipeline on the Fock kernel, over one gain or a grid of them.
 
     Source, loss, and balanced split as in the amplifier-free pipeline, then
     one heralded amplifier per node; the reported probability is the joint
     one (every node must herald) and probe power is measured on the
-    post-selected state.
+    post-selected state.  A float ``cfg.nla.gain`` gives one
+    ``SensitivityPoint``; a 1-D array of gains gives a list of them, one per
+    gain in its order, each ``==`` to the point of that gain alone: a single
+    gain is the same array pass on a gain axis of length 1.
 
     The heralded state is symmetric under permuting the nodes, so
     ``Var(xbar) = [<x_1^2> + (M-1) <x_1 x_2>] / M`` and the power is
@@ -448,65 +481,105 @@ def simulate_practical(cfg: ScenarioConfig) -> SensitivityPoint:
     Summing out ``p`` modes whose photons total ``r`` leaves the coefficient
     ``[z^r] f(z)^p`` with ``f(z) = sum_n amp[n]^2 z^n``, and summing the
     branches leaves the source density ``R[s, s'] = sum_k beta_k[s] beta_k[s']``.
-    The x ladders act on ``amp`` on ``{0..N+1}``, so only the two one-mode
-    ladders are applied; each shifts the source total by a known one, which
-    picks the entry of ``R``.  The kets ``l = [a^dag amp, amp, a amp]`` sit at
-    source shifts -1, 0, +1, the order of the gathered weights, so one product
-    of the weights with the two columns ``[f^(M-1), f^(M-2)]`` gives the tables
-    ``T1`` and ``T2`` of every shift pair.  The one-mode moments are the Gram
-    matrix ``sum_n conj(l_i[n]) T1_ij[n] l_j[n]``.  A pair overlap
+    ``R`` holds nothing above ``cutoff`` photons and a ladder adds one, so
+    ``amp`` lives on ``{0..min(N, cutoff) + 1}`` (``_amplifier_dim``); the
+    entries above never reach a result.
+
+    The gain enters as ``g^n``: ``t = t[0] a0[n] sqrt(n!) g^n`` with ``a0``
+    the shape of the amplifier at gain 1, read once per call from one
+    ``nla_operator(N, 1, N+1)``.  So ``[z^r] f^p`` at gain ``g`` is its value
+    at gain 1 times ``g^(2r)``, and the kets ``l = [a^dag amp, amp, a amp]``,
+    at source shifts -1, 0, +1, are the two ladders of ``a0`` (applied once)
+    times ``g^(n-1)``, ``g^n`` and ``g^(n+1)``.  A product of the gathered
+    weights with the ``(cutoff+1) x 2`` matrix of the two scaled series
+    ``[f^(M-1), f^(M-2)]`` gives the tables ``T1`` and ``T2`` of every shift
+    pair; one stacked matmul makes it for every gain, each of the shape a
+    single gain makes, since a BLAS product of more columns may round a column
+    differently.  The one-mode moments are the Gram matrix
+    ``sum_n conj(l_i[n]) T1_ij[n] l_j[n]``.  A pair overlap
     ``<l_i x amp| T2 |amp x l_j>`` reads ``T2`` only at the pair's photon total,
     so all nine come from one contraction of ``conj(l_i) amp`` and
-    ``amp l_j`` with the Hankel gather ``T2_ij[m + n]``.  Unlike their
-    convolution, the contraction never forms the product of those two arrays
-    unweighted, which overflows at 40 scissors and g=1000.  The source cap
-    ``cutoff`` is the only truncation.
+    ``amp l_j`` with the Hankel view ``T2_ij[m + n]``, which copies nothing.
+    Unlike their convolution, the contraction never forms the product of
+    those two arrays unweighted, which overflows at 40 scissors and g=1000;
+    the series are scaled in log space, so only a coefficient that itself
+    leaves the floats overflows.  Each gain's herald probability takes back
+    the scale ``t[0]^(2M)``.  The source cap ``cutoff`` is the only truncation.
 
     Two stages: ``_practical_source``, cached on ``(M, N_S, eta, cutoff, N)``,
     builds ``R`` and gathers the weights of every shift pair once, so a gain
-    sweep builds it once; the gain stage forms ``t``, ``amp`` and the powers
-    of ``f``, contracts them with those weights and applies the two ladders.
-    The source stage raises ``TruncationError`` when the deficit exceeds
-    ``TRUNC_TOL``, and ``ValueError`` when the cap's split amplitudes
-    ``sqrt(s!) M^(-s/2)`` leave the float range (from cap 395 at M=4).  Too
-    many scissors for the gain, or a weight, variance or power that is not
-    finite, raise ``ValueError``.
+    sweep builds it once; the gain stage above runs once per call, for every
+    gain at once.  The source stage raises ``TruncationError`` when the
+    deficit exceeds ``TRUNC_TOL``, and ``ValueError`` when the cap's split
+    amplitudes ``sqrt(s!) M^(-s/2)`` leave the float range (from cap 395 at
+    M=4).  An amplifier that leaves the floats at some gain (``nla_operator``'s
+    refusal), or a weight, variance or power that is not finite, raises the
+    ``ValueError`` of the first such gain in the grid, as that gain alone would.
     """
     if cfg.scheme != SCHEME_PRACTICAL_NLA:
         raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
     spec, nodes, cap = cfg.nla, cfg.nodes, cfg.cutoff
     weights, deficit = _practical_source(nodes, cfg.mean_photons, cfg.eta, cap, spec.scissors)
+    gains = np.array(spec.gain, dtype=float, ndmin=1)
+    gain_list = gains.tolist()
+    # a gain-1 amplifier past the floats puts every gain >= 1 past them: the
+    # first gain is refused before the shape is read at gain 1
+    _check_amplifier_range(spec.scissors, gain_list[0], _vacuum_entry(spec.scissors, gain_list[0]), spec.scissors + 1)
+    dim = _amplifier_dim(spec.scissors, cap)
+    half_log_factorial, exponents, even = _amplifier_basis(dim, cap)
 
     # a moment that leaves the floats is caught below, not warned about
     with np.errstate(all="ignore"):
         # amp is scaled by t[0] so f^p stays finite at any M; the scale t[0]^(2M)
         # is common to every moment and comes back in the herald probability
-        t = np.diag(nla_operator(spec.scissors, spec.gain, spec.scissors + 1).entries).real
-        half_log_factorial, pair_totals = _amplifier_basis(len(t))
+        t = nla_operator(spec.scissors, 1.0, spec.scissors + 1).entries.diagonal()[:dim].real
         amp = np.exp(np.log(t / t[0]) - half_log_factorial)
         f = amp**2
         rest = _power_series(f, max(nodes - 2, 0), cap + 1)
         rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest
-        # one contraction for both: the last axis sums out M-1 modes, then M-2
-        tables = (weights.reshape(-1, cap + 1) @ np.array([rest_of_one, rest]).T).reshape(3, 3, -1, 2)
-        kets = _shift_stack(FockVector(amp), 0)
-        one = _gram(kets, tables[:, :, : len(t), 0], kets)
-        # <l_i x amp| T(m + n) |amp x l_j>: l_i amp on mode 0, amp l_j on mode 1 (amp is real)
-        pair_kets = kets * amp
-        pair = np.einsum("im,ijmn,jn->ij", pair_kets.conj(), tables[:, :, pair_totals, 1], pair_kets).real
-        weight, variance, power = _symmetric_moments(nodes, one, pair)
-    if not all(map(math.isfinite, (weight, variance, power))):
-        raise ValueError(
-            f"the heralded moments at gain {spec.gain:g} on M={nodes} nodes leave the float range; "
-            "use a lower gain, fewer nodes or a lower cutoff"
+        # [z^r] f^p times g^(2r) for every gain, p = M-1 then M-2: shape (G, 2, cap+1)
+        series = np.exp(np.log([rest_of_one, rest]) + np.multiply.outer(np.log(gains), even)[:, None, :])
+        # one product per gain, of the shape a single gain makes, so that no
+        # point depends on the grid around it: tables of shape (G, 3, 3, sectors, 2)
+        tables = (weights.reshape(-1, cap + 1) @ series.swapaxes(1, 2)).reshape(len(gains), 3, 3, -1, 2)
+        kets = _shift_stack(FockVector(amp), 0).real * gains[:, None, None] ** exponents
+        one = _gram(kets, tables[..., :dim, 0], kets)
+        # <l_i x amp| T(m + n) |amp x l_j>: l_i amp on mode 0, amp l_j on mode 1
+        pair_kets = kets * kets[:, 1:2]
+        pair = np.einsum("gim,gijmn,gjn->gij", pair_kets, _hankel(tables, dim), pair_kets)
+    # t[0] at gain g is its vacuum entry times this ratio, exactly 1 for the exact operator
+    ratio = float(t[0]) / _vacuum_entry(spec.scissors, 1.0)
+    points = []
+    for gain, one_at, pair_at in zip(gain_list, one.tolist(), pair.tolist()):
+        vacuum = _vacuum_entry(spec.scissors, gain)
+        _check_amplifier_range(spec.scissors, gain, vacuum, spec.scissors + 1)
+        weight, variance, power = _symmetric_moments(nodes, one_at, pair_at)
+        if not all(map(math.isfinite, (weight, variance, power))):
+            raise ValueError(
+                f"the heralded moments at gain {gain:g} on M={nodes} nodes leave the float range; "
+                "use a lower gain, fewer nodes or a lower cutoff"
+            )
+        points.append(
+            SensitivityPoint(
+                probe_power=power,
+                delta_alpha=math.sqrt(variance),
+                p_success=weight * (vacuum * ratio) ** (2 * nodes),
+                cutoff=cap,
+                trunc_deficit=deficit,
+            )
         )
-    return SensitivityPoint(
-        probe_power=power,
-        delta_alpha=math.sqrt(variance),
-        p_success=weight * float(t[0]) ** (2 * nodes),
-        cutoff=cap,
-        trunc_deficit=deficit,
-    )
+    return points if np.ndim(spec.gain) else points[0]
+
+
+def _hankel(tables: np.ndarray, dim: int) -> np.ndarray:
+    """The view ``H[g, i, j, m, n] = tables[g, i, j, m + n, 1]``, ``m, n < dim``, copying nothing.
+
+    ``tables`` is C-contiguous of shape ``(G, 3, 3, 2 dim - 1, 2)``; numpy
+    checks that the view stays inside its buffer.
+    """
+    gain, first, second, total, column = tables.strides
+    shape = (len(tables), 3, 3, dim, dim)
+    return np.ndarray(shape, tables.dtype, tables, column, (gain, first, second, total, total))
 
 
 def lossless_cvmp_vector(nodes: int, mean_photons: float, n_max: int) -> FockVector:

@@ -207,18 +207,18 @@ def _check_success_scaling(scissors: int) -> CheckResult:
     # (at M=100 it underflows from N=4 at g=2.5).  A law that underflows
     # reads as deviation 1, not a division by zero; the ratio is not taken
     # in log space, whose rounding (|log p| ulp) alone is 1.1e-13 at N=169
-    nodes = 2
-    worst = 0.0
-    for gain in (1.0, 1.5, 2.5):
-        point = sensing.simulate_practical(
-            sensing.ScenarioConfig(
-                nodes=nodes,
-                mean_photons=0.0,
-                eta=0.5,
-                scheme=sensing.SCHEME_PRACTICAL_NLA,
-                nla=nla.NlaSpec(gain, scissors),
-            )
+    nodes, gains = 2, (1.0, 1.5, 2.5)
+    points = sensing.simulate_practical(
+        sensing.ScenarioConfig(
+            nodes=nodes,
+            mean_photons=0.0,
+            eta=0.5,
+            scheme=sensing.SCHEME_PRACTICAL_NLA,
+            nla=nla.NlaSpec(gains, scissors),
         )
+    )
+    worst = 0.0
+    for gain, point in zip(gains, points):
         expected = (gain * gain + 1.0) ** (-scissors * nodes)
         worst = max(worst, abs(point.p_success / expected - 1.0) if expected > 0.0 else 1.0)
         worst = max(worst, abs(point.delta_alpha * 2.0 * math.sqrt(nodes) - 1.0))

@@ -340,6 +340,47 @@ def test_sensitivity_jobs_do_not_change_output():
     assert rows_a == rows_b
 
 
+@pytest.mark.parametrize("command", ["sweep-sensitivity", "sweep-nla"])
+def test_a_sweep_makes_one_engine_call_for_its_whole_grid(monkeypatch, command):
+    # the grid's gains go to the practical engine as one array, and each row
+    # holds the point of its gain alone
+    calls = []
+
+    def recording(cfg):
+        calls.append(cfg.nla.gain)
+        return simulate_practical(cfg)
+
+    monkeypatch.setattr(cli, "simulate_practical", recording)
+    req = SweepRequest(command=command, g_steps=5, g_max=2.2)
+    rows = (build_sensitivity_rows if command == "sweep-sensitivity" else build_nla_rows)(req)
+    assert len(calls) == 1 and calls[0].tolist() == req.gain_grid().tolist()
+    cfg = dict(nodes=4, mean_photons=0.04, eta=0.5, scheme=SCHEME_PRACTICAL_NLA, cutoff=8)
+    practical = [row for row in rows if row.get("scheme", SCHEME_PRACTICAL_NLA) == SCHEME_PRACTICAL_NLA]
+    assert [row["g"] for row in practical] == req.gain_grid().tolist()
+    for row in practical:
+        point = simulate_practical(ScenarioConfig(**cfg, nla=NlaSpec(row["g"], 2)))
+        assert (row["probe_power"], row["p_success"]) == (point.probe_power, point.p_success)
+
+
+def test_huge_node_count_ends_quickly():
+    # the other M-2 modes are summed out by repeated squaring, so 10^11 nodes
+    # take under 40 convolutions instead of 10^11: finite rows or a usage error
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cvdqs.cli", "sweep-nla", "--M", "100000000000", "--g-steps", "2"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        header, *rows = proc.stdout.splitlines()
+        assert header == "g,p_success,probe_power" and len(rows) == 2
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
 def test_practical_beats_product_in_midrange():
     # the amplified scheme dips below the product baseline through mid powers
     req = SweepRequest(command="sweep-sensitivity", g_min=1.9, g_max=2.5, g_steps=7)

@@ -240,3 +240,24 @@ def test_a_count_past_the_float_range_exits_two_naming_its_key(command, flag, ke
         warnings.simplefilter("error")
         assert main([command, flag, PAST_FLOAT_RANGE]) == 2
     assert stderr.getvalue().startswith(f"error: {key} must ")
+
+
+TOO_LONG_FOR_AN_ARRAY = "1" + "0" * 300
+
+
+@pytest.mark.parametrize(
+    "command, flag, key",
+    [
+        ("bounds", "--eta-steps", "eta_steps"),
+        ("sweep-nla", "--g-steps", "g_steps"),
+        ("sweep-sensitivity", "--g-steps", "g_steps"),
+    ],
+)
+def test_a_grid_too_long_for_an_array_exits_two_naming_its_key(command, flag, key):
+    # inside the float range, yet beyond numpy's largest array: the grid is
+    # refused by its key, not by numpy's "Maximum allowed size exceeded" alone
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        assert main([command, flag, TOO_LONG_FOR_AN_ARRAY]) == 2
+    assert stderr.getvalue().startswith(f"error: {key} must be small enough for one array, got 1000")

@@ -526,6 +526,125 @@ def test_one_ladder_pair_per_basis_serves_both_engines(monkeypatch):
     assert sensing._ladder_pair.cache_info().currsize == 1
 
 
+def _power_series_by_convolutions(poly, power, length):
+    # the reference: power - 1 truncated convolutions, one factor at a time
+    out = np.zeros(length)
+    out[0] = 1.0
+    for _ in range(power):
+        out = np.convolve(out, poly)[:length]
+    return out
+
+
+def test_power_series_by_squaring_matches_repeated_convolution():
+    # positive coefficients, so squaring cancels nothing: agreement to a few
+    # ulp per factor of two in the power
+    rng = np.random.default_rng(3)
+    for length, power in itertools.product((1, 4, 9, 41), (0, 1, 2, 3, 5, 8, 13, 64, 98)):
+        poly = rng.uniform(0.1, 1.0, size=rng.integers(1, 12))
+        got = sensing._power_series(poly, power, length)
+        want = _power_series_by_convolutions(poly, power, length)
+        assert got.shape == want.shape == (length,)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def _practical_points(nodes, gains, scissors=2, cutoff=8, mean_photons=0.04, eta=0.5):
+    cfg = partial(ScenarioConfig, nodes=nodes, mean_photons=mean_photons, eta=eta,
+                  scheme=SCHEME_PRACTICAL_NLA, cutoff=cutoff)
+    grid = simulate_practical(cfg(nla=NlaSpec(np.asarray(gains), scissors)))
+    return grid, [simulate_practical(cfg(nla=NlaSpec(gain, scissors))) for gain in gains]
+
+
+@pytest.mark.parametrize(
+    "nodes, gains, scissors, cutoff, mean_photons, eta",
+    [
+        pytest.param(4, np.linspace(1.0, 3.0, 41), 2, 8, 0.04, 0.5, id="sweep-defaults"),
+        pytest.param(5, np.linspace(1.0, 3.0, 3), 2, 8, 0.04, 0.5, id="M5"),
+        pytest.param(6, np.linspace(1.0, 3.0, 2), 2, 8, 0.04, 0.5, id="M6"),
+        pytest.param(1, np.linspace(1.0, 3.0, 41), 2, 8, 0.04, 0.5, id="M1"),
+        pytest.param(2, np.linspace(1.0, 3.0, 41), 1, 10, 0.04, 0.5, id="M2-N1-cap10"),
+        pytest.param(30, np.linspace(1.0, 3.0, 41), 2, 40, 0.04, 0.5, id="M30-cap40"),
+        pytest.param(2, np.linspace(1.0, 1000.0, 41), 40, 8, 1e-12, 0.5, id="N40-g1000"),
+        pytest.param(300, np.array([1000.0, 1.0, 2.5]), 40, 8, 0.0, 1e-9, id="N40-g1000-M300"),
+    ],
+)
+def test_a_gain_grid_gives_the_points_of_its_gains_one_by_one(nodes, gains, scissors, cutoff, mean_photons, eta):
+    # one array pass over the grid; each point equals the call at its gain
+    # alone, bit for bit, in the grid's order
+    grid, singles = _practical_points(nodes, gains, scissors, cutoff, mean_photons, eta)
+    assert isinstance(grid, list) and grid == singles
+    assert all(isinstance(point, sensing.SensitivityPoint) for point in singles)
+    assert all(type(value) is float for point in grid for value in (point.delta_alpha, point.p_success))
+
+
+@pytest.mark.parametrize(
+    "nodes, gains, scissors, cutoff, mean_photons, eta, named",
+    [
+        # the vacuum entry (g^2+1)^(-N/2) leaves the normal floats from g ~ 2.996 at N=616
+        pytest.param(4, [2.5, 2.75, 3.0, 3.25], 616, 8, 0.04, 0.5, "616 scissors at gain 3 ", id="vacuum-entry"),
+        # g^(N+1) overflows from g ~ 2.986 at N=650, before the vacuum entry leaves
+        pytest.param(4, [1.0, 2.0, 3.0, 1.5], 650, 8, 0.04, 0.5, "650 scissors at gain 3 ", id="top-entry"),
+        pytest.param(2, [1.0, 10.0, 100.0, 1000.0, 2.0], 40, 60, 3.0, 0.5, "on M=2 ", id="moments"),
+        pytest.param(1000, [1.0, 2.0, 3.0], 2, 170, 0.04, 0.5, "on M=1000 ", id="powers"),
+    ],
+)
+def test_a_gain_grid_refuses_at_its_first_failing_gain(nodes, gains, scissors, cutoff, mean_photons, eta, named):
+    # the grid raises the ValueError of its first gain that fails alone, with
+    # that gain's text, though later gains may fail otherwise or not at all
+    cfg = partial(ScenarioConfig, nodes=nodes, mean_photons=mean_photons, eta=eta,
+                  scheme=SCHEME_PRACTICAL_NLA, cutoff=cutoff)
+    alone = []
+    for gain in gains:
+        try:
+            alone.append(simulate_practical(cfg(nla=NlaSpec(gain, scissors))))
+        except ValueError as exc:
+            alone.append(str(exc))
+    first = next(k for k, outcome in enumerate(alone) if isinstance(outcome, str))
+    assert first > 0 and named in alone[first]
+    with pytest.raises(ValueError) as refused:
+        simulate_practical(cfg(nla=NlaSpec(np.array(gains), scissors)))
+    assert str(refused.value) == alone[first]
+
+
+def test_gain_grid_spec_is_checked_and_read_only():
+    with pytest.raises(ValueError, match="amplitude gain must be finite and >= 1, got 0.5"):
+        NlaSpec(np.array([1.0, 0.5, 2.0]), 2)
+    with pytest.raises(ValueError, match="amplitude gain must be finite and >= 1, got nan"):
+        NlaSpec([1.0, math.nan], 2)
+    for shape in ((0,), (2, 2)):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            NlaSpec(np.ones(shape), 2)
+    gains = np.array([1.0, 2.0])
+    spec = NlaSpec(gains, 2)
+    gains[0] = 5.0
+    assert spec.gain.tolist() == [1.0, 2.0] and not spec.gain.flags.writeable
+    # a list grid gives a list of points too, and a 0-d gain one point
+    cfg = partial(ScenarioConfig, nodes=4, mean_photons=0.04, eta=0.5, scheme=SCHEME_PRACTICAL_NLA)
+    assert simulate_practical(cfg(nla=NlaSpec([2.0], 2))) == [simulate_practical(cfg(nla=NlaSpec(2.0, 2)))]
+    assert simulate_practical(cfg(nla=NlaSpec(np.float64(2.0), 2))) == simulate_practical(cfg(nla=NlaSpec(2.0, 2)))
+
+
+def test_a_thousand_scissors_cost_no_more_memory_than_their_amplifier():
+    # the amplifier is read on {0..cap+1} only: a point at N=1000, cap 8 peaks
+    # within 8 MB of the dense nla_operator(1000, 1, 1001) it reads its shape
+    # from (32 MB), where the Hankel gather over N+2 photons took 161 MB
+    import tracemalloc
+
+    cfg = ScenarioConfig(nodes=4, mean_photons=0.04, eta=0.5, scheme=SCHEME_PRACTICAL_NLA,
+                         cutoff=8, nla=NlaSpec(1.5, 1000))
+    sensing._practical_source.cache_clear()
+    tracemalloc.start()
+    try:
+        nla_operator(1000, 1.0, 1001)
+        _, amplifier_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        point = simulate_practical(cfg)
+        _, point_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(point.delta_alpha)
+    assert point_peak <= amplifier_peak + 8 * 2**20, (point_peak, amplifier_peak)
+
+
 def test_ladder_cache_is_bounded():
     # each basis size adds an entry; an unbounded cache keeps them all
     for n_max in range(1, 41):
