@@ -29,13 +29,15 @@ total, and read every moment off as overlaps weighted by ``R`` in the sector
 of each side: ``_gather_weights`` takes the weights of every overlap from
 ``R`` in a single pass.  Both probe states are symmetric under permuting the
 nodes, so every moment is an overlap of the kets ``[a^dag psi, psi, a psi]``
-of mode 0 or 1 (``_shift_stack``, source shifts -1, 0, +1), and both
-pipelines hand two 3x3 Gram matrices of them, one mode and a pair, to one
-formula (``_symmetric_moments``).  The amplifier-free pipeline splits one comb
+of mode 0 or 1 (source shifts -1, 0, +1), and both pipelines hand two 3x3
+Gram matrices of them, one mode and a pair, to one formula
+(``_symmetric_moments``).  The amplifier-free pipeline splits one comb
 of photon numbers over the dense ``(cutoff+1)^M`` tensor, once per point
-rather than once per branch, applies the ladders to its first two modes, and
-forms each Gram matrix in one contraction (``_gram``) over the entries that
-hold at most ``cutoff + 1`` photons.  The practical pipeline forms no
+rather than once per branch.  After the split it reads only the held
+entries, those with at most ``cutoff + 1`` photons, the only ones that carry
+weight: it reads the ladders of modes 0 and 1 there by index shifts
+(``_held_ladders``) and forms each Gram matrix in one contraction (``_gram``)
+over them.  The practical pipeline forms no
 ``M``-mode tensor at all: an even split has closed-form amplitudes, so its
 ladders act on one mode, and a pair of modes enters only through its photon
 total, read off a Hankel view of the weights.  ``R`` holds nothing above
@@ -54,8 +56,8 @@ is never cached.  The gain stage then takes one gain or a whole grid of them
 in one array pass: the amplifier's shape is read once, at gain 1, and the gain
 ``g`` only rescales the power series by ``g^(2r)`` and the kets by ``g^n``, so
 one product per gain with the weights gives the tables of every gain, and two
-batched contractions their Gram matrices.  The x ladders depend only on the
-basis, so both pipelines read one cached ``(a, a^dag)`` pair per basis size
+batched contractions their Gram matrices.  Its x ladders depend only on the
+basis, so it reads one cached ``(a, a^dag)`` pair per basis size
 (``_ladder_pair``).
 """
 
@@ -164,7 +166,7 @@ def _loss_only_error(nodes: int, mean_photons: float, eta):
 
 
 def _loss_only_bound(nodes: int, mean_photons: float, eta):
-    """The loss-only Cramer-Rao bound of ``crlb_entangled``, on inputs already checked.
+    """The pure-state QFI formula ``1/sqrt(4 Var(sum p))`` of ``crlb_entangled``, on inputs already checked.
 
     ``eta`` may be a float or an array; the result is a numpy float or array of its shape.
     A denominator past the floats reads inf, and the bound 0; an array also warns of
@@ -215,17 +217,26 @@ def delta_alpha_ideal_nla(nodes: int, mean_photons: float, eta: float, gain: flo
 
 
 def crlb_entangled(nodes: int, mean_photons: float, eta: float) -> float:
-    """Quantum Cramer-Rao lower bound for the split-source scheme.
+    """``1/sqrt(4 Var(sum_i p_i))`` on the lossy split-source state: the pure-state QFI formula.
 
-    ``(1/2) [M eta (sqrt(N+1)+sqrt(N))^2 + M (1-eta)]^(-1/2)``; coincides with
-    the achieved error at eta = 1 and is loose below.
+    ``(1/2) [M eta (sqrt(N+1)+sqrt(N))^2 + M (1-eta)]^(-1/2)``.  ``4 Var`` of
+    the displacement generator ``sum_i p_i`` is the quantum Fisher information
+    (QFI) of a pure state; the lossy state is mixed, and for it the formula
+    only bounds the QFI from above.  So at ``eta < 1`` this value falls below
+    the state's true quantum Cramer-Rao bound, which the averaged-x error
+    ``delta_alpha_entangled`` attains (ROADMAP item 11); at ``eta = 1`` the
+    state is pure and the two coincide.
     """
     _check_scenario(nodes, mean_photons, eta)
     return float(_loss_only_bound(nodes, mean_photons, eta))
 
 
 def crlb_product(nodes: int, mean_photons: float, eta: float) -> float:
-    """Quantum Cramer-Rao lower bound for the product baseline (N/M per node)."""
+    """``1/sqrt(4 Var(sum_i p_i))`` on the product baseline (N/M per node): the pure-state QFI formula.
+
+    As ``crlb_entangled``: below ``eta = 1`` it falls below the lossy state's
+    true quantum Cramer-Rao bound.
+    """
     _check_scenario(nodes, mean_photons, eta)
     return float(_loss_only_bound(nodes, mean_photons / nodes, eta))
 
@@ -266,11 +277,6 @@ def _source_density(
     return branches.conj().T @ branches, deficit
 
 
-def _photon_totals(dim: int, modes: int) -> np.ndarray:
-    """Total photon number of every occupation of ``modes`` modes on ``{0..dim-1}``."""
-    return functools.reduce(np.add.outer, [np.arange(dim)] * modes)
-
-
 def _gather_weights(density: np.ndarray, sectors: int, length: int) -> np.ndarray:
     """``density[sector + b, sector + k]`` for every shift pair ``b, k`` in ``{-1, 0, 1}``.
 
@@ -289,16 +295,16 @@ def _gram(bras: np.ndarray, table: np.ndarray, kets: np.ndarray) -> np.ndarray:
     """``G[i, j] = Re sum_n conj(bras[i, n]) table[i, j, n] kets[j, n]``, all nine overlaps at once.
 
     ``bras`` and ``kets`` stack three flattened amplitude tensors in source-shift
-    order ``-1, 0, +1`` (``_shift_stack``); ``table[i, j, n]`` is the summed
-    weight of their shift pair at the photon total of entry ``n``.  Leading
-    axes of all three (one per gain) are kept.
+    order ``-1, 0, +1`` (``_shift_stack``, ``_held_ladders``);
+    ``table[i, j, n]`` is the summed weight of their shift pair at the photon
+    total of entry ``n``.  Leading axes of all three (one per gain) are kept.
     """
     return np.einsum("...in,...ijn,...jn->...ij", bras.conj(), table, kets).real
 
 
 @functools.lru_cache(maxsize=8)
 def _ladder_pair(n_max: int) -> tuple[ModeOperator, ModeOperator]:
-    """``(a, a^dag)`` on ``{0..n_max}``: one pair per basis, shared by both engines."""
+    """``(a, a^dag)`` on ``{0..n_max}``: one pair per basis, shared by every practical point."""
     lower = ModeOperator(annihilation_matrix(n_max))
     return lower, ModeOperator(lower.entries.conj().T)
 
@@ -330,7 +336,7 @@ def _symmetric_moments(nodes: int, one, pair) -> tuple[float, float, float]:
 
     ``Var(xbar) = [<x_1^2> + (M-1) <x_1 x_2>] / M - <x_1>^2`` and the power is
     ``M <n_1>``.  ``one`` is the Gram matrix (``_gram``) of mode 0's
-    ``_shift_stack`` with itself, as nested lists; ``pair``, which only
+    ``[a^dag psi, psi, a psi]`` with itself, as nested lists; ``pair``, which only
     ``M > 1`` reads, that of mode 0's stack against mode 1's.
     ``x = (a + a^dag)/2`` reads the entries of the outer kets, 0 and 2, and
     the power reads ``<a psi|a psi>``.
@@ -346,6 +352,39 @@ def _symmetric_moments(nodes: int, one, pair) -> tuple[float, float, float]:
     return weight, (x_sq + (nodes - 1) * x_cross) / nodes - mean_x**2, nodes * (down_down / weight)
 
 
+@functools.lru_cache(maxsize=4)
+def _held_ladders(n_max: int, modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the ladders of modes 0 and 1 read a ``(n_max+1)^modes`` tensor, on its held entries.
+
+    The held entries hold at most ``n_max + 1`` photons; they are enumerated
+    one mode at a time, so no array of ``(n_max+1)^modes`` entries is formed.
+    On the flattened tensor a photon more in mode ``m`` is a shift of
+    ``(n_max+1)^(modes-1-m)``, so ``[a^dag psi, psi, a psi]`` of mode ``m`` at
+    an entry with ``n_m`` photons there is ``psi`` one shift down times
+    ``sqrt(n_m)``, ``psi``, and ``psi`` one shift up times ``sqrt(n_m + 1)``.
+    Where the truncated ``annihilation_matrix`` gives zero (``n_m = 0`` for
+    ``a^dag``, ``n_m = n_max`` for ``a``) the scale is zero and the index
+    stays on the entry.  Returns the indices and scales, shape
+    ``(min(modes, 2), 3, held)`` in source-shift order -1, 0, +1, and the
+    photon total of every held entry, all frozen.
+    """
+    dim = n_max + 1
+    held, totals = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for _ in range(modes):
+        held = (held[:, None] * dim + np.arange(dim)).ravel()
+        totals = (totals[:, None] + np.arange(dim)).ravel()
+        keep = totals <= dim
+        held, totals = held[keep], totals[keep]
+    index, scale = [], []
+    for mode in range(min(modes, 2)):
+        step = dim ** (modes - 1 - mode)
+        photons = held // step % dim
+        below = photons < n_max
+        index.append([np.where(photons > 0, held - step, held), held, np.where(below, held + step, held)])
+        scale.append([np.sqrt(photons), np.ones(len(held)), np.where(below, np.sqrt(photons + 1.0), 0.0)])
+    return fock._frozen(np.array(index)), fock._frozen(np.array(scale)), fock._frozen(totals)
+
+
 def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     """Run the amplifier-free pipeline on the dense ``(cutoff+1)^M`` Fock tensor.
 
@@ -358,18 +397,22 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     included; every moment is an overlap of these tensors.  ``Phi`` is
     symmetric under permuting the modes, so the moments come from the
     ladders of modes 0 and 1 alone: one ``_gram`` of mode 0's
-    ``_shift_stack`` with itself and one against mode 1's, read through the
-    practical engine's ``_symmetric_moments``.  ``Phi`` holds at most
-    ``cutoff`` photons and a ladder adds one, so both contract only the
-    entries with at most ``cutoff + 1`` photons; every other weight is
-    zero.  A tensor of more than ``2**22`` amplitudes, or from ``M=2`` a
-    splitter unitary of more than ``2**22`` entries, raises ``ValueError``
-    before anything is built.
+    ``[a^dag Phi, Phi, a Phi]`` with itself and one against mode 1's, read
+    through the practical engine's ``_symmetric_moments``.  ``Phi`` holds at
+    most ``cutoff`` photons and a ladder adds one, so only the held entries,
+    those with at most ``cutoff + 1`` photons, carry weight (711 of 6,561 at
+    M=4, cutoff 8).  After the split no ladder is applied to the full tensor:
+    the ladders are read straight off the flattened ``Phi`` (a copy from
+    ``M=3``, where the splitter leaves its axes permuted) at the held entries
+    by index shifts (``_held_ladders``, cached on ``(cutoff, M)``); the split
+    is never cached.  A tensor of more than ``2**22`` amplitudes, or from
+    ``M=2`` a splitter unitary of more than ``2**22`` entries, raises
+    ``ValueError`` before anything is built.
     """
     if cfg.scheme != SCHEME_NO_NLA:
         raise ValueError(f"expected scheme {SCHEME_NO_NLA!r}, got {cfg.scheme!r}")
     nodes, cap = cfg.nodes, cfg.cutoff
-    # about 200 B of peak memory per amplitude; from M=2 the splitter's two-mode
+    # about 100 B of peak memory per amplitude; from M=2 the splitter's two-mode
     # unitary has (cap+1)^4 real entries of 8 B each, more than the state below M=4
     if (cap + 1) ** (max(nodes, 4) if nodes > 1 else 1) > 2**22:
         raise ValueError(f"cutoff {cap} on M={nodes} nodes needs over 2**22 dense Fock entries")
@@ -377,14 +420,11 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     comb = np.zeros((cap + 1,) * nodes, dtype=complex)
     comb[(slice(None),) + (0,) * (nodes - 1)] = 1.0
     split = fock.balanced_splitter(nodes, FockVector(comb))
-    totals = _photon_totals(cap + 1, nodes).ravel()
-    # the comb holds at most cap photons and a ladder adds one; every weight
-    # past cap + 1 photons reads beyond R and is zero
-    held = np.flatnonzero(totals <= cap + 1)
-    table = _gather_weights(density, cap + 2, 1)[..., 0][:, :, totals[held]]
-    first = _shift_stack(split, 0).reshape(3, -1)[:, held]
-    one = _gram(first, table, first).tolist()
-    pair = _gram(first, table, _shift_stack(split, 1).reshape(3, -1)[:, held]).tolist() if nodes > 1 else None
+    index, scale, totals = _held_ladders(cap, nodes)
+    kets = split.amplitudes.reshape(-1)[index] * scale
+    table = _gather_weights(density, cap + 2, 1)[..., 0][:, :, totals]
+    one = _gram(kets[0], table, kets[0]).tolist()
+    pair = _gram(kets[0], table, kets[1]).tolist() if nodes > 1 else None
     _, variance, power = _symmetric_moments(nodes, one, pair)
     return SensitivityPoint(
         probe_power=power,
@@ -444,14 +484,20 @@ def _practical_source(
     that fails the truncation guard, or a cap whose split amplitudes
     ``sqrt(s!) M^(-s/2)`` leave the float range, raises and is not cached.
     """
-    s = np.arange(n_max + 1)
-    log_factorial = np.array([math.lgamma(n + 1.0) for n in s])
-    log_split = 0.5 * log_factorial - 0.5 * math.log(nodes) * s
-    if log_split.max() > math.log(np.finfo(float).max):
+    # log(sqrt(s!) M^(-s/2)) is convex in s, so on 0..cap it peaks at an end: the
+    # cap is checked before any array of cap + 1 entries is asked for
+    try:
+        log_peak = 0.5 * math.lgamma(n_max + 1.0) - 0.5 * math.log(nodes) * n_max
+    except OverflowError:
+        log_peak = math.inf
+    if log_peak > math.log(np.finfo(float).max):
         raise ValueError(
             f"the split amplitudes sqrt(s!) M^(-s/2) of cutoff {n_max} on M={nodes} nodes "
             "leave the float range; use a lower cutoff"
         )
+    s = np.arange(n_max + 1)
+    log_factorial = np.array([math.lgamma(n + 1.0) for n in s])
+    log_split = 0.5 * log_factorial - 0.5 * math.log(nodes) * s
     density, deficit = _source_density(mean_photons, eta, n_max, np.exp(log_split))
     sectors = 2 * _amplifier_dim(scissors, n_max) - 1
     # the squeezed source and the loss branches are real, so R is

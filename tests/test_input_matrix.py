@@ -261,3 +261,16 @@ def test_a_grid_too_long_for_an_array_exits_two_naming_its_key(command, flag, ke
         warnings.simplefilter("error")
         assert main([command, flag, TOO_LONG_FOR_AN_ARRAY]) == 2
     assert stderr.getvalue().startswith(f"error: {key} must be small enough for one array, got 1000")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_cutoff_too_long_for_an_array_exits_two_naming_the_cutoff(command):
+    # inside the float range, yet beyond numpy's largest array: the cap is
+    # refused before any array of cutoff + 1 entries is asked for
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        assert main([command, "--cutoff", TOO_LONG_FOR_AN_ARRAY]) == 2
+    message = stderr.getvalue()
+    assert message.startswith("error: the split amplitudes sqrt(s!) M^(-s/2) of cutoff 1000"), message
+    assert f"cutoff {TOO_LONG_FOR_AN_ARRAY} on M=4 nodes" in message

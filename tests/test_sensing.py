@@ -348,22 +348,75 @@ def test_no_nla_pipeline_matches_per_branch_splits(monkeypatch, trunc_tol):
         assert abs(means.pop() - want.mode_x_means[0]) <= 1e-12
 
 
+def test_held_ladders_match_the_dense_ladders():
+    # oracle: [a^dag psi, psi, a psi] of modes 0 and 1 by dense apply_mode_operator
+    # passes, read at the entries holding at most cutoff + 1 photons; the index
+    # shifts must give the same amplitudes, truncation edges included
+    rng = np.random.default_rng(11)
+    for nodes, cutoff in itertools.product(range(1, 6), range(2, 13)):
+        shape = (cutoff + 1,) * nodes
+        state = fock.FockVector(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        index, scale, totals = sensing._held_ladders(cutoff, nodes)
+        photons = np.indices(shape).sum(axis=0).ravel()
+        held = np.flatnonzero(photons <= cutoff + 1)
+        assert np.array_equal(totals, photons[held])
+        kets = state.amplitudes.reshape(-1)[index] * scale
+        assert kets.shape == (min(nodes, 2), 3, held.size)
+        lower = fock.ModeOperator(fock.annihilation_matrix(cutoff))
+        upper = fock.ModeOperator(lower.entries.conj().T)
+        for mode in range(min(nodes, 2)):
+            dense = [
+                fock.apply_mode_operator(upper, mode, state).amplitudes,
+                state.amplitudes,
+                fock.apply_mode_operator(lower, mode, state).amplitudes,
+            ]
+            want = np.array([ket.reshape(-1)[held] for ket in dense])
+            assert np.max(np.abs(kets[mode] - want)) <= 1e-15, (nodes, cutoff, mode)
+
+
+def test_no_nla_point_peaks_below_five_dense_tensors():
+    # after the split only the held entries are touched: a warm M=4, cutoff-30
+    # point peaks within 5x the (cutoff+1)^4 complex tensor (14.1 MB); with
+    # four dense ladder tensors and two stacked copies it peaked at 8.2x
+    import tracemalloc
+
+    cfg = ScenarioConfig(nodes=4, mean_photons=0.04, eta=0.5, scheme=SCHEME_NO_NLA, cutoff=30)
+    simulate_no_nla_fock(cfg)
+    tracemalloc.start()
+    try:
+        point = simulate_no_nla_fock(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(point.delta_alpha)
+    assert peak <= 5 * 31**4 * 16, peak / (31**4 * 16)
+
+
 def test_no_nla_ladder_passes_do_not_grow_with_nodes(monkeypatch):
-    # permutation symmetry: the ladders of modes 0 and 1 carry every moment
-    counts = []
-    apply = sensing.apply_mode_operator
+    # permutation symmetry: the ladders of modes 0 and 1 carry every moment, so
+    # every M > 1 forms two Gram matrices, M=1 one; each reads the stacks on the
+    # held entries alone, those with at most cutoff + 1 photons, and no dense
+    # ladder pass runs at all
+    grams = []
+    gram = sensing._gram
 
-    def counting(*args):
-        counts[-1] += 1
-        return apply(*args)
+    def recording(bras, table, kets):
+        grams[-1].append((bras.shape, kets.shape))
+        return gram(bras, table, kets)
 
-    monkeypatch.setattr(sensing, "apply_mode_operator", counting)
-    for nodes in (2, 3, 4, 5):
-        counts.append(0)
+    def dense_ladder(*args):
+        raise AssertionError("the amplifier-free engine applied a dense ladder")
+
+    monkeypatch.setattr(sensing, "_gram", recording)
+    monkeypatch.setattr(sensing, "apply_mode_operator", dense_ladder)
+    cutoff = 4
+    for nodes in (1, 2, 3, 4, 5):
+        grams.append([])
         simulate_no_nla_fock(
-            ScenarioConfig(nodes=nodes, mean_photons=0.04, eta=0.5, scheme=SCHEME_NO_NLA, cutoff=4)
+            ScenarioConfig(nodes=nodes, mean_photons=0.04, eta=0.5, scheme=SCHEME_NO_NLA, cutoff=cutoff)
         )
-    assert len(set(counts)) == 1 and counts[0] <= 4, counts
+        held = int(np.count_nonzero(np.indices((cutoff + 1,) * nodes).sum(axis=0) <= cutoff + 1))
+        assert grams[-1] == [((3, held), (3, held))] * min(nodes, 2), (nodes, grams[-1])
 
 
 def test_practical_ladder_passes_do_not_grow_with_nodes(monkeypatch):
@@ -381,7 +434,6 @@ def test_practical_ladder_passes_do_not_grow_with_nodes(monkeypatch):
         raise AssertionError("the practical engine built a grid over two modes")
 
     monkeypatch.setattr(sensing, "apply_mode_operator", counting)
-    monkeypatch.setattr(sensing, "_photon_totals", two_mode_grid)
     monkeypatch.setattr(sensing.np, "outer", two_mode_grid)
     sensing._practical_source.cache_clear()
     for nodes in (1, 2, 4, 100):
@@ -405,7 +457,7 @@ def test_overlaps_match_one_gather_per_overlap():
     rng = np.random.default_rng(7)
     for modes in (1, 2, 4):
         dim, n_coef = 4, 5
-        totals = sensing._photon_totals(dim, modes).ravel()
+        totals = np.indices((dim,) * modes).sum(axis=0).ravel()
         density = rng.normal(size=(n_coef, n_coef))
         density = density + density.T
         coefficients = rng.normal(size=n_coef)
@@ -495,8 +547,9 @@ def test_cached_source_arrays_are_read_only():
 
 def test_one_ladder_pair_per_basis_serves_both_engines(monkeypatch):
     # the ladders depend on the basis alone: practical points at one scissor
-    # count N share the pair on {0..N+1}, whatever (M, ns, eta), and the
-    # amplifier-free engine at cutoff N+1 reads the same pair
+    # count N share the pair on {0..N+1}, whatever (M, ns, eta); the
+    # amplifier-free engine at cutoff N+1 reads its ladders off the held
+    # entries by index shifts and applies no dense ladder
     applied = []
     apply = sensing.apply_mode_operator
 
@@ -520,8 +573,9 @@ def test_one_ladder_pair_per_basis_serves_both_engines(monkeypatch):
         )
         cached = sensing._practical_source(nodes, mean_photons, eta, 8, 7)
         assert not any(isinstance(value, fock.ModeOperator) for value in cached)
+    assert len(applied) == 3 * 2
     simulate_no_nla_fock(ScenarioConfig(nodes=3, mean_photons=0.04, eta=0.5, scheme=SCHEME_NO_NLA, cutoff=8))
-    assert len(applied) == 3 * 2 + 4
+    assert len(applied) == 3 * 2
     assert all(op is pair[0] or op is pair[1] for op in applied)
     assert sensing._ladder_pair.cache_info().currsize == 1
 
