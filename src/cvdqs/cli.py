@@ -1,10 +1,12 @@
 """Batch front-end: deterministic sensitivity/heralding/bound sweeps to CSV.
 
 Identical requests produce byte-identical CSV files: floats are rendered in
-scientific notation at a fixed precision, rows are emitted in sorted order
-regardless of evaluation order, and nothing time- or host-dependent is
-written.  Expected mid-sweep failures (the ideal amplifier leaving its
-physical range at high gain) degrade to annotated rows instead of aborting.
+scientific notation at a fixed precision, each command hands ``render_csv``
+its table as column blocks that are sorted by construction (one per scheme,
+in scheme order, each over the ascending grid), and nothing time- or
+host-dependent is written.  Expected mid-sweep failures (the ideal amplifier
+leaving its physical range at high gain) degrade to annotated rows instead of
+aborting.
 
 Row layout of ``sweep-sensitivity``: for every grid gain the practical
 scheme is simulated, the ideal scheme is evaluated at the same gain with its
@@ -20,6 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import repeat
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -178,25 +181,56 @@ def _cell(value, spec: str) -> str:
     return format(float(value), spec)
 
 
-def render_csv(columns, rows, precision: int) -> str:
+def _cells(values: list, spec: str):
+    """The cells of ``values``, formatted as they are read; plain floats skip ``_cell``'s type tests."""
+    if set(map(type, values)) <= {float}:
+        return map(format, values, repeat(spec))
+    return (_cell(value, spec) for value in values)
+
+
+def render_csv(columns, blocks, precision: int) -> str:
+    """The CSV of ``blocks``, runs of rows in output order, under the header ``columns``.
+
+    A block maps a column to a list, one cell per row, or to one cell for every
+    row; a column it lacks is empty.  A block's lists set its rows, so it needs
+    one and they must be of one length.  A list that several blocks hold is
+    formatted once; any other is formatted as its rows are joined.
+    """
     spec = f".{precision}e"
+    # id of each list -> whether a second place holds it; a table of one block shares nothing
+    held: dict = {}
+    for block in blocks if len(blocks) > 1 else ():
+        for value in block.values():
+            if type(value) is list:
+                held[id(value)] = id(value) in held
+    shared: dict = {}
     lines = [",".join(columns)]
-    for row in rows:
-        # a plain float is the common cell: format it without _cell's type tests
-        lines.append(
-            ",".join(
-                format(value, spec) if type(value) is float else _cell(value, spec)
-                for value in map(row.get, columns)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    for block in blocks:
+        cells, lengths = [], set()
+        for value in map(block.get, columns):
+            if type(value) is not list:
+                cells.append(repeat(_cell(value, spec)))
+                continue
+            lengths.add(len(value))
+            if not held.get(id(value)):
+                cells.append(_cells(value, spec))
+            else:
+                if id(value) not in shared:
+                    shared[id(value)] = list(_cells(value, spec))
+                cells.append(shared[id(value)])
+        if len(lengths) != 1:
+            raise ValueError(f"a block needs list columns of one length, got lengths {sorted(lengths)}")
+        lines += map(",".join, zip(*cells))
+    # the empty last line ends the text with a newline, with no second copy of it
+    lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # sweep bodies
 # ---------------------------------------------------------------------------
 
-def _practical_points(req: SweepRequest) -> tuple[np.ndarray, list]:
+def _practical_points(req: SweepRequest) -> tuple[list, list]:
     """The gain grid and the practical scheme's point at each of its gains, from one engine call."""
     gains = req.gain_grid()
     points = simulate_practical(
@@ -209,83 +243,59 @@ def _practical_points(req: SweepRequest) -> tuple[np.ndarray, list]:
             nla=NlaSpec(gains, req.scissors),
         )
     )
-    return gains, points
+    return gains.tolist(), points
 
 
-def _sensitivity_rows_at(req: SweepRequest, gain: float, point) -> list[dict]:
-    base = {"M": req.nodes, "N_S": req.mean_photons, "eta": req.eta, "g": gain}
-    rows = [
-        dict(
-            base,
-            scheme=SCHEME_PRACTICAL_NLA,
-            scissors=req.scissors,
-            probe_power=point.probe_power,
-            delta_alpha=point.delta_alpha,
-            p_success=point.p_success,
-            cutoff=point.cutoff,
-            trunc_deficit=point.trunc_deficit,
-        )
-    ]
-    try:
-        ideal = delta_alpha_ideal_nla(req.nodes, req.mean_photons, req.eta, gain)
-        rows.append(
-            dict(
-                base,
-                scheme=SCHEME_IDEAL_NLA,
-                probe_power=ideal.probe_power,
-                delta_alpha=ideal.delta_alpha,
-                p_success=ideal.p_success,
-            )
-        )
-    except UnphysicalGainError as exc:
-        rows.append(dict(base, scheme=SCHEME_IDEAL_NLA, error=str(exc)))
+def build_sensitivity_blocks(req: SweepRequest) -> list[dict]:
+    """One block per scheme, in scheme order, each over the ascending gain grid."""
+    gains, points = _practical_points(req)
+    nodes, eta = req.nodes, req.eta
+    ideal = {"probe_power": [], "delta_alpha": [], "p_success": [], "error": []}
+    for gain in gains:
+        try:
+            point = delta_alpha_ideal_nla(nodes, req.mean_photons, eta, gain)
+            cells = (point.probe_power, point.delta_alpha, point.p_success, None)
+        except UnphysicalGainError as exc:
+            cells = (None, None, None, str(exc))
+        for column, cell in zip(ideal.values(), cells):
+            column.append(cell)
     # baselines at the practical scheme's probe power, for row-wise comparison
-    power = point.probe_power
-    rows.append(
-        dict(
-            base,
-            scheme=SCHEME_NO_NLA,
-            probe_power=power,
-            delta_alpha=delta_alpha_entangled(req.nodes, power / req.eta, req.eta),
-            p_success=1.0,
-        )
-    )
-    rows.append(
-        dict(
-            base,
-            scheme=SCHEME_PRODUCT,
-            probe_power=power,
-            delta_alpha=delta_alpha_product(req.nodes, power),
-            p_success=1.0,
-        )
-    )
-    return rows
+    powers = [point.probe_power for point in points]
+    no_nla = [delta_alpha_entangled(nodes, power / eta, eta) for power in powers]
+    product = [delta_alpha_product(nodes, power) for power in powers]
+    blocks = {
+        SCHEME_PRACTICAL_NLA: {
+            "scissors": req.scissors,
+            "probe_power": powers,
+            "delta_alpha": [point.delta_alpha for point in points],
+            "p_success": [point.p_success for point in points],
+            # one engine call reads one source, so every point carries its cap and deficit
+            "cutoff": points[0].cutoff,
+            "trunc_deficit": points[0].trunc_deficit,
+        },
+        SCHEME_IDEAL_NLA: ideal,
+        SCHEME_NO_NLA: {"probe_power": powers, "delta_alpha": no_nla, "p_success": 1.0},
+        SCHEME_PRODUCT: {"probe_power": powers, "delta_alpha": product, "p_success": 1.0},
+    }
+    common = {"M": nodes, "N_S": req.mean_photons, "eta": eta, "g": gains}
+    return [dict(common, scheme=scheme, **blocks[scheme]) for scheme in sorted(blocks)]
 
 
-def build_sensitivity_rows(req: SweepRequest) -> list[dict]:
+def build_nla_blocks(req: SweepRequest) -> list[dict]:
+    """One block over the ascending gain grid."""
     gains, points = _practical_points(req)
-    rows = [row for gain, point in zip(gains.tolist(), points) for row in _sensitivity_rows_at(req, gain, point)]
-    rows.sort(key=lambda row: (row["scheme"], row["g"]))
-    return rows
+    powers = [point.probe_power for point in points]
+    return [{"g": gains, "p_success": [point.p_success for point in points], "probe_power": powers}]
 
 
-def build_nla_rows(req: SweepRequest) -> list[dict]:
-    # the grid ascends, so the rows are sorted by g
-    gains, points = _practical_points(req)
-    return [
-        {"g": gain, "p_success": point.p_success, "probe_power": point.probe_power}
-        for gain, point in zip(gains.tolist(), points)
-    ]
-
-
-def build_bounds_rows(req: SweepRequest) -> list[dict]:
-    """Every grid row, from one array evaluation of each closed form's formula.
+def build_bounds_blocks(req: SweepRequest) -> list[dict]:
+    """One block over the ascending eta grid, from one array evaluation of each closed form's formula.
 
     The request checked ``M``, ``ns`` and both grid ends, which hold every point, so no row
     is checked again; the public forms' operations run in the same order, so the cells equal theirs.
     """
     nodes, ns = req.nodes, req.mean_photons
-    etas = req.eta_grid()  # ascending, so the rows are sorted by eta
+    etas = req.eta_grid()
     # a bound's denominator past the floats reads inf, silently as for a float
     with np.errstate(over="ignore"):
         columns = (
@@ -295,18 +305,8 @@ def build_bounds_rows(req: SweepRequest) -> list[dict]:
             _loss_only_error(nodes, ns, etas),
             _loss_only_error(nodes, ns / nodes, etas),
         )
-    # .tolist() gives plain floats, which render_csv formats on its fast path;
-    # a dict display builds a row in half the time of dict(zip(...))
-    return [
-        {
-            "eta": eta,
-            "crlb_entangled": crlb_ent,
-            "crlb_product": crlb_prod,
-            "delta_alpha_entangled": error_ent,
-            "delta_alpha_product": error_prod,
-        }
-        for eta, crlb_ent, crlb_prod, error_ent, error_prod in zip(*(values.tolist() for values in columns))
-    ]
+    # .tolist() gives plain floats, which render_csv formats on its fast path
+    return [dict(zip(BOUNDS_COLUMNS, (values.tolist() for values in columns)))]
 
 
 def _write_output(req: SweepRequest, text: str, mode: str = "w") -> None:
@@ -321,11 +321,11 @@ def _write_output(req: SweepRequest, text: str, mode: str = "w") -> None:
         raise UsageError(f"cannot write {req.out!r}: {exc}") from exc
 
 
-def _csv_runner(columns, build_rows):
-    """A command that writes ``build_rows(req)`` as CSV to ``req.out`` or stdout."""
+def _csv_runner(columns, build_blocks):
+    """A command that writes ``build_blocks(req)`` as CSV to ``req.out`` or stdout."""
 
     def run(req: SweepRequest) -> int:
-        _write_output(req, render_csv(columns, build_rows(req), req.precision))
+        _write_output(req, render_csv(columns, build_blocks(req), req.precision))
         return 0
 
     return run
@@ -341,15 +341,15 @@ def run_validate(req: SweepRequest) -> int:
 _COMMANDS = {
     "sweep-sensitivity": (
         "rms error vs probe power for all four schemes over a gain grid",
-        _csv_runner(SENSITIVITY_COLUMNS, build_sensitivity_rows),
+        _csv_runner(SENSITIVITY_COLUMNS, build_sensitivity_blocks),
     ),
     "sweep-nla": (
         "joint heralding probability and probe power over a gain grid",
-        _csv_runner(NLA_COLUMNS, build_nla_rows),
+        _csv_runner(NLA_COLUMNS, build_nla_blocks),
     ),
     "bounds": (
         "Cramer-Rao bounds over a transmissivity grid",
-        _csv_runner(BOUNDS_COLUMNS, build_bounds_rows),
+        _csv_runner(BOUNDS_COLUMNS, build_bounds_blocks),
     ),
     "validate": ("run the self-validation suite", run_validate),
 }

@@ -170,7 +170,7 @@ def _loss_only_bound(nodes: int, mean_photons: float, eta):
 
     ``eta`` may be a float or an array; the result is a numpy float or array of its shape.
     A denominator past the floats reads inf, and the bound 0; an array also warns of
-    the overflow, which ``cli.build_bounds_rows`` silences.
+    the overflow, which ``cli.build_bounds_blocks`` silences.
     """
     return 0.5 / np.sqrt(nodes * eta * _brightness_factor(mean_photons) + nodes * (1.0 - eta))
 
@@ -481,8 +481,9 @@ def _practical_source(
     ``0..2 dim - 2`` that a pair of modes on the amplifier's basis
     (``_amplifier_dim``) can hold, frozen, and the source's truncation
     deficit; the one-mode overlaps read the first ``dim`` sectors.  A source
-    that fails the truncation guard, or a cap whose split amplitudes
-    ``sqrt(s!) M^(-s/2)`` leave the float range, raises and is not cached.
+    that fails the truncation guard, a cap whose split amplitudes
+    ``sqrt(s!) M^(-s/2)`` leave the float range, or a cap too long for one
+    array, raises and is not cached.
     """
     # log(sqrt(s!) M^(-s/2)) is convex in s, so on 0..cap it peaks at an end: the
     # cap is checked before any array of cap + 1 entries is asked for
@@ -495,7 +496,10 @@ def _practical_source(
             f"the split amplitudes sqrt(s!) M^(-s/2) of cutoff {n_max} on M={nodes} nodes "
             "leave the float range; use a lower cutoff"
         )
-    s = np.arange(n_max + 1)
+    try:
+        s = np.arange(n_max + 1)
+    except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
+        raise ValueError(f"cutoff must be small enough for one array, got {n_max}: {exc}") from exc
     log_factorial = np.array([math.lgamma(n + 1.0) for n in s])
     log_split = 0.5 * log_factorial - 0.5 * math.log(nodes) * s
     density, deficit = _source_density(mean_photons, eta, n_max, np.exp(log_split))

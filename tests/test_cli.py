@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,21 +16,45 @@ from cvdqs.cli import (
     SENSITIVITY_COLUMNS,
     SweepRequest,
     UsageError,
-    build_bounds_rows,
-    build_nla_rows,
-    build_sensitivity_rows,
+    build_bounds_blocks,
+    build_nla_blocks,
+    build_sensitivity_blocks,
     main,
     parse_config_text,
     render_csv,
 )
 from cvdqs.nla import NlaSpec
-from cvdqs.sensing import SCHEME_PRACTICAL_NLA, ScenarioConfig, simulate_practical
+from cvdqs.sensing import (
+    SCHEME_IDEAL_NLA,
+    SCHEME_NO_NLA,
+    SCHEME_PRACTICAL_NLA,
+    SCHEME_PRODUCT,
+    ScenarioConfig,
+    delta_alpha_entangled,
+    delta_alpha_ideal_nla,
+    delta_alpha_product,
+    simulate_practical,
+)
 from cvdqs.validate import run_validation_suite
 
 
 def read(path):
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def expand(blocks):
+    """The rows of ``blocks`` as dicts: a list gives each row its own cell, any other value every row.
+
+    An empty cell (``None``) is left out of its row.
+    """
+    out = []
+    for block in blocks:
+        length = next(len(value) for value in block.values() if isinstance(value, list))
+        for i in range(length):
+            cells = ((column, value[i] if isinstance(value, list) else value) for column, value in block.items())
+            out.append({column: cell for column, cell in cells if cell is not None})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +106,8 @@ def test_request_refuses_a_fractional_count_by_name(command, key, value):
 
 def test_request_keeps_whole_float_counts_and_integer_messages():
     req = SweepRequest(command="bounds", eta_steps=3.0, precision=4.0)
-    assert len(build_bounds_rows(req)) == 3
-    assert render_csv(("x",), [{"x": 1.0}], req.precision) == "x\n1.0000e+00\n"
+    assert len(expand(build_bounds_blocks(req))) == 3
+    assert render_csv(("x",), [{"x": [1.0]}], req.precision) == "x\n1.0000e+00\n"
     for key, value, message in (
         ("g_steps", 1, "gain grid needs at least 2 steps, got 1"),
         ("eta_steps", 0, "eta grid needs at least 2 steps, got 0"),
@@ -130,8 +155,11 @@ def test_every_command_refuses_a_physical_setting_before_any_work(tmp_path, caps
 # ---------------------------------------------------------------------------
 
 def test_render_csv_quotes_special_fields():
-    text = render_csv(("a", "b"), [{"a": 'x,"y"', "b": 1.5}], precision=3)
+    text = render_csv(("a", "b"), [{"a": ['x,"y"'], "b": [1.5]}], precision=3)
     assert text == 'a,b\n"x,""y""",1.500e+00\n'
+    # a one-cell value is quoted as a list's cell is
+    text = render_csv(("a", "b"), [{"a": 'x,"y"', "b": [1.5, 2.5]}], precision=3)
+    assert text == 'a,b\n"x,""y""",1.500e+00\n"x,""y""",2.500e+00\n'
 
 
 def test_render_csv_cell_rules():
@@ -148,30 +176,121 @@ def test_render_csv_cell_rules():
         "newline": "two\nlines",
         "plain": "entangled_no_nla",
     }
-    text = render_csv(columns, [row], precision=2)
-    assert text == (
-        ",".join(columns) + "\n"
-        + ',,12,-7,1.25e-01,-3.00e-05,"a,b","say ""hi""","two\nlines",entangled_no_nla\n'
-    )
+    want = ",".join(columns) + "\n"
+    want += ',,12,-7,1.25e-01,-3.00e-05,"a,b","say ""hi""","two\nlines",entangled_no_nla\n'
+    # every cell as a one-row list, then every cell but one list as a one-cell value
+    assert render_csv(columns, [{col: [value] for col, value in row.items()}], precision=2) == want
+    assert render_csv(columns, [dict(row, none=[None])], precision=2) == want
     # a numeric cell is never quoted, whatever the precision renders
     for value in (1.5, -2.0e300, float("inf"), float("nan"), np.int64(10**12)):
-        cell = render_csv(("x",), [{"x": value}], precision=6).splitlines()[1]
+        cell = render_csv(("x",), [{"x": [value]}], precision=6).splitlines()[1]
         assert '"' not in cell and cell
 
 
+CELLS = [
+    1.5, -2.0e-300, 0.0, -0.0, 1e300, float("inf"), float("-inf"), float("nan"),
+    np.float64(3.25), np.float64("nan"), np.float32(0.1), np.int64(-7), 12, True, False, None, "",
+    'say "hi"', "a,b", "two\nlines", "entangled_no_nla",
+]
+
+
+def _per_cell_join(columns, blocks, precision):
+    # the route render_csv replaced: one _cell call per cell of every expanded row
+    spec = f".{precision}e"
+    lines = [",".join(columns)]
+    lines += [",".join(cli._cell(row.get(col), spec) for col in columns) for row in expand(blocks)]
+    return "\n".join(lines) + "\n"
+
+
 def test_render_csv_equals_the_per_cell_join():
-    # plain floats skip _cell's type tests; every cell must still render as _cell renders it
-    values = [
-        1.5, -2.0e-300, 0.0, -0.0, 1e300, float("inf"), float("-inf"), float("nan"),
-        np.float64(3.25), np.float64("nan"), np.int64(-7), 12, True, False, None, "",
-        'say "hi"', "a,b", "two\nlines", "entangled_no_nla",
-    ]
+    # plain-float columns skip _cell's type tests; every cell must still render as _cell renders it
     columns = ("a", "b", "c", "d", "missing")
-    rows = [{col: values[(i + j) % len(values)] for j, col in enumerate(columns[:-1])} for i in range(len(values))]
-    for precision in (0, 3, 12):
-        spec = f".{precision}e"
-        want = [",".join(columns)] + [",".join(cli._cell(row.get(col), spec) for col in columns) for row in rows]
-        assert render_csv(columns, rows, precision) == "\n".join(want) + "\n"
+    rows = [{col: CELLS[(i + j) % len(CELLS)] for j, col in enumerate(columns[:-1])} for i in range(len(CELLS))]
+    floats = [1.5, -2.0e-300, 0.0, -0.0, 1e300, float("inf"), float("-inf"), float("nan")]
+    layouts = [
+        # one block of mixed lists, then one block per row
+        [{col: [row[col] for row in rows] for col in columns[:-1]}],
+        [{col: [value] for col, value in row.items()} for row in rows],
+        # plain-float lists on the fast path, beside a mixed one
+        [{"a": floats, "b": floats[::-1], "c": [None] * len(floats), "d": [str(v) for v in floats]}],
+    ]
+    for precision in (0, 3, 12, 17):
+        for blocks in layouts:
+            assert render_csv(columns, blocks, precision) == _per_cell_join(columns, blocks, precision)
+
+
+def test_render_csv_formats_a_shared_list_once(monkeypatch):
+    # a list in several blocks is formatted once and read by each; 0.0 and
+    # -0.0 in it stay apart, and NaN renders as nan
+    shared = [0.0, -0.0, float("nan"), 2.5]
+    mixed = [np.float64(-0.0), np.int64(3), None, "x,y"]
+    blocks = [
+        {"a": shared, "b": [1.0, 2.0, 3.0, 4.0], "c": "first"},
+        {"a": shared, "b": shared, "c": mixed},
+        {"b": mixed, "c": np.float64(-0.0), "d": np.int64(-7)},
+    ]
+    formatted = []
+    cells = cli._cells
+    monkeypatch.setattr(cli, "_cells", lambda values, spec: formatted.append(values) or cells(values, spec))
+    for precision in (3, 17):
+        formatted.clear()
+        text = render_csv(("a", "b", "c", "d"), blocks, precision)
+        assert text == _per_cell_join(("a", "b", "c", "d"), blocks, precision)
+        assert sum(values is shared for values in formatted) == 1
+        assert sum(values is mixed for values in formatted) == 1
+    lines = render_csv(("a", "b", "c", "d"), blocks, 3).splitlines()
+    assert [line.split(",")[0] for line in lines[1:5]] == ["0.000e+00", "-0.000e+00", "nan", "2.500e+00"]
+
+
+def test_render_csv_repeats_a_one_cell_value_over_its_block():
+    # a value that is not a list fills every row of its block; a column a block lacks is empty
+    blocks = [
+        {"g": [1.0, 2.0, 3.0], "M": 4, "eta": 0.5, "p": np.float64(1.0), "n": np.int64(2), "s": "a,b"},
+        {"g": [4.0], "M": 5},
+    ]
+    text = render_csv(("s", "M", "eta", "g", "p", "n", "empty"), blocks, 3)
+    assert text == (
+        "s,M,eta,g,p,n,empty\n"
+        '"a,b",4,5.000e-01,1.000e+00,1.000e+00,2,\n'
+        '"a,b",4,5.000e-01,2.000e+00,1.000e+00,2,\n'
+        '"a,b",4,5.000e-01,3.000e+00,1.000e+00,2,\n'
+        ",5,,4.000e+00,,,\n"
+    )
+    assert text == _per_cell_join(("s", "M", "eta", "g", "p", "n", "empty"), blocks, 3)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"a": [1.0, 2.0], "b": [1.0]},
+        {"a": [1.0], "b": [], "c": 3.0},
+        {"a": 1.0, "b": "x"},
+        {},
+    ],
+    ids=["two-and-one", "one-and-none", "no-list", "empty"],
+)
+def test_render_csv_refuses_a_block_without_one_row_count(block):
+    # zip would silently cut the longer lists; a block of one-cell values has no row count
+    with pytest.raises(ValueError, match="list columns of one length"):
+        render_csv(("a", "b", "c"), [{"a": [1.0], "b": [2.0]}, block], 3)
+
+
+def test_render_csv_memory_stays_within_four_times_its_text():
+    # the non-shared lists are formatted as their rows are joined, so a large
+    # table does not hold every formatted cell beside its lines and its text
+    steps = 50_000
+    etas = np.linspace(0.1, 1.0, steps)
+    block = dict(zip(cli.BOUNDS_COLUMNS, (np.sqrt(etas * k).tolist() for k in range(1, 6))))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        text = render_csv(cli.BOUNDS_COLUMNS, [block], 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text.splitlines()) == steps + 1
+    assert peak - before <= 4 * len(text)
 
 
 def test_bounds_csv_bytes(tmp_path):
@@ -225,6 +344,95 @@ def test_golden_csv_bytes(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(read(out)).hexdigest() == digest
+
+
+def _row_route_sensitivity_rows_at(req, gain, point):
+    # the per-gain row dicts sweep-sensitivity built before it built scheme blocks
+    base = {"M": req.nodes, "N_S": req.mean_photons, "eta": req.eta, "g": gain}
+    rows = [
+        dict(
+            base,
+            scheme=SCHEME_PRACTICAL_NLA,
+            scissors=req.scissors,
+            probe_power=point.probe_power,
+            delta_alpha=point.delta_alpha,
+            p_success=point.p_success,
+            cutoff=point.cutoff,
+            trunc_deficit=point.trunc_deficit,
+        )
+    ]
+    try:
+        ideal = delta_alpha_ideal_nla(req.nodes, req.mean_photons, req.eta, gain)
+        rows.append(
+            dict(
+                base,
+                scheme=SCHEME_IDEAL_NLA,
+                probe_power=ideal.probe_power,
+                delta_alpha=ideal.delta_alpha,
+                p_success=ideal.p_success,
+            )
+        )
+    except nla.UnphysicalGainError as exc:
+        rows.append(dict(base, scheme=SCHEME_IDEAL_NLA, error=str(exc)))
+    power = point.probe_power
+    rows.append(
+        dict(
+            base,
+            scheme=SCHEME_NO_NLA,
+            probe_power=power,
+            delta_alpha=delta_alpha_entangled(req.nodes, power / req.eta, req.eta),
+            p_success=1.0,
+        )
+    )
+    rows.append(
+        dict(
+            base,
+            scheme=SCHEME_PRODUCT,
+            probe_power=power,
+            delta_alpha=delta_alpha_product(req.nodes, power),
+            p_success=1.0,
+        )
+    )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        [],
+        ["--M", "1"],
+        ["--M", "5"],
+        ["--M", "6"],
+        ["--g-min", "2", "--g-max", "2"],
+        ["--scissors", "40", "--g-max", "1000", "--g-steps", "5"],
+        ["--precision", "3"],
+        ["--precision", "17"],
+    ],
+    ids=["defaults", "M1", "M5", "M6", "one-gain", "scissors40-g1000", "precision3", "precision17"],
+)
+def test_sensitivity_csv_equals_the_row_route(capsys, flags):
+    # the scheme blocks give the bytes of per-gain row dicts, sorted by
+    # (scheme, g) and joined cell by cell with _cell
+    req = cli.build_request(["sweep-sensitivity", *flags])
+    gains = req.gain_grid()
+    points = simulate_practical(
+        ScenarioConfig(
+            nodes=req.nodes, mean_photons=req.mean_photons, eta=req.eta, scheme=SCHEME_PRACTICAL_NLA,
+            cutoff=req.cutoff, nla=NlaSpec(gains, req.scissors),
+        )
+    )
+    rows = [
+        row for gain, point in zip(gains.tolist(), points) for row in _row_route_sensitivity_rows_at(req, gain, point)
+    ]
+    rows.sort(key=lambda row: (row["scheme"], row["g"]))
+    spec = f".{req.precision}e"
+    want = [",".join(SENSITIVITY_COLUMNS)]
+    want += [",".join(cli._cell(row.get(col), spec) for col in SENSITIVITY_COLUMNS) for row in rows]
+    assert main(["sweep-sensitivity", *flags]) == 0
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+    assert expand(build_sensitivity_blocks(req)) == rows
+    if "40" in flags:
+        assert sum("error" in row for row in rows) == 4
 
 
 def test_many_scissors_exit_zero(tmp_path):
@@ -298,7 +506,7 @@ def test_cutoff_below_scissors(tmp_path, capsys):
 
 def test_sensitivity_rows_match_simulation_rerun():
     req = SweepRequest(command="sweep-sensitivity", g_min=1.0, g_max=1.0, g_steps=2)
-    rows = build_sensitivity_rows(req)
+    rows = expand(build_sensitivity_blocks(req))
     practical = [r for r in rows if r["scheme"] == SCHEME_PRACTICAL_NLA]
     assert len(practical) == 2
     point = simulate_practical(
@@ -316,7 +524,7 @@ def test_sensitivity_rows_match_simulation_rerun():
 
 def test_sensitivity_vacuum_source_hits_shot_noise():
     req = SweepRequest(command="sweep-sensitivity", mean_photons=0.0, g_steps=2, cutoff=4)
-    rows = build_sensitivity_rows(req)
+    rows = expand(build_sensitivity_blocks(req))
     assert len(rows) == 8
     for row in rows:
         assert row["delta_alpha"] == pytest.approx(0.25, abs=1e-9)
@@ -324,7 +532,7 @@ def test_sensitivity_vacuum_source_hits_shot_noise():
 
 def test_sensitivity_annotates_unphysical_ideal_rows():
     req = SweepRequest(command="sweep-sensitivity", g_min=3.2, g_max=3.4, g_steps=2, cutoff=5)
-    rows = build_sensitivity_rows(req)
+    rows = expand(build_sensitivity_blocks(req))
     ideal = [r for r in rows if r["scheme"] == "entangled_ideal_nla"]
     assert all("unphysical NLA gain" in r["error"] for r in ideal)
     assert all(r.get("delta_alpha") is None or "delta_alpha" not in r for r in ideal)
@@ -335,8 +543,8 @@ def test_sensitivity_annotates_unphysical_ideal_rows():
 def test_sensitivity_jobs_do_not_change_output():
     base = SweepRequest(command="sweep-sensitivity", g_steps=7, g_max=2.2)
     parallel = SweepRequest(command="sweep-sensitivity", g_steps=7, g_max=2.2, jobs=4)
-    rows_a = build_sensitivity_rows(base)
-    rows_b = build_sensitivity_rows(parallel)
+    rows_a = expand(build_sensitivity_blocks(base))
+    rows_b = expand(build_sensitivity_blocks(parallel))
     assert rows_a == rows_b
 
 
@@ -352,7 +560,7 @@ def test_a_sweep_makes_one_engine_call_for_its_whole_grid(monkeypatch, command):
 
     monkeypatch.setattr(cli, "simulate_practical", recording)
     req = SweepRequest(command=command, g_steps=5, g_max=2.2)
-    rows = (build_sensitivity_rows if command == "sweep-sensitivity" else build_nla_rows)(req)
+    rows = expand((build_sensitivity_blocks if command == "sweep-sensitivity" else build_nla_blocks)(req))
     assert len(calls) == 1 and calls[0].tolist() == req.gain_grid().tolist()
     cfg = dict(nodes=4, mean_photons=0.04, eta=0.5, scheme=SCHEME_PRACTICAL_NLA, cutoff=8)
     practical = [row for row in rows if row.get("scheme", SCHEME_PRACTICAL_NLA) == SCHEME_PRACTICAL_NLA]
@@ -384,7 +592,7 @@ def test_huge_node_count_ends_quickly():
 def test_practical_beats_product_in_midrange():
     # the amplified scheme dips below the product baseline through mid powers
     req = SweepRequest(command="sweep-sensitivity", g_min=1.9, g_max=2.5, g_steps=7)
-    rows = build_sensitivity_rows(req)
+    rows = expand(build_sensitivity_blocks(req))
     by_gain = {}
     for row in rows:
         by_gain.setdefault(row["g"], {})[row["scheme"]] = row
@@ -404,7 +612,7 @@ def test_unwritable_path_is_usage_error(tmp_path):
 
 def test_nla_sweep_monotone_success():
     req = SweepRequest(command="sweep-nla", g_steps=9, g_min=1.0, g_max=3.0)
-    rows = build_nla_rows(req)
+    rows = expand(build_nla_blocks(req))
     success = [row["p_success"] for row in rows]
     assert success[0] == max(success)
     assert all(a > b for a, b in zip(success, success[1:]))
@@ -416,7 +624,7 @@ def test_nla_sweep_reference_gain_probability():
     # joint heralding probability at gain 2.2 for the default scenario;
     # dominated by the vacuum weight (g^2 + 1)^(-N M)
     req = SweepRequest(command="sweep-nla", g_min=2.2, g_max=2.3, g_steps=2)
-    rows = build_nla_rows(req)
+    rows = expand(build_nla_blocks(req))
     p = rows[0]["p_success"]
     floor = (2.2**2 + 1.0) ** (-2 * 4)
     assert floor < p < 10 * floor
@@ -429,7 +637,7 @@ def test_nla_sweep_reference_gain_probability():
 
 def test_bounds_rows_monotone_and_tight_at_unity():
     req = SweepRequest(command="bounds", eta_steps=10)
-    rows = build_bounds_rows(req)
+    rows = expand(build_bounds_blocks(req))
     last = rows[-1]
     assert last["eta"] == pytest.approx(1.0)
     assert last["crlb_entangled"] == pytest.approx(last["delta_alpha_entangled"], abs=1e-12)
@@ -449,7 +657,7 @@ def test_bounds_rows_equal_the_scalar_closed_forms(nodes, ns, steps):
     # the grid is evaluated as arrays; every cell must be the public scalar
     # form's float, bit for bit
     req = SweepRequest(command="bounds", nodes=nodes, mean_photons=ns, eta_min=1e-6, eta_max=1.0, eta_steps=steps)
-    rows = build_bounds_rows(req)
+    rows = expand(build_bounds_blocks(req))
     assert [row["eta"] for row in rows] == np.linspace(1e-6, 1.0, steps).tolist()
     for row in rows:
         eta = row["eta"]
@@ -482,7 +690,7 @@ def test_bounds_rows_stay_finite_below_the_brightness_limit(capsys):
 
 def test_bounds_loss_dominated_limit():
     req = SweepRequest(command="bounds", eta_min=1e-6, eta_max=1.0, eta_steps=5)
-    rows = build_bounds_rows(req)
+    rows = expand(build_bounds_blocks(req))
     first = rows[0]
     for col in ("crlb_entangled", "crlb_product", "delta_alpha_entangled", "delta_alpha_product"):
         assert first[col] == pytest.approx(0.25, abs=1e-4)
@@ -705,7 +913,7 @@ def test_validate_exits_one_on_failure(capsys, monkeypatch):
 
 def test_error_rows_render_with_empty_values():
     req = SweepRequest(command="sweep-sensitivity", g_min=3.1, g_max=3.2, g_steps=2, cutoff=5)
-    text = render_csv(cli.SENSITIVITY_COLUMNS, build_sensitivity_rows(req), precision=6)
+    text = render_csv(cli.SENSITIVITY_COLUMNS, build_sensitivity_blocks(req), precision=6)
     ideal_lines = [line for line in text.splitlines() if line.startswith("entangled_ideal_nla")]
     assert len(ideal_lines) == 2
     for line in ideal_lines:

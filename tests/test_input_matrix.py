@@ -274,3 +274,16 @@ def test_a_cutoff_too_long_for_an_array_exits_two_naming_the_cutoff(command):
     message = stderr.getvalue()
     assert message.startswith("error: the split amplitudes sqrt(s!) M^(-s/2) of cutoff 1000"), message
     assert f"cutoff {TOO_LONG_FOR_AN_ARRAY} on M=4 nodes" in message
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_cutoff_too_long_for_an_array_on_many_nodes_exits_two_naming_the_cutoff(command):
+    # with M as large as the cap the split amplitudes stay finite at the cap,
+    # so the cap reaches the array of cutoff + 1 entries and is refused there
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        argv = [command, "--M", TOO_LONG_FOR_AN_ARRAY, "--cutoff", TOO_LONG_FOR_AN_ARRAY, "--g-steps", "2"]
+        assert main(argv) == 2
+    message = stderr.getvalue()
+    assert message.startswith("error: cutoff must be small enough for one array, got 1000"), message

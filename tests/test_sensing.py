@@ -152,7 +152,8 @@ def test_bounds_rows_check_no_row(monkeypatch, steps):
     # the request checked M, ns and both ends of the grid; no row checks them again
     req = cli.SweepRequest(command="bounds", eta_steps=steps)
     calls = _count_scenario_checks(monkeypatch)
-    assert len(cli.build_bounds_rows(req)) == steps
+    [block] = cli.build_bounds_blocks(req)
+    assert [len(column) for column in block.values()] == [steps] * 5
     assert calls == []
 
 
