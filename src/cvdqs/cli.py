@@ -12,7 +12,12 @@ Row layout of ``sweep-sensitivity``: for every grid gain the practical
 scheme is simulated, the ideal scheme is evaluated at the same gain with its
 own probe power, and the two amplifier-free baselines are evaluated *at the
 practical scheme's probe power* so that scheme comparisons line up row by
-row.  Cells that do not apply to a scheme stay empty.
+row.  Cells that do not apply to a scheme stay empty.  The practical scheme
+is one engine call over the whole grid, and the other three schemes one
+array evaluation each of their closed forms: the baselines through the
+public forms, which take 1-D arrays, and the ideal scheme through the
+formula behind ``delta_alpha_ideal_nla``, a gain past its physical range
+keeping only its ``error`` cell.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .sensing import (
     SCHEME_PRACTICAL_NLA,
     SCHEME_PRODUCT,
     ScenarioConfig,
+    _ideal_nla_point,
     _loss_only_bound,
     _loss_only_error,
     delta_alpha_entangled,
@@ -230,7 +236,7 @@ def render_csv(columns, blocks, precision: int) -> str:
 # sweep bodies
 # ---------------------------------------------------------------------------
 
-def _practical_points(req: SweepRequest) -> tuple[list, list]:
+def _practical_points(req: SweepRequest) -> tuple[np.ndarray, list]:
     """The gain grid and the practical scheme's point at each of its gains, from one engine call."""
     gains = req.gain_grid()
     points = simulate_practical(
@@ -243,26 +249,47 @@ def _practical_points(req: SweepRequest) -> tuple[list, list]:
             nla=NlaSpec(gains, req.scissors),
         )
     )
-    return gains.tolist(), points
+    return gains, points
+
+
+def _ideal_block(req: SweepRequest, gains: np.ndarray) -> dict:
+    """The ideal-NLA columns over the gain grid, from one array evaluation of the closed form's formula.
+
+    The request checked ``M``, ``ns`` and ``eta``, and the grid's ends hold every gain, so no
+    row is checked again.  A gain past the physical range keeps only its ``error`` cell: the
+    ``UnphysicalGainError`` text of the public form at that gain.
+    """
+    nodes, ns, eta = req.nodes, req.mean_photons, req.eta
+    # a gain past the boundary, or one whose square overflows, reads a stand-in silently
+    with np.errstate(all="ignore"):
+        power, error, lam = _ideal_nla_point(nodes, ns, eta, gains)
+    block = {"probe_power": power.tolist(), "delta_alpha": error.tolist(), "p_success": 0.0}
+    unphysical = np.flatnonzero(lam >= 1.0).tolist()
+    if unphysical:
+        block["p_success"] = [0.0] * len(gains)
+        block["error"] = [None] * len(gains)
+    for row in unphysical:
+        for column in block.values():
+            column[row] = None
+        try:
+            delta_alpha_ideal_nla(nodes, ns, eta, gains[row].item())
+        except UnphysicalGainError as exc:
+            block["error"][row] = str(exc)
+    return block
 
 
 def build_sensitivity_blocks(req: SweepRequest) -> list[dict]:
-    """One block per scheme, in scheme order, each over the ascending gain grid."""
+    """One block per scheme, in scheme order, each over the ascending gain grid.
+
+    The ideal-NLA columns and both matched-power baselines take one array evaluation each.
+    """
     gains, points = _practical_points(req)
     nodes, eta = req.nodes, req.eta
-    ideal = {"probe_power": [], "delta_alpha": [], "p_success": [], "error": []}
-    for gain in gains:
-        try:
-            point = delta_alpha_ideal_nla(nodes, req.mean_photons, eta, gain)
-            cells = (point.probe_power, point.delta_alpha, point.p_success, None)
-        except UnphysicalGainError as exc:
-            cells = (None, None, None, str(exc))
-        for column, cell in zip(ideal.values(), cells):
-            column.append(cell)
     # baselines at the practical scheme's probe power, for row-wise comparison
     powers = [point.probe_power for point in points]
-    no_nla = [delta_alpha_entangled(nodes, power / eta, eta) for power in powers]
-    product = [delta_alpha_product(nodes, power) for power in powers]
+    matched = np.array(powers)
+    no_nla = delta_alpha_entangled(nodes, matched / eta, eta).tolist()
+    product = delta_alpha_product(nodes, matched).tolist()
     blocks = {
         SCHEME_PRACTICAL_NLA: {
             "scissors": req.scissors,
@@ -273,11 +300,11 @@ def build_sensitivity_blocks(req: SweepRequest) -> list[dict]:
             "cutoff": points[0].cutoff,
             "trunc_deficit": points[0].trunc_deficit,
         },
-        SCHEME_IDEAL_NLA: ideal,
+        SCHEME_IDEAL_NLA: _ideal_block(req, gains),
         SCHEME_NO_NLA: {"probe_power": powers, "delta_alpha": no_nla, "p_success": 1.0},
         SCHEME_PRODUCT: {"probe_power": powers, "delta_alpha": product, "p_success": 1.0},
     }
-    common = {"M": nodes, "N_S": req.mean_photons, "eta": eta, "g": gains}
+    common = {"M": nodes, "N_S": req.mean_photons, "eta": eta, "g": gains.tolist()}
     return [dict(common, scheme=scheme, **blocks[scheme]) for scheme in sorted(blocks)]
 
 
@@ -285,7 +312,7 @@ def build_nla_blocks(req: SweepRequest) -> list[dict]:
     """One block over the ascending gain grid."""
     gains, points = _practical_points(req)
     powers = [point.probe_power for point in points]
-    return [{"g": gains, "p_success": [point.p_success for point in points], "probe_power": powers}]
+    return [{"g": gains.tolist(), "p_success": [point.p_success for point in points], "probe_power": powers}]
 
 
 def build_bounds_blocks(req: SweepRequest) -> list[dict]:

@@ -31,6 +31,8 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+# bound by name: the scalar closed forms test for arrays on every call
+from numpy import ndarray
 
 class TruncationError(RuntimeError):
     """Probability weight lost to the photon cutoff exceeds the declared tolerance."""
@@ -67,6 +69,15 @@ def _gain(value, quantity: str = "amplitude gain") -> float:
     if not 1 <= value < math.inf:
         raise ValueError(f"{quantity} must be finite and >= 1, got {value}")
     return float(value)
+
+
+def _sqrt(value):
+    """The square root of a float (a float, ``math.sqrt``) or of each entry of an array (``np.sqrt``).
+
+    Both are correctly rounded, so the two give the same bits; a float stays a
+    Python float, whose arithmetic is faster than numpy's and never warns.
+    """
+    return np.sqrt(value) if isinstance(value, ndarray) else math.sqrt(value)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

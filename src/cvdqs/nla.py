@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, ModeOperator, beamsplitter
-from .fock import _gain, _photon_number, _transmissivity, _whole_number
+from .fock import _gain, _photon_number, _sqrt, _transmissivity, _whole_number
 
 class UnphysicalGainError(ValueError):
     """The requested amplification cannot be realised on this source brightness."""
@@ -68,25 +68,37 @@ class NlaSpec:
         return NlaSpec(gain, scissors)
 
 
-def _effective_gain(gain: float, eta: float) -> float:
-    """The formula of ``effective_gain``, on inputs already checked."""
-    return math.sqrt(1.0 + (gain * gain - 1.0) * eta)
+def _effective_gain(gain, eta):
+    """The formula of ``effective_gain``, on inputs already checked; ``gain`` may be a float or an array."""
+    return _sqrt(1.0 + (gain * gain - 1.0) * eta)
 
 
-def _effective_transmissivity(gain: float, eta: float) -> float:
-    """The formula of ``effective_transmissivity``, on inputs already checked."""
+def _effective_transmissivity(gain, eta):
+    """The formula of ``effective_transmissivity``, on inputs already checked; ``gain`` may be a float or an array."""
     return gain * gain * eta / (1.0 + (gain * gain - 1.0) * eta)
 
 
-def _effective_sv_photons(mean_photons: float, gain_eff: float) -> float:
-    """The formula and range check of ``effective_sv_photons``, on inputs already checked."""
+def _effective_sv_photons(mean_photons: float, gain_eff):
+    """``(N', lam)``: the formula of ``effective_sv_photons`` on inputs already checked, and its range.
+
+    ``gain_eff`` may be a float or an array.  ``lam = g_eff^2 sqrt(N/(N+1))``
+    is physical below 1 (``_check_physical``), and nothing here checks it:
+    where it is not, ``N'`` is that of ``lam = 0`` (and NaN where ``lam`` is
+    infinite), with no division by zero.
+    """
     lam = gain_eff * gain_eff * math.sqrt(mean_photons / (mean_photons + 1.0))
+    # times a bool: lam itself where it is physical, 0 past the boundary
+    held = lam * (lam < 1.0)
+    return held * held / (1.0 - held * held), lam
+
+
+def _check_physical(lam: float) -> None:
+    """Raise ``UnphysicalGainError`` unless the amplified squeezing ``lam`` of ``_effective_sv_photons`` is below 1."""
     if lam >= 1.0:
         raise UnphysicalGainError(
             f"unphysical NLA gain for this source brightness: "
             f"g_eff^2 sqrt(N/(N+1)) = {lam:.6f} >= 1"
         )
-    return lam * lam / (1.0 - lam * lam)
 
 
 def effective_gain(gain: float, eta: float) -> float:
@@ -110,7 +122,9 @@ def effective_sv_photons(mean_photons: float, gain_eff: float) -> float:
     the right-hand side stays below 1; beyond that boundary the amplified
     squeezing parameter would leave the physical range.
     """
-    return _effective_sv_photons(_photon_number(mean_photons), _gain(gain_eff, "effective gain"))
+    n_eff, lam = _effective_sv_photons(_photon_number(mean_photons), _gain(gain_eff, "effective gain"))
+    _check_physical(lam)
+    return n_eff
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +140,8 @@ def _vacuum_entry(scissors: int, gain: float) -> float:
     return (1.0 / (gain * gain + 1.0)) ** (scissors / 2.0)
 
 
-def projector_pi(scissors: int, gain: float, n_max: int) -> ModeOperator:
-    """Scissor-count projector: diagonal, zero above ``scissors`` photons.
-
-    Entry n is ``(1/(g^2+1))^(N/2) * N! / ((N-n)! N^n)`` for n <= N.  At fixed
-    n the coefficient rises monotonically to 1 as the scissor count grows, so
-    the practical amplifier approaches the ideal one.
-    """
+def _projector_diagonal(scissors: int, gain: float, n_max: int) -> np.ndarray:
+    """The diagonal of ``projector_pi``, as floats, after checking its inputs."""
     n_max = _whole_number(n_max, "photon cap")
     scissors = _whole_number(scissors, "scissor count")
     gain = _gain(gain)
@@ -144,7 +153,24 @@ def projector_pi(scissors: int, gain: float, n_max: int) -> ModeOperator:
     diag = np.zeros(n_max + 1)
     for n in range(scissors + 1):
         diag[n] = prefactor * _pi_coefficient(scissors, n)
-    return ModeOperator(np.diag(diag).astype(complex))
+    return diag
+
+
+def _diagonal_operator(diag: np.ndarray) -> ModeOperator:
+    """The operator with ``diag`` on its diagonal, built as its one complex matrix."""
+    entries = np.zeros((len(diag),) * 2, dtype=complex)
+    np.fill_diagonal(entries, diag)
+    return ModeOperator(entries)
+
+
+def projector_pi(scissors: int, gain: float, n_max: int) -> ModeOperator:
+    """Scissor-count projector: diagonal, zero above ``scissors`` photons.
+
+    Entry n is ``(1/(g^2+1))^(N/2) * N! / ((N-n)! N^n)`` for n <= N.  At fixed
+    n the coefficient rises monotonically to 1 as the scissor count grows, so
+    the practical amplifier approaches the ideal one.
+    """
+    return _diagonal_operator(_projector_diagonal(scissors, gain, n_max))
 
 
 def gain_diagonal(gain: float, n_max: int) -> np.ndarray:
@@ -181,10 +207,10 @@ def nla_operator(scissors: int, gain: float, n_max: int) -> ModeOperator:
     falls below the smallest normal float (every ratio to it would lose
     digits) or ``g^n`` overflows on the basis.
     """
-    pi = projector_pi(scissors, gain, n_max).entries
-    n_max = len(pi) - 1
-    _check_amplifier_range(scissors, gain, pi[0, 0].real, n_max)
-    return ModeOperator(pi * gain_diagonal(gain, n_max)[None, :])
+    diag = _projector_diagonal(scissors, gain, n_max)
+    n_max = len(diag) - 1
+    _check_amplifier_range(scissors, gain, diag[0], n_max)
+    return _diagonal_operator(diag * gain_diagonal(gain, n_max))
 
 
 def clipped_gain_operator(gain: float, n_max: int) -> ModeOperator:
@@ -195,7 +221,7 @@ def clipped_gain_operator(gain: float, n_max: int) -> ModeOperator:
     """
     gain = _gain(gain)
     diag = gain_diagonal(gain, n_max)
-    return ModeOperator(np.diag(diag / diag[-1]).astype(complex))
+    return _diagonal_operator(diag / diag[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,14 @@ comparing schemes.  The product baseline generates its squeezed states
 locally, so by default it suffers no distribution loss (``eta_local`` exists
 for equal-loss comparisons).
 
+The four loss-only closed forms (``delta_alpha_entangled``,
+``delta_alpha_product``, ``crlb_entangled``, ``crlb_product``) take a float or
+a 1-D array as their photon number and transmissivity: an array is checked
+once, whole, and gives an array each of whose entries ``==`` the float call
+on its entries, so a sweep evaluates its whole grid in one call.
+``delta_alpha_ideal_nla`` takes one gain; its formula, ``_ideal_nla_point``,
+takes a gain grid and returns the physicality measure beside the point.
+
 The numerical pipelines are Fock-only: the covariance engine in
 :mod:`cvdqs.gaussian` is their independent oracle, and this module does not
 import it.
@@ -69,6 +77,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+# bound by name: the scalar closed forms test for arrays on every call
+from numpy import ndarray
 
 from . import fock
 from .fock import (
@@ -81,10 +91,12 @@ from .fock import (
     normalize,
     quadratures,
     sv_fock,
+    _sqrt,
 )
 from .nla import (
     NlaSpec,
     _check_amplifier_range,
+    _check_physical,
     _vacuum_entry,
     _effective_gain,
     _effective_sv_photons,
@@ -146,53 +158,96 @@ class SensitivityPoint:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _brightness_factor(mean_photons: float) -> float:
-    """(sqrt(N+1) + sqrt(N))^2, the anti-squeezed variance of the source; ``ValueError`` past the floats."""
-    try:
-        return (math.sqrt(mean_photons + 1.0) + math.sqrt(mean_photons)) ** 2
-    except OverflowError:
+def _brightness_factor(mean_photons):
+    """(sqrt(N+1) + sqrt(N))^2, the anti-squeezed variance of the source; ``ValueError`` past the floats.
+
+    ``mean_photons`` may be a float or an array.  Squared as ``root * root``,
+    which is correctly rounded where ``** 2`` is not, so the two routes give
+    the same bits; an array's error is that of its first entry past the floats.
+    """
+    if isinstance(mean_photons, ndarray):
+        root = np.sqrt(mean_photons + 1.0) + np.sqrt(mean_photons)
+        with np.errstate(over="ignore"):
+            factor = root * root
+        past = mean_photons[np.isinf(factor)]
+        if past.size:
+            _brightness_factor(past[0].item())  # raises the error of that entry alone
+        return factor
+    root = math.sqrt(mean_photons + 1.0) + math.sqrt(mean_photons)
+    factor = root * root
+    if factor == math.inf:
         raise ValueError(
             f"mean photon number {mean_photons} is too large: the source brightness "
             "(sqrt(N+1) + sqrt(N))^2 leaves the float range"
-        ) from None
+        )
+    return factor
 
 
-def _loss_only_error(nodes: int, mean_photons: float, eta):
+def _loss_only_error(nodes: int, mean_photons, eta):
     """The loss-only rms error of ``delta_alpha_entangled``, on inputs already checked.
 
-    ``eta`` may be a float or an array; the result is a numpy float or array of its shape.
+    ``mean_photons`` and ``eta`` may be floats or arrays; the result is a float or an array of their shape.
     """
-    return 0.5 * np.sqrt(eta / (nodes * _brightness_factor(mean_photons)) + (1.0 - eta) / nodes)
+    return 0.5 * _sqrt(eta / (nodes * _brightness_factor(mean_photons)) + (1.0 - eta) / nodes)
 
 
-def _loss_only_bound(nodes: int, mean_photons: float, eta):
+def _loss_only_bound(nodes: int, mean_photons, eta):
     """The pure-state QFI formula ``1/sqrt(4 Var(sum p))`` of ``crlb_entangled``, on inputs already checked.
 
-    ``eta`` may be a float or an array; the result is a numpy float or array of its shape.
+    ``mean_photons`` and ``eta`` may be floats or arrays; the result is a float or an array of their shape.
     A denominator past the floats reads inf, and the bound 0; an array also warns of
-    the overflow, which ``cli.build_bounds_blocks`` silences.
+    the overflow, which ``cli.build_bounds_blocks`` and ``_closed_form`` silence.
     """
-    return 0.5 / np.sqrt(nodes * eta * _brightness_factor(mean_photons) + nodes * (1.0 - eta))
+    return 0.5 / _sqrt(nodes * eta * _brightness_factor(mean_photons) + nodes * (1.0 - eta))
 
 
-def delta_alpha_entangled(nodes: int, mean_photons: float, eta: float) -> float:
+def _ideal_nla_point(nodes: int, mean_photons: float, eta: float, gain):
+    """``(probe_power, delta_alpha, lam)`` of ``delta_alpha_ideal_nla``, on inputs already checked.
+
+    ``gain`` may be a float or an array (a gain grid).  The gain is physical
+    where ``lam = g_eff^2 sqrt(N/(N+1))`` is below 1 (``nla._check_physical``);
+    elsewhere the power and error are those of a stand-in and mean nothing.
+    An array past the boundary, or of gains whose square overflows, warns;
+    ``cli._ideal_block`` silences it.
+    """
+    g_eff = _effective_gain(gain, eta)
+    eta_eff = _effective_transmissivity(gain, eta)
+    n_eff, lam = _effective_sv_photons(mean_photons, g_eff)
+    return n_eff * eta_eff, _loss_only_error(nodes, n_eff, eta_eff), lam
+
+
+def _closed_form(arrays: bool, formula, nodes: int, mean_photons, eta):
+    """``formula(nodes, mean_photons, eta)`` on checked inputs: a float for floats, an array where ``arrays``.
+
+    On an array an overflow reads inf, as on a float, with no numpy warning.
+    """
+    if arrays:
+        with np.errstate(over="ignore"):
+            return formula(nodes, mean_photons, eta)
+    return formula(nodes, mean_photons, eta)
+
+
+def delta_alpha_entangled(nodes: int, mean_photons, eta) -> float | np.ndarray:
     """Rms error of the split-source scheme without amplifiers.
 
-    ``(1/2) sqrt( eta / (M (sqrt(N+1)+sqrt(N))^2) + (1-eta)/M )``.
+    ``(1/2) sqrt( eta / (M (sqrt(N+1)+sqrt(N))^2) + (1-eta)/M )``.  ``mean_photons``
+    and ``eta`` may be floats, giving a float, or 1-D arrays, giving an array
+    whose every entry ``==`` the float call on its entries; an array is checked
+    once, whole.
     """
-    _check_scenario(nodes, mean_photons, eta)
-    return float(_loss_only_error(nodes, mean_photons, eta))
+    arrays = _check_scenario(nodes, mean_photons, eta)
+    return _closed_form(arrays, _loss_only_error, nodes, mean_photons, eta)
 
 
-def delta_alpha_product(nodes: int, total_photons: float, eta_local: float = 1.0) -> float:
+def delta_alpha_product(nodes: int, total_photons, eta_local=1.0) -> float | np.ndarray:
     """Rms error of the optimum product baseline: M equal squeezed states.
 
     ``total_photons`` is shared evenly, so each node carries ``N/M``; the
     default ``eta_local = 1`` reflects local state generation with no
-    distribution loss.
+    distribution loss.  Takes arrays as ``delta_alpha_entangled`` does.
     """
-    _check_scenario(nodes, total_photons, eta_local)
-    return float(_loss_only_error(nodes, total_photons / nodes, eta_local))
+    arrays = _check_scenario(nodes, total_photons, eta_local)
+    return _closed_form(arrays, _loss_only_error, nodes, total_photons / nodes, eta_local)
 
 
 def delta_alpha_ideal_nla(nodes: int, mean_photons: float, eta: float, gain: float) -> SensitivityPoint:
@@ -202,21 +257,16 @@ def delta_alpha_ideal_nla(nodes: int, mean_photons: float, eta: float, gain: flo
     brightness, then evaluates the loss-only formula on the effective
     scenario.  Probe power is the effective brightness times the effective
     transmissivity.  Ideal amplifiers succeed with probability zero, which
-    ``p_success`` reports as 0.
+    ``p_success`` reports as 0.  A gain past the physical range raises
+    ``nla.UnphysicalGainError``.
     """
     _check_scenario(nodes, mean_photons, eta)
-    gain = fock._gain(gain)
-    g_eff = _effective_gain(gain, eta)
-    eta_eff = _effective_transmissivity(gain, eta)
-    n_eff = _effective_sv_photons(mean_photons, g_eff)
-    return SensitivityPoint(
-        probe_power=n_eff * eta_eff,
-        delta_alpha=float(_loss_only_error(nodes, n_eff, eta_eff)),
-        p_success=0.0,
-    )
+    power, error, lam = _ideal_nla_point(nodes, mean_photons, eta, fock._gain(gain))
+    _check_physical(lam)
+    return SensitivityPoint(probe_power=power, delta_alpha=error, p_success=0.0)
 
 
-def crlb_entangled(nodes: int, mean_photons: float, eta: float) -> float:
+def crlb_entangled(nodes: int, mean_photons, eta) -> float | np.ndarray:
     """``1/sqrt(4 Var(sum_i p_i))`` on the lossy split-source state: the pure-state QFI formula.
 
     ``(1/2) [M eta (sqrt(N+1)+sqrt(N))^2 + M (1-eta)]^(-1/2)``.  ``4 Var`` of
@@ -225,26 +275,56 @@ def crlb_entangled(nodes: int, mean_photons: float, eta: float) -> float:
     only bounds the QFI from above.  So at ``eta < 1`` this value falls below
     the state's true quantum Cramer-Rao bound, which the averaged-x error
     ``delta_alpha_entangled`` attains (ROADMAP item 11); at ``eta = 1`` the
-    state is pure and the two coincide.
+    state is pure and the two coincide.  Takes arrays as
+    ``delta_alpha_entangled`` does.
     """
-    _check_scenario(nodes, mean_photons, eta)
-    return float(_loss_only_bound(nodes, mean_photons, eta))
+    arrays = _check_scenario(nodes, mean_photons, eta)
+    return _closed_form(arrays, _loss_only_bound, nodes, mean_photons, eta)
 
 
-def crlb_product(nodes: int, mean_photons: float, eta: float) -> float:
+def crlb_product(nodes: int, mean_photons, eta) -> float | np.ndarray:
     """``1/sqrt(4 Var(sum_i p_i))`` on the product baseline (N/M per node): the pure-state QFI formula.
 
     As ``crlb_entangled``: below ``eta = 1`` it falls below the lossy state's
-    true quantum Cramer-Rao bound.
+    true quantum Cramer-Rao bound.  Takes arrays as ``delta_alpha_entangled`` does.
     """
-    _check_scenario(nodes, mean_photons, eta)
-    return float(_loss_only_bound(nodes, mean_photons / nodes, eta))
+    arrays = _check_scenario(nodes, mean_photons, eta)
+    return _closed_form(arrays, _loss_only_bound, nodes, mean_photons / nodes, eta)
 
 
-def _check_scenario(nodes: int, mean_photons: float, eta: float) -> None:
+def _check_scenario(nodes: int, mean_photons, eta) -> bool:
+    """Check a node count, and a photon number and a transmissivity that may be floats or arrays.
+
+    Returns whether either of the two is an array; an array is checked whole
+    (``_check_entries``).
+    """
     fock._whole_number(nodes, "node count")
+    if isinstance(mean_photons, ndarray) or isinstance(eta, ndarray):
+        _check_entries(fock._photon_number, mean_photons)
+        _check_entries(fock._transmissivity, eta)
+        return True
     fock._photon_number(mean_photons)
     fock._transmissivity(eta)
+    return False
+
+
+def _check_entries(check, values) -> None:
+    """Run the float ``check`` on a float, or on every entry of an array.
+
+    Each check admits an interval, so an array passes when its least and
+    greatest entries do (a NaN is both); otherwise its entries are checked in
+    order, so the error is that of its first failing entry.
+    """
+    if not isinstance(values, ndarray):
+        check(values)
+    elif values.size:
+        try:
+            check(values.min())
+            check(values.max())
+        except ValueError:
+            for entry in values.ravel().tolist():
+                check(entry)
+            raise
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,29 @@ def _row_route_sensitivity_rows_at(req, gain, point):
     return rows
 
 
+def _random_sweeps(seed: int, count: int) -> list:
+    """Seeded ``(M, ns, eta, gain grid)`` flags: the first at ``ns = 0``, the second at ``eta = 1``.
+
+    Every other grid crosses the physicality boundary ``g_eff^2 sqrt(N/(N+1)) = 1`` of the
+    ideal amplifier, from ``lam`` in [0.3, 0.95] at its first gain to [1.05, 3] at its last.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        ns = 0.0 if i == 0 else float(rng.uniform(0.005, 0.1))
+        eta = 1.0 if i == 1 else float(rng.uniform(0.05, 1.0))
+        root = math.sqrt(ns / (ns + 1.0))
+        g_min, g_max = (
+            math.sqrt(1.0 + (lam / root - 1.0) / eta) if ns else lam
+            for lam in (rng.uniform(0.3, 0.95), rng.uniform(1.05, 3.0))
+        )
+        cases.append(
+            ["--M", str(rng.integers(1, 7)), "--ns", repr(ns), "--eta", repr(eta), "--g-min", repr(max(g_min, 1.0)),
+             "--g-max", repr(g_max), "--g-steps", str(rng.integers(2, 60))]
+        )
+    return cases
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -407,12 +430,16 @@ def _row_route_sensitivity_rows_at(req, gain, point):
         ["--scissors", "40", "--g-max", "1000", "--g-steps", "5"],
         ["--precision", "3"],
         ["--precision", "17"],
+        *_random_sweeps(30, 8),
     ],
-    ids=["defaults", "M1", "M5", "M6", "one-gain", "scissors40-g1000", "precision3", "precision17"],
+    ids=["defaults", "M1", "M5", "M6", "one-gain", "scissors40-g1000", "precision3", "precision17"]
+    + [f"random{i}" for i in range(8)],
 )
 def test_sensitivity_csv_equals_the_row_route(capsys, flags):
     # the scheme blocks give the bytes of per-gain row dicts, sorted by
-    # (scheme, g) and joined cell by cell with _cell
+    # (scheme, g) and joined cell by cell with _cell: every ideal-NLA and
+    # baseline cell is the scalar closed form's at its gain, and every error
+    # cell the text of its UnphysicalGainError
     req = cli.build_request(["sweep-sensitivity", *flags])
     gains = req.gain_grid()
     points = simulate_practical(
@@ -431,8 +458,12 @@ def test_sensitivity_csv_equals_the_row_route(capsys, flags):
     assert main(["sweep-sensitivity", *flags]) == 0
     assert capsys.readouterr().out == "\n".join(want) + "\n"
     assert expand(build_sensitivity_blocks(req)) == rows
+    errors = sum("error" in row for row in rows)
     if "40" in flags:
-        assert sum("error" in row for row in rows) == 4
+        assert errors == 4
+    if "--g-min" in flags and "--ns" in flags and float(flags[flags.index("--ns") + 1]) > 0:
+        # the random grids that cross the boundary keep rows on both sides of it
+        assert 0 < errors < len(gains)
 
 
 def test_many_scissors_exit_zero(tmp_path):
@@ -802,10 +833,10 @@ def _scaled_at(values, n):
     return values * np.where(np.arange(values.shape[-1]) == n, 1.001, 1.0)
 
 
-def _untruncated(pi):
+def _untruncated(diag):
     # the projector forgets its scissor truncation, so Pi_N g^n becomes a
     # multiple of g^n and commutes with the splitter like the ideal gain
-    return fock.ModeOperator(pi.entries[0, 0] * np.eye(len(pi.entries)))
+    return np.full_like(diag, diag[0])
 
 
 @pytest.mark.parametrize(
@@ -823,12 +854,13 @@ def _untruncated(pi):
         pytest.param(
             nla, "gain_diagonal", lambda d: _scaled_at(d, 2), {CLIPPED, COMMUTES}, id="gain_diagonal"
         ),
+        # the projector's diagonal, which projector_pi and nla_operator both read
         pytest.param(
-            nla, "projector_pi", lambda pi: fock.ModeOperator(_scaled_at(pi.entries, 1)),
+            nla, "_projector_diagonal", lambda diag: _scaled_at(diag, 1),
             {SCISSOR, PROJECTOR}, id="projector_coefficient",
         ),
         pytest.param(
-            nla, "projector_pi", _untruncated, {WITNESS, SCISSOR, PROJECTOR}, id="projector_truncation"
+            nla, "_projector_diagonal", _untruncated, {WITNESS, SCISSOR, PROJECTOR}, id="projector_truncation"
         ),
         pytest.param(
             sensing, "nla_operator", lambda t: fock.ModeOperator(_scaled_at(t.entries, 0)),

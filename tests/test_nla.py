@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvdqs import fock, sensing
+from cvdqs import fock, nla, sensing
 from cvdqs.fock import FockVector, basis_vector, normalize
 from cvdqs.nla import (
     NlaSpec,
@@ -153,6 +153,28 @@ def test_nla_operator_vacuum_eigenvalue():
             assert op[0, 0].real == pytest.approx(
                 (1.0 / (gain * gain + 1.0)) ** (scissors / 2.0), abs=1e-14
             )
+
+
+@pytest.mark.parametrize("scissors, gain, n_max", [(2, 1.0, 3), (2, 2.5, 8), (40, 3.0, 45), (300, 1.2, 301)])
+def test_nla_operator_equals_the_projector_times_the_gain(scissors, gain, n_max):
+    # the dense product of the two public factors, entry for entry
+    want = projector_pi(scissors, gain, n_max).entries * nla.gain_diagonal(gain, n_max)[None, :]
+    assert np.array_equal(nla_operator(scissors, gain, n_max).entries, want)
+
+
+def test_nla_operator_builds_only_its_own_matrix():
+    # one complex (N+2)^2 matrix: no float projector, complex copy or product beside it
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        op = nla_operator(1000, 1.0, 1001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 1.1 * op.entries.nbytes
 
 
 def apply_practical(state, gain, scissors):

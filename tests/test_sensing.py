@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import NamedTuple
@@ -126,6 +127,10 @@ def _count_scenario_checks(monkeypatch) -> list:
     return calls
 
 
+LOSS_ONLY_FORMS = (delta_alpha_entangled, delta_alpha_product, crlb_entangled, crlb_product)
+GRID = np.linspace(0.1, 0.9, 50)
+
+
 @pytest.mark.parametrize(
     "form, args",
     [
@@ -137,14 +142,78 @@ def _count_scenario_checks(monkeypatch) -> list:
             (crlb_entangled, (4, 0.04, 0.5)),
             (crlb_product, (4, 0.04, 0.5)),
         ]
+    ]
+    + [
+        pytest.param(form, args, id=f"{form.__name__}-{kind}")
+        for form in LOSS_ONLY_FORMS
+        for kind, args in [
+            ("photons", (4, GRID, 0.5)),
+            ("eta", (4, 0.04, GRID)),
+            ("both", (4, GRID, GRID[::-1])),
+        ]
     ],
 )
 def test_each_closed_form_checks_its_inputs_once(monkeypatch, form, args):
     # a product or ideal form hands its checked inputs to an unchecked formula,
-    # not to another public form that would check them again
+    # not to another public form that would check them again; an array is
+    # checked once, whole, not once per entry
     calls = _count_scenario_checks(monkeypatch)
     form(*args)
-    assert calls == [args[:3]]
+    assert len(calls) == 1 and all(seen is given for seen, given in zip(calls[0], args[:3], strict=True))
+
+
+def _loss_only_inputs(seed: int, size: int):
+    """Seeded photon numbers and transmissivities, with ``N = 0``, ``eta = 1`` and brightnesses near the float edge."""
+    rng = np.random.default_rng(seed)
+    photons = np.concatenate(
+        [[0.0, 0.0, 5e-324, 4.4e307, 1e307], rng.uniform(0.0, 10.0, size), 10.0 ** rng.uniform(-12.0, 12.0, size)]
+    )
+    etas = np.concatenate([[1.0, 0.3, 1.0, 1.0, 5e-324], 1.0 - rng.uniform(0.0, 1.0, 2 * size)])
+    return photons, etas
+
+
+@pytest.mark.parametrize("form", LOSS_ONLY_FORMS, ids=lambda form: form.__name__)
+@pytest.mark.parametrize("nodes", [1, 4, 7])
+def test_loss_only_forms_take_arrays_entry_for_entry(form, nodes):
+    # an array gives an array, each entry == the float call on its entries,
+    # overflowing denominators (M=7 at 4.4e307 photons) included and unwarned
+    photons, etas = _loss_only_inputs(nodes, 200)
+    want = [form(nodes, n, eta) for n, eta in zip(photons.tolist(), etas.tolist())]
+    assert all(type(value) is float for value in want)
+    got = form(nodes, photons, etas)
+    assert isinstance(got, np.ndarray) and got.shape == photons.shape
+    assert got.tolist() == want
+    assert form(nodes, photons, 0.5).tolist() == [form(nodes, n, 0.5) for n in photons.tolist()]
+    assert form(nodes, 0.04, etas).tolist() == [form(nodes, 0.04, eta) for eta in etas.tolist()]
+
+
+@pytest.mark.parametrize(
+    "photons, etas, message",
+    [
+        ([0.1, -1.0, math.nan], 0.5, "mean photon number must be finite and non-negative, got -1.0"),
+        ([0.1, math.nan, -1.0], 0.5, "mean photon number must be finite and non-negative, got nan"),
+        ([0.1, math.inf], 0.5, "mean photon number must be finite and non-negative, got inf"),
+        (0.1, [0.5, 0.0, 2.0], "transmissivity must lie in \\(0, 1\\], got 0.0"),
+        (0.1, [1.0, math.nan], "transmissivity must lie in \\(0, 1\\], got nan"),
+        ([0.1, 1e308, 1.7e308], 0.5, "mean photon number 1e\\+308 is too large"),
+    ],
+    ids=["negative", "nan", "inf", "eta-zero", "eta-nan", "brightness"],
+)
+def test_loss_only_forms_refuse_an_array_by_its_first_bad_entry(photons, etas, message):
+    # as a loop over the entries would; M=1, so the product forms see the brightness too
+    for form in LOSS_ONLY_FORMS:
+        with pytest.raises(ValueError, match=message):
+            form(1, np.array(photons), np.array(etas))
+
+
+def test_brightness_is_the_correctly_rounded_square():
+    # (sqrt(N+1) + sqrt(N))^2 as root * root; float ** 2 was 1 ulp off on
+    # about 0.08% of uniform inputs in [0, 10)
+    photons = np.random.default_rng(3).uniform(0.0, 10.0, 20_000)
+    roots = [math.sqrt(n + 1.0) + math.sqrt(n) for n in photons.tolist()]
+    want = [float(Fraction(root) ** 2) for root in roots]
+    assert [sensing._brightness_factor(n) for n in photons.tolist()] == want
+    assert sensing._brightness_factor(photons).tolist() == want
 
 
 @pytest.mark.parametrize("steps", [7, 1000])
@@ -155,6 +224,17 @@ def test_bounds_rows_check_no_row(monkeypatch, steps):
     [block] = cli.build_bounds_blocks(req)
     assert [len(column) for column in block.values()] == [steps] * 5
     assert calls == []
+
+
+@pytest.mark.parametrize("steps", [41, 1000])
+def test_sensitivity_sweep_checks_a_fixed_number_of_times(monkeypatch, steps):
+    # the practical engine's scenario and one array call of each baseline;
+    # the ideal-NLA columns read the request's checked inputs
+    req = cli.SweepRequest(command="sweep-sensitivity", g_steps=steps)
+    calls = _count_scenario_checks(monkeypatch)
+    blocks = cli.build_sensitivity_blocks(req)
+    assert [len(block["g"]) for block in blocks] == [steps] * 4
+    assert len(calls) == 3
 
 
 def test_ideal_nla_checks_each_input_once(monkeypatch):
