@@ -12,12 +12,7 @@ Row layout of ``sweep-sensitivity``: for every grid gain the practical
 scheme is simulated, the ideal scheme is evaluated at the same gain with its
 own probe power, and the two amplifier-free baselines are evaluated *at the
 practical scheme's probe power* so that scheme comparisons line up row by
-row.  Cells that do not apply to a scheme stay empty.  The practical scheme
-is one engine call over the whole grid, and the other three schemes one
-array evaluation each of their closed forms: the baselines through the
-public forms, which take 1-D arrays, and the ideal scheme through the
-formula behind ``delta_alpha_ideal_nla``, a gain past its physical range
-keeping only its ``error`` cell.
+row.  Cells that do not apply to a scheme stay empty.
 """
 
 from __future__ import annotations
@@ -41,8 +36,8 @@ from .sensing import (
     SCHEME_PRODUCT,
     ScenarioConfig,
     _ideal_nla_point,
-    _loss_only_bound,
-    _loss_only_error,
+    crlb_entangled,
+    crlb_product,
     delta_alpha_entangled,
     delta_alpha_ideal_nla,
     delta_alpha_product,
@@ -92,11 +87,9 @@ class SweepRequest:
     mean_photons: float = _setting("ns", 0.04, "source mean photon number")
     eta: float = _setting("eta", 0.5, "channel transmissivity")
     scissors: int = _setting("scissors", 2, "quantum scissors per amplifier")
-    # 8 leaves the default sweep's high-gain end short of converged: against a
-    # cap-40 run delta_alpha is 2.0e-5 / 1.9e-4 / 1.0e-3 off at g = 2 / 2.5 / 3
-    # and the power 4.7e-4 off at g=3, while trunc_deficit reads 2.1e-8
-    # throughout (ROADMAP.md, open item 1); at 5 the amplified six-photon tail
-    # is missing and the upper sensitivity curve visibly shifts
+    # 8 still leaves the default sweep's high-gain end short of converged; at 5
+    # the amplified six-photon tail is missing and the upper sensitivity curve
+    # visibly shifts
     cutoff: int = _setting("cutoff", 8, "source photon cap")
     g_min: float = _setting("g_min", 1.0)
     g_max: float = _setting("g_max", 3.0)
@@ -279,10 +272,7 @@ def _ideal_block(req: SweepRequest, gains: np.ndarray) -> dict:
 
 
 def build_sensitivity_blocks(req: SweepRequest) -> list[dict]:
-    """One block per scheme, in scheme order, each over the ascending gain grid.
-
-    The ideal-NLA columns and both matched-power baselines take one array evaluation each.
-    """
+    """One block per scheme, in scheme order, each over the ascending gain grid."""
     gains, points = _practical_points(req)
     nodes, eta = req.nodes, req.eta
     # baselines at the practical scheme's probe power, for row-wise comparison
@@ -316,22 +306,16 @@ def build_nla_blocks(req: SweepRequest) -> list[dict]:
 
 
 def build_bounds_blocks(req: SweepRequest) -> list[dict]:
-    """One block over the ascending eta grid, from one array evaluation of each closed form's formula.
-
-    The request checked ``M``, ``ns`` and both grid ends, which hold every point, so no row
-    is checked again; the public forms' operations run in the same order, so the cells equal theirs.
-    """
+    """One block over the ascending eta grid, from one array call of each public closed form."""
     nodes, ns = req.nodes, req.mean_photons
     etas = req.eta_grid()
-    # a bound's denominator past the floats reads inf, silently as for a float
-    with np.errstate(over="ignore"):
-        columns = (
-            etas,
-            _loss_only_bound(nodes, ns, etas),
-            _loss_only_bound(nodes, ns / nodes, etas),
-            _loss_only_error(nodes, ns, etas),
-            _loss_only_error(nodes, ns / nodes, etas),
-        )
+    columns = (
+        etas,
+        crlb_entangled(nodes, ns, etas),
+        crlb_product(nodes, ns, etas),
+        delta_alpha_entangled(nodes, ns, etas),
+        delta_alpha_product(nodes, ns, etas),
+    )
     # .tolist() gives plain floats, which render_csv formats on its fast path
     return [dict(zip(BOUNDS_COLUMNS, (values.tolist() for values in columns)))]
 

@@ -18,8 +18,7 @@ by exactly ``alpha``, which is what the sensitivity and Fisher-information
 formulas in :mod:`cvdqs.sensing` assume.
 
 All values are immutable after construction (backing arrays are frozen) and
-every operation is a pure function returning a new value, so independent
-scenario evaluations may safely run concurrently.
+every operation is a pure function returning a new value.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 # bound by name: the scalar closed forms test for arrays on every call
@@ -69,6 +67,25 @@ def _gain(value, quantity: str = "amplitude gain") -> float:
     if not 1 <= value < math.inf:
         raise ValueError(f"{quantity} must be finite and >= 1, got {value}")
     return float(value)
+
+
+def _check_entries(check, values) -> None:
+    """Run the float ``check`` (one of the validators above) on a float, or on every entry of an array.
+
+    Each check admits an interval, so an array passes when its least and
+    greatest entries do (a NaN is both); otherwise its entries are checked in
+    order, so the error is that of its first failing entry.
+    """
+    if not isinstance(values, ndarray):
+        check(values)
+    elif values.size:
+        try:
+            check(values.min())
+            check(values.max())
+        except ValueError:
+            for entry in values.ravel().tolist():
+                check(entry)
+            raise
 
 
 def _sqrt(value):
@@ -142,18 +159,6 @@ def quadratures(n_max: int) -> tuple[ModeOperator, ModeOperator]:
     x = (a + a.conj().T) / 2.0
     p = -1j * (a - a.conj().T)
     return ModeOperator(x), ModeOperator(p)
-
-
-def basis_vector(occupation: Sequence[int], n_max: int) -> FockVector:
-    n_max = _whole_number(n_max, "photon cap")
-    occ = tuple(int(n) for n in occupation)
-    if not occ:
-        raise ValueError("need at least one mode")
-    if any(n < 0 or n > n_max for n in occ):
-        raise ValueError(f"occupation {occ} outside 0..{n_max}")
-    amps = np.zeros((n_max + 1,) * len(occ), dtype=complex)
-    amps[occ] = 1.0
-    return FockVector(amps)
 
 
 def sv_fock(mean_photons: float, n_max: int) -> FockVector:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, ModeOperator, beamsplitter
-from .fock import _gain, _photon_number, _sqrt, _transmissivity, _whole_number
+from .fock import _check_entries, _gain, _photon_number, _sqrt, _transmissivity, _whole_number
 
 class UnphysicalGainError(ValueError):
     """The requested amplification cannot be realised on this source brightness."""
@@ -52,19 +52,14 @@ class NlaSpec:
             gains = np.array(self.gain, dtype=float)
             if gains.ndim != 1 or not gains.size:
                 raise ValueError(f"a gain grid must be a non-empty 1-D array, got shape {gains.shape}")
-            for gain in gains.tolist():
-                _gain(gain)
+            _check_entries(_gain, gains)
             gains.flags.writeable = False
             object.__setattr__(self, "gain", gains)
         object.__setattr__(self, "scissors", _whole_number(self.scissors, "scissor count"))
 
     @staticmethod
     def practical(gain: float, scissors: int) -> "NlaSpec":
-        """Alias of ``NlaSpec(gain, scissors)``, kept for the benchmark.
-
-        Only ``bench/worker.py`` and ``bench/make_references.py`` call it; it
-        goes with the next change to the benchmark.
-        """
+        """Alias of ``NlaSpec(gain, scissors)``, kept for the benchmark's callers."""
         return NlaSpec(gain, scissors)
 
 
@@ -177,15 +172,17 @@ def gain_diagonal(gain: float, n_max: int) -> np.ndarray:
     return np.power(float(gain), np.arange(_whole_number(n_max, "photon cap") + 1, dtype=float))
 
 
-def _check_amplifier_range(scissors: int, gain: float, vacuum: float, n_max: int) -> None:
-    """Raise ``ValueError`` unless ``Pi_N g^n`` on ``{0..n_max}``, of vacuum entry ``vacuum``, stays in the floats.
+def _amplifier_vacuum(scissors: int, gain: float, n_max: int) -> float:
+    """The vacuum entry of ``Pi_N g^n`` (``_vacuum_entry``), checked to stay in the floats on ``{0..n_max}``.
 
-    The vacuum entry (``_vacuum_entry``) must be a normal float (every ratio
-    to it would lose digits otherwise) and ``g^n_max``, the top entry of
-    ``gain_diagonal``, finite.
+    Raises ``ValueError`` unless the vacuum entry is a normal float (every
+    ratio to it would lose digits otherwise) and ``g^n_max``, the top entry of
+    ``gain_diagonal``, is finite.
     """
+    gain = float(gain)
+    vacuum = _vacuum_entry(scissors, gain)
     try:
-        in_range = float(gain) ** n_max < math.inf
+        in_range = gain ** n_max < math.inf
     except OverflowError:
         in_range = False
     if not in_range or vacuum < sys.float_info.min:
@@ -194,6 +191,7 @@ def _check_amplifier_range(scissors: int, gain: float, vacuum: float, n_max: int
             "((g^2+1)^(-N/2) below the smallest normal float, or g^n overflows); "
             "use fewer scissors or a lower gain"
         )
+    return vacuum
 
 
 def nla_operator(scissors: int, gain: float, n_max: int) -> ModeOperator:
@@ -201,15 +199,12 @@ def nla_operator(scissors: int, gain: float, n_max: int) -> ModeOperator:
 
     Sub-normalised by construction: the squared norm that one copy per node
     leaves on a state is exactly the joint heralding probability, which
-    ``sensing.simulate_practical`` reports.
-
-    Raises ``ValueError`` when the vacuum entry ``(g^2+1)^(-N/2)``
-    falls below the smallest normal float (every ratio to it would lose
-    digits) or ``g^n`` overflows on the basis.
+    ``sensing.simulate_practical`` reports.  Raises ``ValueError`` where the
+    operator leaves the float range (``_amplifier_vacuum``).
     """
     diag = _projector_diagonal(scissors, gain, n_max)
     n_max = len(diag) - 1
-    _check_amplifier_range(scissors, gain, diag[0], n_max)
+    _amplifier_vacuum(scissors, gain, n_max)
     return _diagonal_operator(diag * gain_diagonal(gain, n_max))
 
 

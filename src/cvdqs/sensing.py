@@ -1,4 +1,4 @@
-"""End-to-end displacement-sensing pipelines, closed forms, and bounds.
+"""Displacement-sensing engines, closed forms, and bounds.
 
 Scenario: one squeezed-vacuum source split evenly over M sensor nodes by a
 balanced network, distributed through pure-loss channels, optionally repaired
@@ -14,59 +14,23 @@ comparing schemes.  The product baseline generates its squeezed states
 locally, so by default it suffers no distribution loss (``eta_local`` exists
 for equal-loss comparisons).
 
-The four loss-only closed forms (``delta_alpha_entangled``,
-``delta_alpha_product``, ``crlb_entangled``, ``crlb_product``) take a float or
-a 1-D array as their photon number and transmissivity: an array is checked
-once, whole, and gives an array each of whose entries ``==`` the float call
-on its entries, so a sweep evaluates its whole grid in one call.
-``delta_alpha_ideal_nla`` takes one gain; its formula, ``_ideal_nla_point``,
-takes a gain grid and returns the physicality measure beside the point.
+The two Fock engines, ``simulate_no_nla_fock`` and ``simulate_practical``,
+sum the pure loss branches of the source into one density ``R`` indexed by
+the source's photon total (``_source_density``), so no multimode density
+matrix is formed.  Both probe states are symmetric under permuting the
+nodes, so every moment is an overlap, weighted by ``R``, of the kets
+``[a^dag psi, psi, a psi]`` of mode 0 or 1: both engines hand two 3x3 Gram
+matrices (``_gram``), of one mode and of a pair, to one formula
+(``_symmetric_moments``).  The covariance engine in :mod:`cvdqs.gaussian` is
+their independent oracle, and this module does not import it.
 
-The numerical pipelines are Fock-only: the covariance engine in
-:mod:`cvdqs.gaussian` is their independent oracle, and this module does not
-import it.
+The practical engine is the composition of four stages:
 
-The numerical pipelines represent the lossy source as its pure Kraus
-branches rather than one dense multimode density matrix, keeping memory
-linear in the basis size.  Uniform loss commutes with the balanced splitter,
-so this is exact; ``test_practical_pipeline_matches_independent_oracle``
-pins it against an oracle that loses photons after the split.
-``cutoff`` caps the photon number of the single-mode source.  Both pipelines
-sum the branches into one source density ``R`` indexed by the source's photon
-total, and read every moment off as overlaps weighted by ``R`` in the sector
-of each side: ``_gather_weights`` takes the weights of every overlap from
-``R`` in a single pass.  Both probe states are symmetric under permuting the
-nodes, so every moment is an overlap of the kets ``[a^dag psi, psi, a psi]``
-of mode 0 or 1 (source shifts -1, 0, +1), and both pipelines hand two 3x3
-Gram matrices of them, one mode and a pair, to one formula
-(``_symmetric_moments``).  The amplifier-free pipeline splits one comb
-of photon numbers over the dense ``(cutoff+1)^M`` tensor, once per point
-rather than once per branch.  After the split it reads only the held
-entries, those with at most ``cutoff + 1`` photons, the only ones that carry
-weight: it reads the ladders of modes 0 and 1 there by index shifts
-(``_held_ladders``) and forms each Gram matrix in one contraction (``_gram``)
-over them.  The practical pipeline forms no
-``M``-mode tensor at all: an even split has closed-form amplitudes, so its
-ladders act on one mode, and a pair of modes enters only through its photon
-total, read off a Hankel view of the weights.  ``R`` holds nothing above
-``cutoff`` photons and a ladder adds one, so that mode's basis stops at
-``min(N, cutoff) + 1`` photons.  Its cost grows with ``M`` only through the
-polynomial powers ``f^(M-1)`` and ``f^(M-2)`` that sum out the other modes,
-taken by repeated squaring.
-
-The practical pipeline runs one source stage, then a gain axis.  The source
-stage builds ``R`` and gathers its weights over every photon total a pair of
-modes can hold; it does not depend on the gain and is cached, so a sweep over
-gains builds it once.  It caches
-those weights and the source's truncation deficit, nothing more, and runs the
-truncation guard, so a source whose deficit exceeds ``TRUNC_TOL`` raises and
-is never cached.  The gain stage then takes one gain or a whole grid of them
-in one array pass: the amplifier's shape is read once, at gain 1, and the gain
-``g`` only rescales the power series by ``g^(2r)`` and the kets by ``g^n``, so
-one product per gain with the weights gives the tables of every gain, and two
-batched contractions their Gram matrices.  Its x ladders depend only on the
-basis, so it reads one cached ``(a, a^dag)`` pair per basis size
-(``_ladder_pair``).
+1. ``_practical_source``: the weights of ``R`` and the truncation deficit;
+   gain-free, and cached.
+2. ``_amplifier_shape``: the amplifier at gain 1, its power series and kets.
+3. ``_gain_stage``: the one-mode and pair Gram matrices of a block of gains.
+4. ``_heralded_points``: one ``SensitivityPoint`` per gain.
 """
 
 from __future__ import annotations
@@ -89,13 +53,13 @@ from .fock import (
     apply_mode_operator,
     loss_kraus_operators,
     normalize,
-    quadratures,
     sv_fock,
+    _check_entries,
     _sqrt,
 )
 from .nla import (
     NlaSpec,
-    _check_amplifier_range,
+    _amplifier_vacuum,
     _check_physical,
     _vacuum_entry,
     _effective_gain,
@@ -109,9 +73,8 @@ SCHEME_IDEAL_NLA = "entangled_ideal_nla"
 SCHEME_PRACTICAL_NLA = "entangled_practical_nla"
 SCHEME_PRODUCT = "product_optimal"
 
-#: Ceiling on probability weight the photon cap may swallow.  Loose enough
-#: for quick cutoff-5 runs of the standard four-node scenarios (their deficit
-#: is ~2e-5); the deficit itself is always surfaced in results.
+#: Ceiling on probability weight the photon cap may swallow, loose enough for
+#: cutoff-5 runs of the four-node scenarios; every result reports the deficit.
 TRUNC_TOL = 1e-4
 
 _MEAN_TOL = 1e-10
@@ -196,7 +159,7 @@ def _loss_only_bound(nodes: int, mean_photons, eta):
 
     ``mean_photons`` and ``eta`` may be floats or arrays; the result is a float or an array of their shape.
     A denominator past the floats reads inf, and the bound 0; an array also warns of
-    the overflow, which ``cli.build_bounds_blocks`` and ``_closed_form`` silence.
+    the overflow, which ``_closed_form`` silences.
     """
     return 0.5 / _sqrt(nodes * eta * _brightness_factor(mean_photons) + nodes * (1.0 - eta))
 
@@ -274,9 +237,8 @@ def crlb_entangled(nodes: int, mean_photons, eta) -> float | np.ndarray:
     (QFI) of a pure state; the lossy state is mixed, and for it the formula
     only bounds the QFI from above.  So at ``eta < 1`` this value falls below
     the state's true quantum Cramer-Rao bound, which the averaged-x error
-    ``delta_alpha_entangled`` attains (ROADMAP item 11); at ``eta = 1`` the
-    state is pure and the two coincide.  Takes arrays as
-    ``delta_alpha_entangled`` does.
+    ``delta_alpha_entangled`` attains; at ``eta = 1`` the state is pure and
+    the two coincide.  Takes arrays as ``delta_alpha_entangled`` does.
     """
     arrays = _check_scenario(nodes, mean_photons, eta)
     return _closed_form(arrays, _loss_only_bound, nodes, mean_photons, eta)
@@ -308,25 +270,6 @@ def _check_scenario(nodes: int, mean_photons, eta) -> bool:
     return False
 
 
-def _check_entries(check, values) -> None:
-    """Run the float ``check`` on a float, or on every entry of an array.
-
-    Each check admits an interval, so an array passes when its least and
-    greatest entries do (a NaN is both); otherwise its entries are checked in
-    order, so the error is that of its first failing entry.
-    """
-    if not isinstance(values, ndarray):
-        check(values)
-    elif values.size:
-        try:
-            check(values.min())
-            check(values.max())
-        except ValueError:
-            for entry in values.ravel().tolist():
-                check(entry)
-            raise
-
-
 # ---------------------------------------------------------------------------
 # Fock pipeline (pure Kraus branches of the lossy split source)
 # ---------------------------------------------------------------------------
@@ -339,11 +282,10 @@ def _source_density(
     ``b_k`` is loss branch ``k`` (``k`` photons lost) of the normalised
     single-mode source.  Loss is applied to the source mode before splitting;
     with equal per-mode transmissivity this is exactly equivalent to splitting
-    first (pinned by ``test_practical_pipeline_matches_independent_oracle``,
-    whose oracle loses photons after the split) and needs one mode instead of
-    M.  A branch that loses more photons than the source holds is exactly zero.
-    ``R`` is ``(n_max+1) x (n_max+1)``.  Also returns the source's truncation
-    deficit, after raising ``TruncationError`` if it exceeds ``TRUNC_TOL``.
+    first, and needs one mode instead of M.  A branch that loses more photons
+    than the source holds is exactly zero.  ``R`` is ``(n_max+1) x (n_max+1)``.
+    Also returns the source's truncation deficit, after raising
+    ``TruncationError`` if it exceeds ``TRUNC_TOL``.
     """
     source = sv_fock(mean_photons, n_max)
     deficit = source.norm_deficit
@@ -469,25 +411,22 @@ def simulate_no_nla_fock(cfg: ScenarioConfig) -> SensitivityPoint:
     """Run the amplifier-free pipeline on the dense ``(cutoff+1)^M`` Fock tensor.
 
     Cross-engine validation path: must agree with both the closed form and
-    the Gaussian engine.  The source is split once: ``fock.balanced_splitter``
-    spreads the comb with amplitude 1 on every ``|s, 0, ..., 0>`` into ``Phi``.
-    The splitter conserves photon number, so loss branch ``b_k`` splits into
-    ``Phi[n] b_k[T(n)]``, ``T`` the photon total, and ``a_i`` (``a_i^dag``) of
-    it is ``(a_i Phi)[n] b_k[T(n) + 1]`` (``b_k[T(n) - 1]``), truncation edge
-    included; every moment is an overlap of these tensors.  ``Phi`` is
-    symmetric under permuting the modes, so the moments come from the
-    ladders of modes 0 and 1 alone: one ``_gram`` of mode 0's
-    ``[a^dag Phi, Phi, a Phi]`` with itself and one against mode 1's, read
-    through the practical engine's ``_symmetric_moments``.  ``Phi`` holds at
-    most ``cutoff`` photons and a ladder adds one, so only the held entries,
-    those with at most ``cutoff + 1`` photons, carry weight (711 of 6,561 at
-    M=4, cutoff 8).  After the split no ladder is applied to the full tensor:
-    the ladders are read straight off the flattened ``Phi`` (a copy from
-    ``M=3``, where the splitter leaves its axes permuted) at the held entries
-    by index shifts (``_held_ladders``, cached on ``(cutoff, M)``); the split
-    is never cached.  A tensor of more than ``2**22`` amplitudes, or from
-    ``M=2`` a splitter unitary of more than ``2**22`` entries, raises
-    ``ValueError`` before anything is built.
+    the Gaussian engine.  The source is split once per point, not once per
+    loss branch: ``fock.balanced_splitter`` spreads the comb with amplitude 1
+    on every ``|s, 0, ..., 0>`` into ``Phi``.  The splitter conserves photon
+    number, so loss branch ``b_k`` splits into ``Phi[n] b_k[T(n)]``, ``T``
+    the photon total, and ``a_i`` (``a_i^dag``) of it is ``(a_i Phi)[n]
+    b_k[T(n) + 1]`` (``b_k[T(n) - 1]``), truncation edge included: the kets
+    of the Gram matrices are the ladders of ``Phi`` on modes 0 and 1.
+    ``Phi`` holds at most ``cutoff`` photons and a ladder adds one, so only
+    the held entries, those with at most ``cutoff + 1`` photons, carry
+    weight.  The ladders are read straight off the flattened ``Phi`` (a copy
+    from ``M=3``, where the splitter leaves its axes permuted) at the held
+    entries by index shifts (``_held_ladders``, cached on ``(cutoff, M)``),
+    so no ladder is applied to the full tensor; the split is never cached.
+    A tensor of more than ``2**22`` amplitudes, or from ``M=2`` a splitter
+    unitary of more than ``2**22`` entries, raises ``ValueError`` before
+    anything is built.
     """
     if cfg.scheme != SCHEME_NO_NLA:
         raise ValueError(f"expected scheme {SCHEME_NO_NLA!r}, got {cfg.scheme!r}")
@@ -555,15 +494,17 @@ def _amplifier_dim(scissors: int, n_max: int) -> int:
 def _practical_source(
     nodes: int, mean_photons: float, eta: float, n_max: int, scissors: int
 ) -> tuple[np.ndarray, float]:
-    """Source stage of ``simulate_practical``: all of a point that does not depend on the gain.
+    """Stage 1 of ``simulate_practical``: the weights of the split source, and its truncation deficit.
 
-    The weights gathered once from the density ``R`` for every photon total
-    ``0..2 dim - 2`` that a pair of modes on the amplifier's basis
-    (``_amplifier_dim``) can hold, frozen, and the source's truncation
-    deficit; the one-mode overlaps read the first ``dim`` sectors.  A source
-    that fails the truncation guard, a cap whose split amplitudes
-    ``sqrt(s!) M^(-s/2)`` leave the float range, or a cap too long for one
-    array, raises and is not cached.
+    Splitting ``s`` photons evenly puts amplitude ``sqrt(s!) M^(-s/2) prod_i
+    1/sqrt(n_i!)`` on occupation ``(n_1, ..., n_M)``, all positive in the sign
+    convention of ``fock.balanced_splitter``, so ``R`` here is formed from the
+    loss branches scaled by ``sqrt(s!) M^(-s/2)``.  Its weights are gathered
+    (``_gather_weights``) for every photon total ``0..2 dim - 2`` that a pair
+    of modes on the amplifier's basis (``_amplifier_dim``) can hold, and
+    frozen.  A source that fails the truncation guard, a cap whose split
+    amplitudes leave the float range, or a cap too long for one array,
+    raises and is not cached.
     """
     # log(sqrt(s!) M^(-s/2)) is convex in s, so on 0..cap it peaks at an end: the
     # cap is checked before any array of cap + 1 entries is asked for
@@ -588,101 +529,76 @@ def _practical_source(
     return fock._frozen(_gather_weights(density.real, sectors, n_max + 1)), deficit
 
 
-def simulate_practical(cfg: ScenarioConfig):
-    """Run the practical-amplifier pipeline on the Fock kernel, over one gain or a grid of them.
+def _amplifier_shape(scissors: int, n_max: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Stage 2: ``(f, kets, t0)``, the amplifier's shape at gain 1 on its basis ``{0..dim-1}`` (``_amplifier_dim``).
 
-    Source, loss, and balanced split as in the amplifier-free pipeline, then
-    one heralded amplifier per node; the reported probability is the joint
-    one (every node must herald) and probe power is measured on the
-    post-selected state.  A float ``cfg.nla.gain`` gives one
-    ``SensitivityPoint``; a 1-D array of gains gives a list of them, one per
-    gain in its order, each ``==`` to the point of that gain alone: a single
-    gain is the same array pass on a gain axis of length 1.
-
-    The heralded state is symmetric under permuting the nodes, so
-    ``Var(xbar) = [<x_1^2> + (M-1) <x_1 x_2>] / M`` and the power is
-    ``M <n_1>``: only the one- and two-mode marginals are needed, and no
-    ``M``-mode tensor is formed.  Splitting ``s`` photons evenly puts amplitude
-    ``sqrt(s!) M^(-s/2) prod_i 1/sqrt(n_i!)`` on occupation ``(n_1, ..., n_M)``
-    (all positive in the sign convention of ``fock.balanced_splitter``), and
-    the amplifier multiplies it by ``prod_i t[n_i]``, ``t`` its diagonal.  So
-    a heralded loss branch is ``beta_k[s] prod_i amp[n_i]`` with
-    ``beta_k[s] = b_k[s] sqrt(s!) M^(-s/2)`` and ``amp[n] = t[n] / sqrt(n!)``.
-    Summing out ``p`` modes whose photons total ``r`` leaves the coefficient
-    ``[z^r] f(z)^p`` with ``f(z) = sum_n amp[n]^2 z^n``, and summing the
-    branches leaves the source density ``R[s, s'] = sum_k beta_k[s] beta_k[s']``.
-    ``R`` holds nothing above ``cutoff`` photons and a ladder adds one, so
-    ``amp`` lives on ``{0..min(N, cutoff) + 1}`` (``_amplifier_dim``); the
-    entries above never reach a result.
-
-    The gain enters as ``g^n``: ``t = t[0] a0[n] sqrt(n!) g^n`` with ``a0``
-    the shape of the amplifier at gain 1, read once per call from one
-    ``nla_operator(N, 1, N+1)``.  So ``[z^r] f^p`` at gain ``g`` is its value
-    at gain 1 times ``g^(2r)``, and the kets ``l = [a^dag amp, amp, a amp]``,
-    at source shifts -1, 0, +1, are the two ladders of ``a0`` (applied once)
-    times ``g^(n-1)``, ``g^n`` and ``g^(n+1)``.  A product of the gathered
-    weights with the ``(cutoff+1) x 2`` matrix of the two scaled series
-    ``[f^(M-1), f^(M-2)]`` gives the tables ``T1`` and ``T2`` of every shift
-    pair; one stacked matmul makes it for every gain, each of the shape a
-    single gain makes, since a BLAS product of more columns may round a column
-    differently.  The one-mode moments are the Gram matrix
-    ``sum_n conj(l_i[n]) T1_ij[n] l_j[n]``.  A pair overlap
-    ``<l_i x amp| T2 |amp x l_j>`` reads ``T2`` only at the pair's photon total,
-    so all nine come from one contraction of ``conj(l_i) amp`` and
-    ``amp l_j`` with the Hankel view ``T2_ij[m + n]``, which copies nothing.
-    Unlike their convolution, the contraction never forms the product of
-    those two arrays unweighted, which overflows at 40 scissors and g=1000;
-    the series are scaled in log space, so only a coefficient that itself
-    leaves the floats overflows.  Each gain's herald probability takes back
-    the scale ``t[0]^(2M)``.  The source cap ``cutoff`` is the only truncation.
-
-    Two stages: ``_practical_source``, cached on ``(M, N_S, eta, cutoff, N)``,
-    builds ``R`` and gathers the weights of every shift pair once, so a gain
-    sweep builds it once; the gain stage above runs once per call, for every
-    gain at once.  The source stage raises ``TruncationError`` when the
-    deficit exceeds ``TRUNC_TOL``, and ``ValueError`` when the cap's split
-    amplitudes ``sqrt(s!) M^(-s/2)`` leave the float range (from cap 395 at
-    M=4).  An amplifier that leaves the floats at some gain (``nla_operator``'s
-    refusal), or a weight, variance or power that is not finite, raises the
-    ``ValueError`` of the first such gain in the grid, as that gain alone would.
+    A heralded node multiplies a split occupation's amplitude by ``t[n] /
+    sqrt(n!)``, ``t`` the diagonal of ``nla_operator(N, 1, N+1)`` here; divided
+    by ``t0 = t[0]``, that is ``amp``.  ``f = amp**2`` is the power series of
+    one summed-out mode, and ``kets``, shape ``(3, dim)``, are ``[a^dag amp,
+    amp, a amp]`` (``_shift_stack``).  The scale keeps ``f^p`` finite at any
+    ``M``; ``_heralded_points`` takes it back.
     """
-    if cfg.scheme != SCHEME_PRACTICAL_NLA:
-        raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
-    spec, nodes, cap = cfg.nla, cfg.nodes, cfg.cutoff
-    weights, deficit = _practical_source(nodes, cfg.mean_photons, cfg.eta, cap, spec.scissors)
-    gains = np.array(spec.gain, dtype=float, ndmin=1)
-    gain_list = gains.tolist()
-    # a gain-1 amplifier past the floats puts every gain >= 1 past them: the
-    # first gain is refused before the shape is read at gain 1
-    _check_amplifier_range(spec.scissors, gain_list[0], _vacuum_entry(spec.scissors, gain_list[0]), spec.scissors + 1)
-    dim = _amplifier_dim(spec.scissors, cap)
-    half_log_factorial, exponents, even = _amplifier_basis(dim, cap)
-
-    # a moment that leaves the floats is caught below, not warned about
+    dim = _amplifier_dim(scissors, n_max)
+    half_log_factorial, _, _ = _amplifier_basis(dim, n_max)
+    # a zero entry of t reads zero, unwarned
     with np.errstate(all="ignore"):
-        # amp is scaled by t[0] so f^p stays finite at any M; the scale t[0]^(2M)
-        # is common to every moment and comes back in the herald probability
-        t = nla_operator(spec.scissors, 1.0, spec.scissors + 1).entries.diagonal()[:dim].real
+        t = nla_operator(scissors, 1.0, scissors + 1).entries.diagonal()[:dim].real
         amp = np.exp(np.log(t / t[0]) - half_log_factorial)
-        f = amp**2
-        rest = _power_series(f, max(nodes - 2, 0), cap + 1)
-        rest_of_one = np.convolve(rest, f)[: cap + 1] if nodes > 1 else rest
+        return amp**2, _shift_stack(FockVector(amp), 0).real, float(t[0])
+
+
+def _gain_stage(
+    nodes: int, n_max: int, weights: np.ndarray, f: np.ndarray, kets: np.ndarray, gains: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 3: the one-mode and pair Gram matrices (``_gram``) at every gain in ``gains``, shape ``(G, 3, 3)`` each.
+
+    Summing out ``p`` modes whose photons total ``r`` leaves ``[z^r] f^p``,
+    and at gain ``g`` it scales by ``g^(2r)`` and the kets by ``g^(n +
+    shift)``.  The source weights times the two series ``[f^(M-1), f^(M-2)]``
+    give the tables ``T1`` and ``T2`` of every shift pair.  The one-mode Gram
+    reads ``T1`` at each ket's photon number; a pair overlap ``<l_i x amp| T2
+    |amp x l_j>`` of kets ``l_i`` and ``l_j`` reads ``T2`` only at the pair's
+    photon total, so all nine come from one contraction with its Hankel view
+    (``_hankel``), which never forms the unweighted product of the two kets.
+    The series are scaled in log space, so only a coefficient that itself
+    leaves the floats overflows; nothing here warns or raises.
+    """
+    dim = kets.shape[1]
+    _, exponents, even = _amplifier_basis(dim, n_max)
+    with np.errstate(all="ignore"):
+        rest = _power_series(f, max(nodes - 2, 0), n_max + 1)
+        rest_of_one = np.convolve(rest, f)[: n_max + 1] if nodes > 1 else rest
         # [z^r] f^p times g^(2r) for every gain, p = M-1 then M-2: shape (G, 2, cap+1)
         series = np.exp(np.log([rest_of_one, rest]) + np.multiply.outer(np.log(gains), even)[:, None, :])
         # one product per gain, of the shape a single gain makes, so that no
         # point depends on the grid around it: tables of shape (G, 3, 3, sectors, 2)
-        tables = (weights.reshape(-1, cap + 1) @ series.swapaxes(1, 2)).reshape(len(gains), 3, 3, -1, 2)
-        kets = _shift_stack(FockVector(amp), 0).real * gains[:, None, None] ** exponents
-        one = _gram(kets, tables[..., :dim, 0], kets)
+        tables = (weights.reshape(-1, n_max + 1) @ series.swapaxes(1, 2)).reshape(len(gains), 3, 3, -1, 2)
+        scaled = kets * gains[:, None, None] ** exponents
+        one = _gram(scaled, tables[..., :dim, 0], scaled)
         # <l_i x amp| T(m + n) |amp x l_j>: l_i amp on mode 0, amp l_j on mode 1
-        pair_kets = kets * kets[:, 1:2]
+        pair_kets = scaled * scaled[:, 1:2]
         pair = np.einsum("gim,gijmn,gjn->gij", pair_kets, _hankel(tables, dim), pair_kets)
+    return one, pair
+
+
+def _heralded_points(
+    nodes: int, scissors: int, t0: float, gains: np.ndarray, one: np.ndarray, pair: np.ndarray,
+    n_max: int, deficit: float,
+) -> list[SensitivityPoint]:
+    """Stage 4: one ``SensitivityPoint`` per gain, in grid order, from the Gram matrices of ``_gain_stage``.
+
+    Gain by gain, the amplifier is checked in the float range
+    (``nla._amplifier_vacuum``) and the weight, variance and power
+    (``_symmetric_moments``) checked finite, so a grid raises the
+    ``ValueError`` of its first failing gain.  The herald probability takes
+    back the scale ``t0^(2M)`` at the gain's vacuum entry.
+    """
     # t[0] at gain g is its vacuum entry times this ratio, exactly 1 for the exact operator
-    ratio = float(t[0]) / _vacuum_entry(spec.scissors, 1.0)
+    ratio = t0 / _vacuum_entry(scissors, 1.0)
     points = []
-    for gain, one_at, pair_at in zip(gain_list, one.tolist(), pair.tolist()):
-        vacuum = _vacuum_entry(spec.scissors, gain)
-        _check_amplifier_range(spec.scissors, gain, vacuum, spec.scissors + 1)
+    for gain, one_at, pair_at in zip(gains.tolist(), one.tolist(), pair.tolist()):
+        vacuum = _amplifier_vacuum(scissors, gain, scissors + 1)
         weight, variance, power = _symmetric_moments(nodes, one_at, pair_at)
         if not all(map(math.isfinite, (weight, variance, power))):
             raise ValueError(
@@ -694,10 +610,38 @@ def simulate_practical(cfg: ScenarioConfig):
                 probe_power=power,
                 delta_alpha=math.sqrt(variance),
                 p_success=weight * (vacuum * ratio) ** (2 * nodes),
-                cutoff=cap,
+                cutoff=n_max,
                 trunc_deficit=deficit,
             )
         )
+    return points
+
+
+def simulate_practical(cfg: ScenarioConfig):
+    """Run the practical-amplifier engine, the four stages above, over one gain or a grid of them.
+
+    Source, loss and balanced split, then one heralded amplifier per node:
+    ``p_success`` is the joint herald probability (every node heralds), and
+    the power and error are those of the post-selected state.  A float
+    ``cfg.nla.gain`` gives one ``SensitivityPoint``; a 1-D array of gains
+    gives a list, one per gain in its order, each ``==`` to the point of that
+    gain alone.  The source cap ``cutoff`` is the only truncation, and no
+    ``M``-mode tensor is formed: ``M`` enters only through the series powers
+    of the gain stage.  Raises the source stage's errors, and the
+    ``ValueError`` of the first gain at which the amplifier or the moments
+    leave the float range.
+    """
+    if cfg.scheme != SCHEME_PRACTICAL_NLA:
+        raise ValueError(f"expected scheme {SCHEME_PRACTICAL_NLA!r}, got {cfg.scheme!r}")
+    spec, nodes, cap = cfg.nla, cfg.nodes, cfg.cutoff
+    weights, deficit = _practical_source(nodes, cfg.mean_photons, cfg.eta, cap, spec.scissors)
+    gains = np.array(spec.gain, dtype=float, ndmin=1)
+    # a gain-1 amplifier past the floats puts every gain >= 1 past them: the
+    # first gain is refused before the shape is read at gain 1
+    _amplifier_vacuum(spec.scissors, gains[0].item(), spec.scissors + 1)
+    f, kets, t0 = _amplifier_shape(spec.scissors, cap)
+    one, pair = _gain_stage(nodes, cap, weights, f, kets, gains)
+    points = _heralded_points(nodes, spec.scissors, t0, gains, one, pair, cap, deficit)
     return points if np.ndim(spec.gain) else points[0]
 
 
@@ -710,32 +654,3 @@ def _hankel(tables: np.ndarray, dim: int) -> np.ndarray:
     gain, first, second, total, column = tables.strides
     shape = (len(tables), 3, 3, dim, dim)
     return np.ndarray(shape, tables.dtype, tables, column, (gain, first, second, total, total))
-
-
-def lossless_cvmp_vector(nodes: int, mean_photons: float, n_max: int) -> FockVector:
-    """The split squeezed-vacuum probe before any loss, normalised."""
-    source, _ = normalize(sv_fock(mean_photons, n_max))
-    spread = np.zeros((source.n_max + 1,) * nodes, dtype=complex)
-    spread[(slice(None),) + (0,) * (nodes - 1)] = source.amplitudes
-    return fock.balanced_splitter(nodes, FockVector(spread))
-
-
-# ---------------------------------------------------------------------------
-# Fisher information
-# ---------------------------------------------------------------------------
-
-def qfi_pure_displacement(state: FockVector) -> float:
-    """Quantum Fisher information of a pure Fock probe for a common displacement.
-
-    For the generator sum_m p_m the information is 4 Var(sum_m p_m), in the
-    Fock kernel's p convention; the rms bound is 1/sqrt(I_F).
-    """
-    unit, _ = normalize(state)
-    _, p_op = quadratures(unit.n_max)
-    amps = unit.amplitudes
-    summed = np.zeros_like(amps)
-    for mode in range(unit.mode_count):
-        summed += apply_mode_operator(p_op, mode, unit).amplitudes
-    first = float(np.vdot(amps, summed).real)
-    second = float(np.vdot(summed, summed).real)
-    return 4.0 * (second - first**2)

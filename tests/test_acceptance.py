@@ -17,11 +17,10 @@ from cvdqs.sensing import (
     ScenarioConfig,
     delta_alpha_entangled,
     delta_alpha_product,
-    lossless_cvmp_vector,
-    qfi_pure_displacement,
     simulate_practical,
 )
 from cvdqs.validate import run_validation_suite
+from oracles import lossless_cvmp_vector, qfi_pure_displacement
 
 NODES = 4
 SOURCE = 0.04

@@ -9,13 +9,13 @@ from cvdqs.fock import (
     ModeOperator,
     apply_mode_operator,
     balanced_splitter,
-    basis_vector,
     beamsplitter,
     loss_kraus_operators,
     normalize,
     quadratures,
     sv_fock,
 )
+from oracles import basis_vector
 
 
 def random_vector(rng, mode_count, cutoff, max_total=None):

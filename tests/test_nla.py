@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvdqs import fock, nla, sensing
-from cvdqs.fock import FockVector, basis_vector, normalize
+from cvdqs.fock import FockVector, normalize
 from cvdqs.nla import (
     NlaSpec,
     UnphysicalGainError,
@@ -15,6 +15,7 @@ from cvdqs.nla import (
     projector_pi,
     scissor_kraus,
 )
+from oracles import basis_vector
 
 
 # ---------------------------------------------------------------------------
@@ -24,6 +25,16 @@ from cvdqs.nla import (
 def test_spec_rejects_attenuation():
     with pytest.raises(ValueError):
         NlaSpec(0.5, 2)
+
+
+def test_spec_checks_a_valid_grid_by_its_ends(monkeypatch):
+    # every gain check admits an interval, so a valid grid is checked at its
+    # least and greatest gains, not gain by gain
+    calls = []
+    check = nla._gain
+    monkeypatch.setattr(nla, "_gain", lambda value: calls.append(float(value)) or check(value))
+    NlaSpec(np.linspace(1.0, 3.0, 1000), 2)
+    assert calls == [1.0, 3.0]
 
 
 def test_spec_requires_scissors_for_practical():

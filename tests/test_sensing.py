@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import itertools
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from pathlib import Path
@@ -26,11 +28,10 @@ from cvdqs.sensing import (
     delta_alpha_entangled,
     delta_alpha_ideal_nla,
     delta_alpha_product,
-    lossless_cvmp_vector,
-    qfi_pure_displacement,
     simulate_no_nla_fock,
     simulate_practical,
 )
+from oracles import basis_vector, lossless_cvmp_vector, qfi_pure_displacement
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +217,16 @@ def test_brightness_is_the_correctly_rounded_square():
     assert sensing._brightness_factor(photons).tolist() == want
 
 
-@pytest.mark.parametrize("steps", [7, 1000])
+@pytest.mark.parametrize("steps", [41, 1000])
 def test_bounds_rows_check_no_row(monkeypatch, steps):
-    # the request checked M, ns and both ends of the grid; no row checks them again
+    # one call of each of the four public closed forms, each checking the
+    # whole eta grid at once; no row is checked on its own
     req = cli.SweepRequest(command="bounds", eta_steps=steps)
     calls = _count_scenario_checks(monkeypatch)
     [block] = cli.build_bounds_blocks(req)
     assert [len(column) for column in block.values()] == [steps] * 5
-    assert calls == []
+    assert len(calls) == 4
+    assert all(etas.tolist() == block["eta"] for _, _, etas in calls)
 
 
 @pytest.mark.parametrize("steps", [41, 1000])
@@ -290,7 +293,7 @@ def test_fock_engine_does_not_load_the_gaussian_oracle():
 
 def test_qfi_vacuum():
     for nodes in (1, 3):
-        vac = fock.basis_vector((0,) * nodes, 6)
+        vac = basis_vector((0,) * nodes, 6)
         assert qfi_pure_displacement(vac) == pytest.approx(4.0 * nodes, abs=1e-10)
 
 
@@ -745,6 +748,13 @@ def test_gain_grid_spec_is_checked_and_read_only():
         NlaSpec(np.array([1.0, 0.5, 2.0]), 2)
     with pytest.raises(ValueError, match="amplitude gain must be finite and >= 1, got nan"):
         NlaSpec([1.0, math.nan], 2)
+    # a bad gain mid-grid: the scalar message of the first bad gain, whatever follows it
+    for grid, bad in (([1.0, math.nan, 0.5], math.nan), ([1.5, 0.5, math.inf], 0.5), ([2.0, math.inf, 0.5], math.inf)):
+        with pytest.raises(ValueError) as alone:
+            NlaSpec(bad, 2)
+        with pytest.raises(ValueError) as refused:
+            NlaSpec(np.array(grid), 2)
+        assert str(refused.value) == str(alone.value)
     for shape in ((0,), (2, 2)):
         with pytest.raises(ValueError, match="non-empty 1-D"):
             NlaSpec(np.ones(shape), 2)
@@ -1453,7 +1463,7 @@ _CAP_TAKERS = {
     "loss_kraus_operators": lambda cap: np.array(fock.loss_kraus_operators(0.5, cap)),
     "annihilation_matrix": fock.annihilation_matrix,
     "quadratures": lambda cap: fock.quadratures(cap)[1].entries,
-    "basis_vector": lambda cap: fock.basis_vector((1, 0), cap).amplitudes,
+    "basis_vector": lambda cap: basis_vector((1, 0), cap).amplitudes,
     "projector_pi": lambda cap: nla.projector_pi(1, 1.5, cap).entries,
     "gain_diagonal": lambda cap: nla.gain_diagonal(1.5, cap),
     "nla_operator": lambda cap: nla.nla_operator(1, 1.5, cap).entries,
@@ -1486,7 +1496,7 @@ _COUNT_TAKERS = {
     "nla_operator": ("scissor count", lambda n: nla.nla_operator(n, 1.5, 8).entries),
     "run_validation_suite": ("scissor count", lambda n: validate.run_validation_suite(scissors=n)),
     "balanced_splitter": (
-        "mode count", lambda m: fock.balanced_splitter(m, fock.basis_vector((1, 0), 3)).amplitudes
+        "mode count", lambda m: fock.balanced_splitter(m, basis_vector((1, 0), 3)).amplitudes
     ),
     "splitter_gaussian": ("mode count", lambda m: gaussian.splitter_gaussian(gaussian.sv_gaussian(0.1), m).cov),
 }
@@ -1507,6 +1517,43 @@ def test_every_count_is_a_checked_whole_number(name):
         assert whole == exact
     else:
         assert np.shape(whole) == np.shape(exact) and np.array_equal(whole, exact)
+
+
+# ---------------------------------------------------------------------------
+# package surface
+# ---------------------------------------------------------------------------
+
+def _names_read(tree: ast.AST):
+    """Every name ``tree`` reads: bare names, attributes, and strings, which ``getattr`` targets are."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_definition_in_src_is_used_outside_the_tests():
+    # code that only the tests call lives under tests/: every top-level
+    # function and class of the package is read somewhere in src/ or bench/
+    # beyond its own definition (a recursive call does not count)
+    root = Path(__file__).resolve().parent.parent
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "bench")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    read = Counter(name for tree in trees.values() for name in _names_read(tree))
+    unused = [
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items()
+        if path.parent.name == "cvdqs"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and read[node.name] == Counter(_names_read(node))[node.name]
+    ]
+    assert unused == []
 
 
 # ---------------------------------------------------------------------------
