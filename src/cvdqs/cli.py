@@ -27,8 +27,8 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .fock import TruncationError, _gain, _photon_number, _transmissivity, _whole_number
-from .nla import NlaSpec, UnphysicalGainError
+from .fock import _FLOAT_MAX, TruncationError, _gain, _photon_number, _transmissivity, _whole_number
+from .nla import NlaSpec, UnphysicalGainError, _check_physical
 from .sensing import (
     SCHEME_IDEAL_NLA,
     SCHEME_NO_NLA,
@@ -39,7 +39,6 @@ from .sensing import (
     crlb_entangled,
     crlb_product,
     delta_alpha_entangled,
-    delta_alpha_ideal_nla,
     delta_alpha_product,
     simulate_practical,
 )
@@ -75,56 +74,52 @@ class UsageError(Exception):
     """Bad flags, bad config file, or an unusable scenario; exits with code 2."""
 
 
-def _setting(key: str, default, help_text: Optional[str] = None):
-    """A request field set by config key ``key`` or flag ``--key`` (``_`` as ``-``)."""
-    return field(default=default, metadata={"key": key, "help": help_text})
+def _setting(key: str, default, check=None, help_text: Optional[str] = None):
+    """A request field set by config key ``key`` or flag ``--key`` (``_`` as ``-``), vetted by ``check``."""
+    return field(default=default, metadata={"key": key, "check": check, "help": help_text})
+
+
+def _count(value, key: str) -> int:
+    """``value`` as an int, after checking that it is whole and in the float range; errors name ``key``."""
+    # an int is compared as it is: float() of one past the float range overflows
+    if not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{key} must be a whole number, got {value}")
+    if not abs(value) <= _FLOAT_MAX:
+        raise ValueError(f"{key} must lie within the float range, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
 class SweepRequest:
     command: str
-    nodes: int = _setting("M", 4, "number of sensor nodes")
-    mean_photons: float = _setting("ns", 0.04, "source mean photon number")
-    eta: float = _setting("eta", 0.5, "channel transmissivity")
-    scissors: int = _setting("scissors", 2, "quantum scissors per amplifier")
+    nodes: int = _setting("M", 4, _whole_number, "number of sensor nodes")
+    mean_photons: float = _setting("ns", 0.04, _photon_number, "source mean photon number")
+    eta: float = _setting("eta", 0.5, _transmissivity, "channel transmissivity")
+    scissors: int = _setting("scissors", 2, _whole_number, "quantum scissors per amplifier")
     # 8 still leaves the default sweep's high-gain end short of converged; at 5
     # the amplified six-photon tail is missing and the upper sensitivity curve
     # visibly shifts
-    cutoff: int = _setting("cutoff", 8, "source photon cap")
-    g_min: float = _setting("g_min", 1.0)
-    g_max: float = _setting("g_max", 3.0)
-    g_steps: int = _setting("g_steps", 41)
-    eta_min: float = _setting("eta_min", 0.1)
-    eta_max: float = _setting("eta_max", 1.0)
-    eta_steps: int = _setting("eta_steps", 10)
-    out: Optional[str] = _setting("out", None, "output file path (default: stdout)")
-    precision: int = _setting("precision", 10, "float digits, 3..17")
-    jobs: int = _setting("jobs", 1, "accepted and checked; has no effect")
+    cutoff: int = _setting("cutoff", 8, _whole_number, "source photon cap")
+    g_min: float = _setting("g_min", 1.0, _gain)
+    g_max: float = _setting("g_max", 3.0, _gain)
+    g_steps: int = _setting("g_steps", 41, _count)
+    eta_min: float = _setting("eta_min", 0.1, _transmissivity)
+    eta_max: float = _setting("eta_max", 1.0, _transmissivity)
+    eta_steps: int = _setting("eta_steps", 10, _count)
+    out: Optional[str] = _setting("out", None, help_text="output file path (default: stdout)")
+    precision: int = _setting("precision", 10, _count, "float digits, 3..17")
+    jobs: int = _setting("jobs", 1, _whole_number, "accepted and checked; has no effect")
 
     def __post_init__(self):
-        # the library's checks: every command refuses these before any work, read or not
+        # every command refuses a bad setting before any work, read or not; the first in field order is named
         try:
-            _whole_number(self.nodes, "M")
-            _photon_number(self.mean_photons, "ns")
-            _transmissivity(self.eta, "eta")
-            _whole_number(self.scissors, "scissors")
-            _whole_number(self.cutoff, "cutoff")
-            _gain(self.g_min, "g_min")
-            _gain(self.g_max, "g_max")
-            _transmissivity(self.eta_min, "eta_min")
-            _transmissivity(self.eta_max, "eta_max")
-            _whole_number(self.jobs, "jobs")
+            for name, key, check in _CHECKS:
+                value = check(getattr(self, name), key)
+                # a library caller may pass a float count: it is kept as an int
+                if check is _count:
+                    object.__setattr__(self, name, value)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        # a library caller may pass a float count: it must be whole, and is kept as an int
-        for key in ("g_steps", "eta_steps", "precision"):
-            value = getattr(self, key)
-            # an int is compared as it is: float() of one past the float range overflows
-            if not (isinstance(value, int) or float(value).is_integer()):
-                raise UsageError(f"{key} must be a whole number, got {value}")
-            if not abs(value) <= sys.float_info.max:
-                raise UsageError(f"{key} must lie within the float range, got {value}")
-            object.__setattr__(self, key, int(value))
         if not self.g_max >= self.g_min:
             raise UsageError("g-max must not be below g-min")
         if not self.g_steps >= 2:
@@ -163,6 +158,10 @@ _SETTINGS = {
     for f in fields(SweepRequest)
     if f.metadata
 }
+# (field name, config key, check) of every checked setting, in field order
+_CHECKS = tuple(
+    (f.name, f.metadata["key"], f.metadata["check"]) for f in fields(SweepRequest) if f.metadata.get("check")
+)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +249,7 @@ def _ideal_block(req: SweepRequest, gains: np.ndarray) -> dict:
 
     The request checked ``M``, ``ns`` and ``eta``, and the grid's ends hold every gain, so no
     row is checked again.  A gain past the physical range keeps only its ``error`` cell: the
-    ``UnphysicalGainError`` text of the public form at that gain.
+    ``UnphysicalGainError`` text that the public form raises at that gain's ``lam``.
     """
     nodes, ns, eta = req.nodes, req.mean_photons, req.eta
     # a gain past the boundary, or one whose square overflows, reads a stand-in silently
@@ -265,7 +264,7 @@ def _ideal_block(req: SweepRequest, gains: np.ndarray) -> dict:
         for column in block.values():
             column[row] = None
         try:
-            delta_alpha_ideal_nla(nodes, ns, eta, gains[row].item())
+            _check_physical(lam[row])
         except UnphysicalGainError as exc:
             block["error"][row] = str(exc)
     return block
@@ -359,7 +358,7 @@ _COMMANDS = {
         _csv_runner(NLA_COLUMNS, build_nla_blocks),
     ),
     "bounds": (
-        "Cramer-Rao bounds over a transmissivity grid",
+        "the pure-state QFI formula 1/sqrt(4 Var(sum p)) and the achieved errors over a transmissivity grid",
         _csv_runner(BOUNDS_COLUMNS, build_bounds_blocks),
     ),
     "validate": ("run the self-validation suite", run_validate),

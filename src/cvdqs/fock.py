@@ -32,6 +32,10 @@ import numpy as np
 # bound by name: the scalar closed forms test for arrays on every call
 from numpy import ndarray
 
+#: The upper limit of every count, photon number and gain: past it, ``float()`` of an int overflows.
+_FLOAT_MAX = sys.float_info.max
+
+
 class TruncationError(RuntimeError):
     """Probability weight lost to the photon cutoff exceeds the declared tolerance."""
 
@@ -40,17 +44,16 @@ def _whole_number(value, quantity: str) -> int:
     """``value`` as an int, after checking that it is a whole number >= 1; errors name ``quantity``.
 
     Every count enters float arithmetic, so one past the float range is
-    refused too; the range is compared first, since ``float`` of such an int
-    overflows.
+    refused too; the range is compared first, as in the checks below.
     """
-    if value is None or not 1 <= value <= sys.float_info.max or not float(value).is_integer():
+    if value is None or not 1 <= value <= _FLOAT_MAX or not float(value).is_integer():
         raise ValueError(f"{quantity} must be a whole number >= 1 within the float range, got {value}")
     return int(value)
 
 
 def _photon_number(value, quantity: str = "mean photon number") -> float:
     """``value`` as a float, after checking that it is finite and >= 0; errors name ``quantity``."""
-    if not 0 <= value < math.inf:
+    if not 0 <= value <= _FLOAT_MAX:
         raise ValueError(f"{quantity} must be finite and non-negative, got {value}")
     return float(value)
 
@@ -64,7 +67,7 @@ def _transmissivity(value, quantity: str = "transmissivity", allow_zero: bool = 
 
 def _gain(value, quantity: str = "amplitude gain") -> float:
     """``value`` as a float, after checking that it is finite and >= 1; errors name ``quantity``."""
-    if not 1 <= value < math.inf:
+    if not 1 <= value <= _FLOAT_MAX:
         raise ValueError(f"{quantity} must be finite and >= 1, got {value}")
     return float(value)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, ModeOperator, beamsplitter
-from .fock import _check_entries, _gain, _photon_number, _sqrt, _transmissivity, _whole_number
+from .fock import _check_entries, _frozen, _gain, _photon_number, _sqrt, _transmissivity, _whole_number
 
 class UnphysicalGainError(ValueError):
     """The requested amplification cannot be realised on this source brightness."""
@@ -38,23 +38,18 @@ class NlaSpec:
     ``gain`` is one float, or a 1-D array of gains that
     ``sensing.simulate_practical`` evaluates in one pass; an array is kept as
     a read-only float copy, so such a spec is neither hashable nor comparable.
-    The ideal amplifier needs no spec: it enters results only through the
-    effective-channel algebra below.
     """
 
     gain: float
     scissors: int
 
     def __post_init__(self):
-        if np.ndim(self.gain) == 0:
-            _gain(self.gain)
-        else:
+        if np.ndim(self.gain):
             gains = np.array(self.gain, dtype=float)
             if gains.ndim != 1 or not gains.size:
                 raise ValueError(f"a gain grid must be a non-empty 1-D array, got shape {gains.shape}")
-            _check_entries(_gain, gains)
-            gains.flags.writeable = False
-            object.__setattr__(self, "gain", gains)
+            object.__setattr__(self, "gain", _frozen(gains))
+        _check_entries(_gain, self.gain)
         object.__setattr__(self, "scissors", _whole_number(self.scissors, "scissor count"))
 
     @staticmethod

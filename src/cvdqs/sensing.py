@@ -126,16 +126,12 @@ def _brightness_factor(mean_photons):
 
     ``mean_photons`` may be a float or an array.  Squared as ``root * root``,
     which is correctly rounded where ``** 2`` is not, so the two routes give
-    the same bits; an array's error is that of its first entry past the floats.
+    the same bits.  The factor rises with ``N``, so an array is checked by its ends.
     """
     if isinstance(mean_photons, ndarray):
+        _check_entries(_brightness_factor, mean_photons)
         root = np.sqrt(mean_photons + 1.0) + np.sqrt(mean_photons)
-        with np.errstate(over="ignore"):
-            factor = root * root
-        past = mean_photons[np.isinf(factor)]
-        if past.size:
-            _brightness_factor(past[0].item())  # raises the error of that entry alone
-        return factor
+        return root * root
     root = math.sqrt(mean_photons + 1.0) + math.sqrt(mean_photons)
     factor = root * root
     if factor == math.inf:
@@ -257,17 +253,12 @@ def crlb_product(nodes: int, mean_photons, eta) -> float | np.ndarray:
 def _check_scenario(nodes: int, mean_photons, eta) -> bool:
     """Check a node count, and a photon number and a transmissivity that may be floats or arrays.
 
-    Returns whether either of the two is an array; an array is checked whole
-    (``_check_entries``).
+    Returns whether either of the two is an array; an array is checked by its ends (``_check_entries``).
     """
     fock._whole_number(nodes, "node count")
-    if isinstance(mean_photons, ndarray) or isinstance(eta, ndarray):
-        _check_entries(fock._photon_number, mean_photons)
-        _check_entries(fock._transmissivity, eta)
-        return True
-    fock._photon_number(mean_photons)
-    fock._transmissivity(eta)
-    return False
+    _check_entries(fock._photon_number, mean_photons)
+    _check_entries(fock._transmissivity, eta)
+    return isinstance(mean_photons, ndarray) or isinstance(eta, ndarray)
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +528,14 @@ def _amplifier_shape(scissors: int, n_max: int) -> tuple[np.ndarray, np.ndarray,
     by ``t0 = t[0]``, that is ``amp``.  ``f = amp**2`` is the power series of
     one summed-out mode, and ``kets``, shape ``(3, dim)``, are ``[a^dag amp,
     amp, a amp]`` (``_shift_stack``).  The scale keeps ``f^p`` finite at any
-    ``M``; ``_heralded_points`` takes it back.
+    ``M``; ``_heralded_points`` takes it back.  Runs under the caller's
+    ``np.errstate``, so a zero entry of ``t`` reads zero, unwarned.
     """
     dim = _amplifier_dim(scissors, n_max)
     half_log_factorial, _, _ = _amplifier_basis(dim, n_max)
-    # a zero entry of t reads zero, unwarned
-    with np.errstate(all="ignore"):
-        t = nla_operator(scissors, 1.0, scissors + 1).entries.diagonal()[:dim].real
-        amp = np.exp(np.log(t / t[0]) - half_log_factorial)
-        return amp**2, _shift_stack(FockVector(amp), 0).real, float(t[0])
+    t = nla_operator(scissors, 1.0, scissors + 1).entries.diagonal()[:dim].real
+    amp = np.exp(np.log(t / t[0]) - half_log_factorial)
+    return amp**2, _shift_stack(FockVector(amp), 0).real, float(t[0])
 
 
 def _gain_stage(
@@ -562,23 +552,22 @@ def _gain_stage(
     photon total, so all nine come from one contraction with its Hankel view
     (``_hankel``), which never forms the unweighted product of the two kets.
     The series are scaled in log space, so only a coefficient that itself
-    leaves the floats overflows; nothing here warns or raises.
+    leaves the floats overflows; under the caller's ``np.errstate`` nothing warns.
     """
     dim = kets.shape[1]
     _, exponents, even = _amplifier_basis(dim, n_max)
-    with np.errstate(all="ignore"):
-        rest = _power_series(f, max(nodes - 2, 0), n_max + 1)
-        rest_of_one = np.convolve(rest, f)[: n_max + 1] if nodes > 1 else rest
-        # [z^r] f^p times g^(2r) for every gain, p = M-1 then M-2: shape (G, 2, cap+1)
-        series = np.exp(np.log([rest_of_one, rest]) + np.multiply.outer(np.log(gains), even)[:, None, :])
-        # one product per gain, of the shape a single gain makes, so that no
-        # point depends on the grid around it: tables of shape (G, 3, 3, sectors, 2)
-        tables = (weights.reshape(-1, n_max + 1) @ series.swapaxes(1, 2)).reshape(len(gains), 3, 3, -1, 2)
-        scaled = kets * gains[:, None, None] ** exponents
-        one = _gram(scaled, tables[..., :dim, 0], scaled)
-        # <l_i x amp| T(m + n) |amp x l_j>: l_i amp on mode 0, amp l_j on mode 1
-        pair_kets = scaled * scaled[:, 1:2]
-        pair = np.einsum("gim,gijmn,gjn->gij", pair_kets, _hankel(tables, dim), pair_kets)
+    rest = _power_series(f, max(nodes - 2, 0), n_max + 1)
+    rest_of_one = np.convolve(rest, f)[: n_max + 1] if nodes > 1 else rest
+    # [z^r] f^p times g^(2r) for every gain, p = M-1 then M-2: shape (G, 2, cap+1)
+    series = np.exp(np.log([rest_of_one, rest]) + np.multiply.outer(np.log(gains), even)[:, None, :])
+    # one product per gain, of the shape a single gain makes, so that no
+    # point depends on the grid around it: tables of shape (G, 3, 3, sectors, 2)
+    tables = (weights.reshape(-1, n_max + 1) @ series.swapaxes(1, 2)).reshape(len(gains), 3, 3, -1, 2)
+    scaled = kets * gains[:, None, None] ** exponents
+    one = _gram(scaled, tables[..., :dim, 0], scaled)
+    # <l_i x amp| T(m + n) |amp x l_j>: l_i amp on mode 0, amp l_j on mode 1
+    pair_kets = scaled * scaled[:, 1:2]
+    pair = np.einsum("gim,gijmn,gjn->gij", pair_kets, _hankel(tables, dim), pair_kets)
     return one, pair
 
 
@@ -639,8 +628,9 @@ def simulate_practical(cfg: ScenarioConfig):
     # a gain-1 amplifier past the floats puts every gain >= 1 past them: the
     # first gain is refused before the shape is read at gain 1
     _amplifier_vacuum(spec.scissors, gains[0].item(), spec.scissors + 1)
-    f, kets, t0 = _amplifier_shape(spec.scissors, cap)
-    one, pair = _gain_stage(nodes, cap, weights, f, kets, gains)
+    with np.errstate(all="ignore"):
+        f, kets, t0 = _amplifier_shape(spec.scissors, cap)
+        one, pair = _gain_stage(nodes, cap, weights, f, kets, gains)
     points = _heralded_points(nodes, spec.scissors, t0, gains, one, pair, cap, deficit)
     return points if np.ndim(spec.gain) else points[0]
 

@@ -72,31 +72,31 @@ def _check_engines_agree(cutoff: int) -> list[CheckResult]:
     return results
 
 
+def _commutators(op: fock.ModeOperator, rng: np.random.Generator, cutoff: int) -> list[np.ndarray]:
+    """``op`` on both modes after a balanced mixer, minus before it, on four random two-mode states."""
+    theta = math.pi / 4
+    residuals = []
+    for _ in range(4):
+        state = _random_two_mode_state(rng, cutoff)
+        left = _apply_per_mode(op, fock.beamsplitter(theta, 0, 1, state))
+        right = fock.beamsplitter(theta, 0, 1, _apply_per_mode(op, state))
+        residuals.append(left.amplitudes - right.amplitudes)
+    return residuals
+
+
 def _check_commutation() -> list[CheckResult]:
     rng = np.random.default_rng(20240514)
     cutoff = 6
     gain = 2.0
-    theta = math.pi / 4
     ideal = fock.ModeOperator(np.diag(nla.gain_diagonal(gain, cutoff)).astype(complex))
-    worst = 0.0
-    for _ in range(4):
-        state = _random_two_mode_state(rng, cutoff)
-        left = _apply_per_mode(ideal, fock.beamsplitter(theta, 0, 1, state))
-        right = fock.beamsplitter(theta, 0, 1, _apply_per_mode(ideal, state))
-        worst = max(worst, float(np.max(np.abs(left.amplitudes - right.amplitudes))))
+    worst = max(float(np.max(np.abs(residual))) for residual in _commutators(ideal, rng, cutoff))
     commute = CheckResult(
         "ideal gain operator commutes with the splitter",
         worst <= 1e-10,
         f"max residual {worst:.3e} (tol 1e-10)",
     )
     truncated = nla.nla_operator(1, gain, cutoff)
-    witnesses = []
-    for _ in range(4):
-        state = _random_two_mode_state(rng, cutoff)
-        left = _apply_per_mode(truncated, fock.beamsplitter(theta, 0, 1, state))
-        right = fock.beamsplitter(theta, 0, 1, _apply_per_mode(truncated, state))
-        witnesses.append(float(np.linalg.norm(left.amplitudes - right.amplitudes)))
-    witness = min(witnesses)
+    witness = min(float(np.linalg.norm(residual)) for residual in _commutators(truncated, rng, cutoff))
     no_commute = CheckResult(
         "truncated amplifier visibly fails to commute",
         witness >= 1e-3,
@@ -173,25 +173,13 @@ def _check_clipped_gain_after_loss() -> CheckResult:
 
 
 def _check_bounds() -> CheckResult:
-    nodes, mean_photons = 4, 0.04
-    worst_violation = -math.inf
-    for eta in np.linspace(0.1, 1.0, 10):
-        eta = float(eta)
-        gap_e = sensing.crlb_entangled(nodes, mean_photons, eta) - sensing.delta_alpha_entangled(
-            nodes, mean_photons, eta
-        )
-        gap_p = sensing.crlb_product(nodes, mean_photons, eta) - sensing.delta_alpha_product(
-            nodes, mean_photons, eta_local=eta
-        )
-        worst_violation = max(worst_violation, gap_e, gap_p)
-    eq_e = abs(
-        sensing.crlb_entangled(nodes, mean_photons, 1.0)
-        - sensing.delta_alpha_entangled(nodes, mean_photons, 1.0)
-    )
-    eq_p = abs(
-        sensing.crlb_product(nodes, mean_photons, 1.0)
-        - sensing.delta_alpha_product(nodes, mean_photons)
-    )
+    # the array forms that `cvdqs bounds` runs, over a grid that ends at eta=1
+    nodes, ns = 4, 0.04
+    etas = np.linspace(0.1, 1.0, 10)
+    gap_e = sensing.crlb_entangled(nodes, ns, etas) - sensing.delta_alpha_entangled(nodes, ns, etas)
+    gap_p = sensing.crlb_product(nodes, ns, etas) - sensing.delta_alpha_product(nodes, ns, etas)
+    worst_violation = max(gap_e.max(), gap_p.max())
+    eq_e, eq_p = abs(gap_e[-1]), abs(gap_p[-1])
     ok = worst_violation <= 1e-12 and eq_e <= 1e-9 and eq_p <= 1e-9
     return CheckResult(
         "bounds sit below the achieved errors, equal at eta=1",

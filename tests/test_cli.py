@@ -104,6 +104,19 @@ def test_request_refuses_a_fractional_count_by_name(command, key, value):
         SweepRequest(command=command, **{key: value})
 
 
+def test_request_names_its_first_bad_setting_in_field_order():
+    # each setting is checked from its own row, in field order, before the cross-setting checks
+    for bad, named in (
+        (dict(g_steps=1.5, jobs=0), "g_steps"),
+        (dict(precision=2.5, jobs=0), "precision"),
+        (dict(g_steps=2.5, eta_max=2.0), "g_steps"),
+        (dict(nodes=0, g_steps=1.5), "M"),
+        (dict(jobs=0, g_steps=1), "jobs"),
+    ):
+        with pytest.raises(UsageError, match=f"^{named} "):
+            SweepRequest(command="bounds", **bad)
+
+
 def test_request_keeps_whole_float_counts_and_integer_messages():
     req = SweepRequest(command="bounds", eta_steps=3.0, precision=4.0)
     assert len(expand(build_bounds_blocks(req))) == 3

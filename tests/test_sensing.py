@@ -1329,7 +1329,9 @@ def test_scenario_config_validation():
 
 # every public taker of a real-valued input, by the range its validator holds:
 # (quantity named in the error, {id: taker}, refused values, accepted edges).
-# A scenario or an effective channel needs eta > 0; a bare loss channel admits 0
+# A scenario or an effective channel needs eta > 0; a bare loss channel admits 0.
+# An int past the largest float is refused by name too, not by float()'s OverflowError
+_PAST_THE_FLOATS = 10**400
 _REAL_INPUTS = [
     (
         "mean photon number",
@@ -1344,7 +1346,7 @@ _REAL_INPUTS = [
             "crlb": lambda ns: crlb_entangled(4, ns, 0.5),
             "crlb-product": lambda ns: crlb_product(4, ns, 0.5),
         },
-        (-1e-12, math.nan, math.inf),
+        (-1e-12, math.nan, math.inf, _PAST_THE_FLOATS),
         (0.0,),
     ),
     (
@@ -1383,18 +1385,18 @@ _REAL_INPUTS = [
             "clipped": lambda g: nla.clipped_gain_operator(g, 4),
             "scissor": lambda g: nla.scissor_kraus(g, 2),
         },
-        (1 - 1e-12, math.nan, math.inf),
+        (1 - 1e-12, math.nan, math.inf, _PAST_THE_FLOATS),
         (1.0,),
     ),
     (
         "effective gain",
         {"effective-sv": lambda g: nla.effective_sv_photons(0.04, g)},
-        (1 - 1e-12, math.nan, math.inf),
+        (1 - 1e-12, math.nan, math.inf, _PAST_THE_FLOATS),
         (1.0,),
     ),
 ]
 _EDGE_REFUSALS = {
-    f"{taker}-{name.split()[0]}-{bad}": (partial(take, bad), name)
+    f"{taker}-{name.split()[0]}-{'1e400' if bad is _PAST_THE_FLOATS else bad}": (partial(take, bad), name)
     for name, takers, refused, _ in _REAL_INPUTS
     for taker, take in takers.items()
     for bad in refused
