@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -179,28 +179,115 @@ def _cell(value, spec: str) -> str:
     return format(float(value), spec)
 
 
+def _plain_floats(values: list) -> bool:
+    return set(map(type, values)) <= {float}
+
+
 def _cells(values: list, spec: str):
     """The cells of ``values``, formatted as they are read; plain floats skip ``_cell``'s type tests."""
-    if set(map(type, values)) <= {float}:
+    if _plain_floats(values):
         return map(format, values, repeat(spec))
     return (_cell(value, spec) for value in values)
 
 
-def render_csv(columns, blocks, precision: int) -> str:
-    """The CSV of ``blocks``, runs of rows in output order, under the header ``columns``.
+def _row_count(lengths: set) -> int:
+    """The one length in ``lengths``, those of a block's lists."""
+    if len(lengths) != 1:
+        raise ValueError(f"a block needs list columns of one length, got lengths {sorted(lengths)}")
+    return lengths.pop()
 
-    A block maps a column to a list, one cell per row, or to one cell for every
-    row; a column it lacks is empty.  A block's lists set its rows, so it needs
-    one and they must be of one length.  A list that several blocks hold is
-    formatted once; any other is formatted as its rows are joined.
+
+# below this many cells in a table's distinct plain-float lists the per-cell join
+# is faster: the matrix route's fixed cost overtakes its saving (crossover in README)
+_MATRIX_MIN_CELLS = 1024
+# the rows of the matrix route's byte chunks, and the entries of its kernel's passes
+_CHUNK = 8192
+# the matrix route's padding, dropped from its text: no byte of UTF-8 text is 0xFF
+_PAD = 0xFF
+# 10^k for k = -22..22: the positive powers are floats exactly (5^22 < 2^53), and
+# each negative one is the correctly rounded quotient 1 / 10^-k
+_POW10 = np.cumprod(np.full(23, 10.0)) / 10.0
+_SCALE = np.concatenate((1.0 / _POW10[:0:-1], _POW10))
+
+
+@lru_cache(maxsize=1)
+def _ascii_words() -> tuple[np.ndarray, np.ndarray]:
+    """As uint32 words: the four ASCII digits of 0..9999, and ``e``, sign and two digits of exponents -99..99.
+
+    Built on first use, so a process that renders no large table never holds them.
     """
-    spec = f".{precision}e"
-    # id of each list -> whether a second place holds it; a table of one block shares nothing
-    held: dict = {}
-    for block in blocks if len(blocks) > 1 else ():
-        for value in block.values():
-            if type(value) is list:
-                held[id(value)] = id(value) in held
+    four = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    exponents = np.arange(-99, 100)
+    signed = np.column_stack(
+        (
+            np.full(len(exponents), ord("e")),
+            np.where(exponents < 0, ord("-"), ord("+")),
+            np.abs(exponents)[:, None] // np.array([10, 1]) % 10 + ord("0"),
+        )
+    )
+    return four.view(np.uint32).ravel(), signed.astype(np.uint8).view(np.uint32).ravel()
+
+
+def _format_e(values: np.ndarray, precision: int) -> np.ndarray:
+    """``format(v, f".{precision}e")`` of each entry of ``values``, one a column of a ``_PAD``-padded uint8 matrix.
+
+    The ``precision + 8`` rows hold a sign, the lead digit, ``.`` (none at
+    precision 0), ``precision`` digits, ``e``, and a signed exponent of two
+    or three digits.  With ``e = floor(log10|v|)`` and ``y = |v| 10^(p-e)``
+    (two roundings at most, so ``|y - exact| <= 2^-51 y``, the slack), an
+    entry's digits are ``rint(y)`` when ``y`` is no nearer than the slack to
+    a half, exceeds ``10^p`` by more than it, and rounds below ``10^(p+1)``:
+    then its decimal exponent is ``e`` and no tie is near.  A slack below a
+    half puts ``y`` below ``2^50``, so the digits are exact floats, and an
+    ``e`` that ``log10`` got wrong fails a check, so its accuracy never
+    shows.  Every other entry (0, -0.0, inf, nan, ``|p - e| > 22``,
+    near-ties, decade edges) is formatted by ``format``.  ``precision`` is
+    at most 21.
+    """
+    four_digits, exponents = _ascii_words()
+    out = np.empty((precision + 8, len(values)), np.uint8)
+    with np.errstate(all="ignore"):
+        size = np.abs(values)
+        shift = precision - np.floor(np.log10(size))
+        ok = np.abs(shift) <= 22
+        shift = np.where(ok, shift, 0.0).astype(np.intp)
+        scaled = size * _SCALE[shift + 22]
+        digits = np.rint(scaled)
+        slack = scaled * 2.0**-51
+        ok &= np.abs(scaled - np.floor(scaled) - 0.5) > slack
+        ok &= scaled - _POW10[precision] > slack
+        ok &= digits < _POW10[precision + 1]
+        # the digits in groups of four, most significant first, as ASCII: text[group, entry, place]
+        groups = -(-(precision + 1) // 4)
+        quotients = np.floor(np.where(ok, digits, 0.0) / _POW10[4 * np.arange(groups, -1, -1), None])
+        fours = four_digits[(quotients[1:] - 1e4 * quotients[:-1]).astype(np.intp)]
+    text = fours.view(np.uint8).reshape(groups, len(values), 4)
+    # the lead digit, then the rest after the point
+    rows = chain((1,), range(3, precision + 3))
+    for row, place in zip(rows, range(4 * groups - precision - 1, 4 * groups)):
+        out[row] = text[place // 4, :, place % 4]
+    out[0] = np.where(np.signbit(values), ord("-"), _PAD)
+    out[2] = ord(".") if precision else _PAD
+    # an accepted exponent lies in [p - 22, p + 22], so it has two digits
+    out[precision + 3 : precision + 7] = exponents[precision - shift + 99].view(np.uint8).reshape(-1, 4).T
+    out[precision + 7] = _PAD
+    rejected = np.flatnonzero(~ok)
+    if rejected.size:
+        spec = f".{precision}e"
+        out[:, rejected] = _text_matrix([format(value, spec) for value in values[rejected].tolist()], len(out))
+    return out
+
+
+def _text_matrix(cells: list, height: int = 0) -> np.ndarray:
+    """``cells`` in UTF-8, one a column, as a uint8 matrix padded with ``_PAD`` to at least ``height`` rows."""
+    encoded = [cell.encode("utf-8", "surrogatepass") for cell in cells]
+    height = max(height, max(map(len, encoded), default=0))
+    data = b"".join(cell.ljust(height, b"\xff") for cell in encoded)
+    return np.frombuffer(data, np.uint8).reshape(len(encoded), height).T
+
+
+def _joined_rows(columns, blocks, spec: str, held_twice: set) -> str:
+    """The text of ``blocks`` under ``columns``, cell by cell; a list whose id is ``held_twice`` is formatted once."""
     shared: dict = {}
     lines = [",".join(columns)]
     for block in blocks:
@@ -210,18 +297,92 @@ def render_csv(columns, blocks, precision: int) -> str:
                 cells.append(repeat(_cell(value, spec)))
                 continue
             lengths.add(len(value))
-            if not held.get(id(value)):
+            if id(value) not in held_twice:
                 cells.append(_cells(value, spec))
             else:
                 if id(value) not in shared:
                     shared[id(value)] = list(_cells(value, spec))
                 cells.append(shared[id(value)])
-        if len(lengths) != 1:
-            raise ValueError(f"a block needs list columns of one length, got lengths {sorted(lengths)}")
+        _row_count(lengths)
         lines += map(",".join, zip(*cells))
     # the empty last line ends the text with a newline, with no second copy of it
     lines.append("")
     return "\n".join(lines)
+
+
+def _matrix_rows(columns, blocks, precision: int, lists: dict, floats: list) -> list:
+    """The text of ``blocks`` under ``columns``, in pieces of ``_CHUNK`` rows, each written as a byte matrix.
+
+    The plain-float lists ``floats`` are formatted in one ``_format_e`` call
+    over all of them, any other list of ``lists`` (id -> list) once by
+    ``_cells``.  A chunk's matrix holds one text row a column, so that each
+    write is a run of bytes; a block's constant cells and separators are
+    written into it once, and each chunk overwrites its list cells.  The
+    transpose of a chunk, its padding dropped, is its text.
+    """
+    spec = f".{precision}e"
+    flat = np.fromiter(chain.from_iterable(floats), float, sum(map(len, floats)))
+    formatted = np.empty((precision + 8, len(flat)), np.uint8)
+    for start in range(0, len(flat), _CHUNK):
+        formatted[:, start : start + _CHUNK] = _format_e(flat[start : start + _CHUNK], precision)
+    del flat
+    matrices = {}
+    for values in floats:
+        matrices[id(values)], formatted = formatted[:, : len(values)], formatted[:, len(values) :]
+    for key, values in lists.items():
+        if key not in matrices:
+            matrices[key] = _text_matrix(list(_cells(values, spec)))
+    pieces = [",".join(columns) + "\n"]
+    for block in blocks:
+        rows = _row_count({len(value) for value in map(block.get, columns) if type(value) is list})
+        # (cells, whether they vary by row) per column; a constant is one column of bytes
+        sources = [
+            (matrices[id(value)], True)
+            if type(value) is list
+            else (_text_matrix([_cell(value, spec)]), False)
+            for value in map(block.get, columns)
+        ]
+        # each cell is followed by "," or, the last, by "\n"
+        ends = np.cumsum([len(cells) + 1 for cells, _ in sources])
+        chunk = np.empty((ends[-1], min(rows, _CHUNK)), np.uint8)
+        chunk[ends - 1] = ord(",")
+        chunk[-1] = ord("\n")
+        for (cells, _), end in zip(sources, ends):
+            chunk[end - 1 - len(cells) : end - 1] = cells[:, :1]
+        for start in range(0, rows, _CHUNK):
+            part = chunk[:, : rows - start]
+            for (cells, varies), end in zip(sources, ends):
+                if varies:
+                    part[end - 1 - len(cells) : end - 1] = cells[:, start : start + part.shape[1]]
+            pieces.append(part.T.tobytes().translate(None, b"\xff").decode("utf-8", "surrogatepass"))
+    return pieces
+
+
+def render_csv(columns, blocks, precision: int) -> str:
+    """The CSV of ``blocks``, runs of rows in output order, under the header ``columns``.
+
+    A block maps a column to a list, one cell per row, or to one cell for every
+    row; a column it lacks is empty.  A block's lists set its rows, so it needs
+    one and they must be of one length.  A list that several blocks hold is
+    formatted once.  A table whose distinct plain-float lists hold at least
+    ``_MATRIX_MIN_CELLS`` cells, at a precision of at most 12, is written by
+    ``_matrix_rows``; any other is joined cell by cell, each list that one
+    place holds formatted as its rows are joined.  Both give the same text.
+    """
+    # id of each list under a column -> the list; the ids of lists held in more than one place
+    lists: dict = {}
+    held_twice = set()
+    for block in blocks:
+        for value in map(block.get, columns):
+            if type(value) is list:
+                if id(value) in lists:
+                    held_twice.add(id(value))
+                lists[id(value)] = value
+    if precision <= 12 and sum(map(len, lists.values())) >= _MATRIX_MIN_CELLS:
+        floats = [values for values in lists.values() if _plain_floats(values)]
+        if sum(map(len, floats)) >= _MATRIX_MIN_CELLS:
+            return "".join(_matrix_rows(columns, blocks, precision, lists, floats))
+    return _joined_rows(columns, blocks, f".{precision}e", held_twice)
 
 
 # ---------------------------------------------------------------------------

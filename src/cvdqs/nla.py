@@ -45,7 +45,11 @@ class NlaSpec:
 
     def __post_init__(self):
         if np.ndim(self.gain):
-            gains = np.array(self.gain, dtype=float)
+            try:
+                gains = np.array(self.gain, dtype=float)
+            except OverflowError:
+                # an int past the floats is checked as it is, so it gets the error a lone gain gets
+                gains = np.array(self.gain, dtype=object)
             if gains.ndim != 1 or not gains.size:
                 raise ValueError(f"a gain grid must be a non-empty 1-D array, got shape {gains.shape}")
             object.__setattr__(self, "gain", _frozen(gains))

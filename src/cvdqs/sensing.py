@@ -31,6 +31,8 @@ The practical engine is the composition of four stages:
 2. ``_amplifier_shape``: the amplifier at gain 1, its power series and kets.
 3. ``_gain_stage``: the one-mode and pair Gram matrices of a block of gains.
 4. ``_heralded_points``: one ``SensitivityPoint`` per gain.
+
+A gain grid runs stages 3 and 4 over chunks of ``_GAIN_CHUNK`` gains.
 """
 
 from __future__ import annotations
@@ -78,6 +80,10 @@ SCHEME_PRODUCT = "product_optimal"
 TRUNC_TOL = 1e-4
 
 _MEAN_TOL = 1e-10
+
+# gains per pass of stages 3 and 4, so that a grid holds one chunk's tables beside
+# its points: the tables take about 1 kB per gain at M=4, cap 8
+_GAIN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -628,10 +634,14 @@ def simulate_practical(cfg: ScenarioConfig):
     # a gain-1 amplifier past the floats puts every gain >= 1 past them: the
     # first gain is refused before the shape is read at gain 1
     _amplifier_vacuum(spec.scissors, gains[0].item(), spec.scissors + 1)
+    points = []
+    # stage 4 computes with Python floats only, so the errstate silences nothing of it
     with np.errstate(all="ignore"):
         f, kets, t0 = _amplifier_shape(spec.scissors, cap)
-        one, pair = _gain_stage(nodes, cap, weights, f, kets, gains)
-    points = _heralded_points(nodes, spec.scissors, t0, gains, one, pair, cap, deficit)
+        for start in range(0, len(gains), _GAIN_CHUNK):
+            chunk = gains[start : start + _GAIN_CHUNK]
+            one, pair = _gain_stage(nodes, cap, weights, f, kets, chunk)
+            points += _heralded_points(nodes, spec.scissors, t0, chunk, one, pair, cap, deficit)
     return points if np.ndim(spec.gain) else points[0]
 
 

@@ -215,6 +215,59 @@ def _per_cell_join(columns, blocks, precision):
     return "\n".join(lines) + "\n"
 
 
+def _kernel_values(precision):
+    """Floats on every edge of the matrix route's kernel at ``precision``, then random ones."""
+    rng = np.random.default_rng(precision)
+    powers = 10.0 ** np.arange(-30, 31)
+    digits = rng.integers(10**precision, 10 ** (precision + 1), 40)
+    edges = [
+        0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+        np.nextafter(2.2250738585072014e-308, 0.0), 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+        # round up into the next decade
+        0.99999999999999, 9.9999999999999e5, -99999.99999999999, float("9" * 20),
+    ]
+    # exact ties, and near-ties one ulp off them
+    ties = (digits * 10.0 + 5.0) * 10.0 ** rng.integers(-8, 8, 40).astype(float)
+    near = np.nextafter(ties, np.where(rng.random(40) < 0.5, -np.inf, np.inf))
+    spread = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-40.0, 40.0, 400)
+    parts = (edges, powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers, ties, near, spread)
+    return np.concatenate([np.asarray(part, dtype=float) for part in parts]).tolist()
+
+
+@pytest.mark.parametrize("precision", [0, 3, 10, 12, 13, 17])
+def test_the_matrix_kernel_formats_every_float_as_format_does(precision):
+    values = _kernel_values(precision)
+    matrix = cli._format_e(np.array(values), precision)
+    assert [column[column != cli._PAD].tobytes().decode() for column in matrix.T] == [
+        format(value, f".{precision}e") for value in values
+    ]
+
+
+@pytest.mark.parametrize("precision", [0, 3, 10, 12, 13, 17])
+def test_a_large_table_renders_as_the_per_cell_join(monkeypatch, precision):
+    # the table's distinct plain-float lists exceed the threshold, so up to
+    # precision 12 render_csv writes byte matrices; above it it joins cells
+    routes = []
+    matrix_rows = cli._matrix_rows
+    monkeypatch.setattr(cli, "_matrix_rows", lambda *args: routes.append(args[2]) or matrix_rows(*args))
+    values = _kernel_values(precision)
+    mixed = [CELLS[i % len(CELLS)] for i in range(len(values))]
+    layouts = [
+        [dict(zip(cli.BOUNDS_COLUMNS, (values, values[::-1], values[1:] + values[:1], [-v for v in values], values)))],
+        [
+            {"a": values, "b": mixed, "c": "x,y", "d": None},
+            {"a": values[::-1], "b": values, "c": 3, "e": [str(v) for v in values]},
+            {"b": mixed[:5], "c": [1.5, -0.0, None, 2.0, 1e300], "d": np.float64(-0.0)},
+            {"a": [], "c": "empty block"},
+        ],
+    ]
+    assert 2 * len(values) >= cli._MATRIX_MIN_CELLS
+    for blocks in layouts:
+        columns = tuple(dict.fromkeys(column for block in blocks for column in block)) + ("missing",)
+        assert render_csv(columns, blocks, precision) == _per_cell_join(columns, blocks, precision)
+    assert routes == ([precision] * len(layouts) if precision <= 12 else [])
+
+
 def test_render_csv_equals_the_per_cell_join():
     # plain-float columns skip _cell's type tests; every cell must still render as _cell renders it
     columns = ("a", "b", "c", "d", "missing")
@@ -226,6 +279,8 @@ def test_render_csv_equals_the_per_cell_join():
         [{col: [value] for col, value in row.items()} for row in rows],
         # plain-float lists on the fast path, beside a mixed one
         [{"a": floats, "b": floats[::-1], "c": [None] * len(floats), "d": [str(v) for v in floats]}],
+        # the same, long enough for the matrix route
+        [{"a": floats * 80, "b": floats[::-1] * 80, "c": [None] * 640, "d": [str(v) for v in floats] * 80}],
     ]
     for precision in (0, 3, 12, 17):
         for blocks in layouts:
@@ -233,24 +288,37 @@ def test_render_csv_equals_the_per_cell_join():
 
 
 def test_render_csv_formats_a_shared_list_once(monkeypatch):
+    _check_a_shared_list_is_formatted_once(monkeypatch, 1)
+
+
+def test_render_csv_formats_a_shared_list_once_on_the_matrix_route(monkeypatch):
+    _check_a_shared_list_is_formatted_once(monkeypatch, 300)
+
+
+def _check_a_shared_list_is_formatted_once(monkeypatch, repeat):
     # a list in several blocks is formatted once and read by each; 0.0 and
-    # -0.0 in it stay apart, and NaN renders as nan
-    shared = [0.0, -0.0, float("nan"), 2.5]
-    mixed = [np.float64(-0.0), np.int64(3), None, "x,y"]
+    # -0.0 in it stay apart, and NaN renders as nan.  On the matrix route the
+    # plain-float lists go through the kernel, each once, and through no _cells
+    shared = [0.0, -0.0, float("nan"), 2.5] * repeat
+    mixed = [np.float64(-0.0), np.int64(3), None, "x,y"] * repeat
     blocks = [
-        {"a": shared, "b": [1.0, 2.0, 3.0, 4.0], "c": "first"},
+        {"a": shared, "b": [1.0, 2.0, 3.0, 4.0] * repeat, "c": "first"},
         {"a": shared, "b": shared, "c": mixed},
         {"b": mixed, "c": np.float64(-0.0), "d": np.int64(-7)},
     ]
-    formatted = []
-    cells = cli._cells
+    formatted, kernel = [], []
+    cells, format_e = cli._cells, cli._format_e
     monkeypatch.setattr(cli, "_cells", lambda values, spec: formatted.append(values) or cells(values, spec))
+    monkeypatch.setattr(cli, "_format_e", lambda values, digits: kernel.append(len(values)) or format_e(values, digits))
     for precision in (3, 17):
         formatted.clear()
+        kernel.clear()
         text = render_csv(("a", "b", "c", "d"), blocks, precision)
         assert text == _per_cell_join(("a", "b", "c", "d"), blocks, precision)
-        assert sum(values is shared for values in formatted) == 1
         assert sum(values is mixed for values in formatted) == 1
+        matrix = repeat > 1 and precision <= 12
+        assert sum(values is shared for values in formatted) == (0 if matrix else 1)
+        assert kernel == ([8 * repeat] if matrix else [])
     lines = render_csv(("a", "b", "c", "d"), blocks, 3).splitlines()
     assert [line.split(",")[0] for line in lines[1:5]] == ["0.000e+00", "-0.000e+00", "nan", "2.500e+00"]
 

@@ -37,6 +37,17 @@ def test_spec_checks_a_valid_grid_by_its_ends(monkeypatch):
     assert calls == [1.0, 3.0]
 
 
+def test_spec_refuses_a_grid_int_past_the_floats_as_a_lone_gain():
+    # a grid holding an int past the floats gets the error of its first bad
+    # gain alone, not the OverflowError of converting the grid to floats
+    for grid, bad in (([2.0, 10**400], 10**400), ((-(10**400), 1.5), -(10**400)), ([2.0, 0.5, 10**400], 0.5)):
+        with pytest.raises(ValueError) as alone:
+            NlaSpec(bad, 2)
+        with pytest.raises(ValueError) as refused:
+            NlaSpec(grid, 2)
+        assert str(refused.value) == str(alone.value)
+
+
 def test_spec_requires_scissors_for_practical():
     with pytest.raises(ValueError):
         NlaSpec(2.0, None)

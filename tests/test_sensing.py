@@ -768,6 +768,39 @@ def test_gain_grid_spec_is_checked_and_read_only():
     assert simulate_practical(cfg(nla=NlaSpec(np.float64(2.0), 2))) == simulate_practical(cfg(nla=NlaSpec(2.0, 2)))
 
 
+def test_a_grid_in_chunks_keeps_its_points_and_its_first_error(monkeypatch):
+    # chunks of two gains: stages 3 and 4 take several passes over one grid
+    monkeypatch.setattr(sensing, "_GAIN_CHUNK", 2)
+    grid, singles = _practical_points(4, np.linspace(1.0, 3.0, 7), 2, 8, 0.04, 0.5)
+    assert grid == singles
+    cfg = partial(ScenarioConfig, nodes=4, mean_photons=0.04, eta=0.5, scheme=SCHEME_PRACTICAL_NLA, cutoff=8)
+    with pytest.raises(ValueError) as alone:
+        simulate_practical(cfg(nla=NlaSpec(3.0, 616)))
+    with pytest.raises(ValueError) as refused:
+        simulate_practical(cfg(nla=NlaSpec(np.array([2.5, 2.75, 2.9, 3.0, 3.25]), 616)))
+    assert str(refused.value) == str(alone.value)
+
+
+def test_a_large_gain_grid_peaks_near_its_points():
+    # a grid runs in chunks of gains, so 50,000 gains hold one chunk's tables
+    # beside their points; with every gain's tables at once the peak was 7.7x
+    # what the points hold
+    import tracemalloc
+
+    cfg = partial(ScenarioConfig, nodes=4, mean_photons=0.04, eta=0.5, scheme=SCHEME_PRACTICAL_NLA, cutoff=8)
+    simulate_practical(cfg(nla=NlaSpec(np.linspace(1.0, 3.0, 3), 2)))
+    spec = NlaSpec(np.linspace(1.0, 3.0, 50_000), 2)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        points = simulate_practical(cfg(nla=spec))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 50_000
+    assert peak - before <= 3 * (held - before), (peak - before) / (held - before)
+
+
 def test_a_thousand_scissors_cost_no_more_memory_than_their_amplifier():
     # the amplifier is read on {0..cap+1} only: a point at N=1000, cap 8 peaks
     # within 8 MB of the dense nla_operator(1000, 1, 1001) it reads its shape
