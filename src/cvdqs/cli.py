@@ -4,7 +4,9 @@ Identical requests produce byte-identical CSV files: floats are rendered in
 scientific notation at a fixed precision, each command hands ``render_csv``
 its table as column blocks that are sorted by construction (one per scheme,
 in scheme order, each over the ascending grid), and nothing time- or
-host-dependent is written.  Expected mid-sweep failures (the ideal amplifier
+host-dependent is written.  A column of floats is a 1-D float64 array, as
+the engine and the closed forms give it; a column that holds an empty or
+text cell is a list.  Expected mid-sweep failures (the ideal amplifier
 leaving its physical range at high gain) degrade to annotated rows instead of
 aborting.
 
@@ -179,25 +181,14 @@ def _cell(value, spec: str) -> str:
     return format(float(value), spec)
 
 
-def _plain_floats(values: list) -> bool:
-    return set(map(type, values)) <= {float}
+def _cells(column, spec: str):
+    """The cells of ``column``, formatted as they are read; any column but a float64 array goes through ``_cell``."""
+    if isinstance(column, np.ndarray):
+        return map(format if column.dtype == np.float64 else _cell, column.tolist(), repeat(spec))
+    return map(_cell, column, repeat(spec))
 
 
-def _cells(values: list, spec: str):
-    """The cells of ``values``, formatted as they are read; plain floats skip ``_cell``'s type tests."""
-    if _plain_floats(values):
-        return map(format, values, repeat(spec))
-    return (_cell(value, spec) for value in values)
-
-
-def _row_count(lengths: set) -> int:
-    """The one length in ``lengths``, those of a block's lists."""
-    if len(lengths) != 1:
-        raise ValueError(f"a block needs list columns of one length, got lengths {sorted(lengths)}")
-    return lengths.pop()
-
-
-# below this many cells in a table's distinct plain-float lists the per-cell join
+# below this many cells in a table's distinct float64 arrays the per-cell join
 # is faster: the matrix route's fixed cost overtakes its saving (crossover in README)
 _MATRIX_MIN_CELLS = 1024
 # the rows of the matrix route's byte chunks, and the entries of its kernel's passes
@@ -286,61 +277,50 @@ def _text_matrix(cells: list, height: int = 0) -> np.ndarray:
     return np.frombuffer(data, np.uint8).reshape(len(encoded), height).T
 
 
-def _joined_rows(columns, blocks, spec: str, held_twice: set) -> str:
-    """The text of ``blocks`` under ``columns``, cell by cell; a list whose id is ``held_twice`` is formatted once."""
-    shared: dict = {}
-    lines = [",".join(columns)]
-    for block in blocks:
-        cells, lengths = [], set()
-        for value in map(block.get, columns):
-            if type(value) is not list:
-                cells.append(repeat(_cell(value, spec)))
-                continue
-            lengths.add(len(value))
-            if id(value) not in held_twice:
-                cells.append(_cells(value, spec))
+def _joined_rows(header: str, table: list, spec: str, distinct: dict, held_twice: set) -> str:
+    """The text of ``table`` under ``header``, cell by cell; a column of ``distinct`` held twice is formatted once."""
+    shared = {key: list(_cells(distinct[key], spec)) for key in held_twice}
+    lines = [header]
+    for values, rows in table:
+        cells = []
+        for value in values:
+            if isinstance(value, str):
+                cells.append(repeat(value, rows))
             else:
-                if id(value) not in shared:
-                    shared[id(value)] = list(_cells(value, spec))
-                cells.append(shared[id(value)])
-        _row_count(lengths)
+                cells.append(shared[id(value)] if id(value) in shared else _cells(value, spec))
         lines += map(",".join, zip(*cells))
     # the empty last line ends the text with a newline, with no second copy of it
     lines.append("")
     return "\n".join(lines)
 
 
-def _matrix_rows(columns, blocks, precision: int, lists: dict, floats: list) -> list:
-    """The text of ``blocks`` under ``columns``, in pieces of ``_CHUNK`` rows, each written as a byte matrix.
+def _matrix_rows(header: str, table: list, precision: int, distinct: dict, floats: list) -> list:
+    """The text of ``table`` under ``header``, in pieces of ``_CHUNK`` rows, each written as a byte matrix.
 
-    The plain-float lists ``floats`` are formatted in one ``_format_e`` call
-    over all of them, any other list of ``lists`` (id -> list) once by
+    The float64 arrays ``floats`` are formatted in one ``_format_e`` call over
+    all of them, any other column of ``distinct`` (id -> column) once by
     ``_cells``.  A chunk's matrix holds one text row a column, so that each
     write is a run of bytes; a block's constant cells and separators are
-    written into it once, and each chunk overwrites its list cells.  The
+    written into it once, and each chunk overwrites its column cells.  The
     transpose of a chunk, its padding dropped, is its text.
     """
-    spec = f".{precision}e"
-    flat = np.fromiter(chain.from_iterable(floats), float, sum(map(len, floats)))
+    flat = np.concatenate(floats)
     formatted = np.empty((precision + 8, len(flat)), np.uint8)
     for start in range(0, len(flat), _CHUNK):
         formatted[:, start : start + _CHUNK] = _format_e(flat[start : start + _CHUNK], precision)
     del flat
     matrices = {}
-    for values in floats:
-        matrices[id(values)], formatted = formatted[:, : len(values)], formatted[:, len(values) :]
-    for key, values in lists.items():
+    for column in floats:
+        matrices[id(column)], formatted = formatted[:, : len(column)], formatted[:, len(column) :]
+    for key, column in distinct.items():
         if key not in matrices:
-            matrices[key] = _text_matrix(list(_cells(values, spec)))
-    pieces = [",".join(columns) + "\n"]
-    for block in blocks:
-        rows = _row_count({len(value) for value in map(block.get, columns) if type(value) is list})
+            matrices[key] = _text_matrix(list(_cells(column, f".{precision}e")))
+    pieces = [header + "\n"]
+    for values, rows in table:
         # (cells, whether they vary by row) per column; a constant is one column of bytes
         sources = [
-            (matrices[id(value)], True)
-            if type(value) is list
-            else (_text_matrix([_cell(value, spec)]), False)
-            for value in map(block.get, columns)
+            (_text_matrix([value]), False) if isinstance(value, str) else (matrices[id(value)], True)
+            for value in values
         ]
         # each cell is followed by "," or, the last, by "\n"
         ends = np.cumsum([len(cells) + 1 for cells, _ in sources])
@@ -361,28 +341,41 @@ def _matrix_rows(columns, blocks, precision: int, lists: dict, floats: list) -> 
 def render_csv(columns, blocks, precision: int) -> str:
     """The CSV of ``blocks``, runs of rows in output order, under the header ``columns``.
 
-    A block maps a column to a list, one cell per row, or to one cell for every
-    row; a column it lacks is empty.  A block's lists set its rows, so it needs
-    one and they must be of one length.  A list that several blocks hold is
-    formatted once.  A table whose distinct plain-float lists hold at least
-    ``_MATRIX_MIN_CELLS`` cells, at a precision of at most 12, is written by
-    ``_matrix_rows``; any other is joined cell by cell, each list that one
-    place holds formatted as its rows are joined.  Both give the same text.
+    A block maps a column to a list or a 1-D numpy array, one cell per row,
+    or to any other value, one cell for every row; a column it lacks is
+    empty.  A block's columns set its rows, so it needs one and they must be
+    of one length.  A float64 array is formatted with ``format``; a list, or
+    an array of another dtype (its ``.tolist()``), cell by cell through
+    ``_cell``, which gives a float the same text.  A column that several
+    places hold is formatted once.  A table whose distinct float64 arrays
+    hold at least ``_MATRIX_MIN_CELLS`` cells, at a precision of at most 12,
+    is written by ``_matrix_rows``; any other is joined cell by cell, each
+    column that one place holds formatted as its rows are joined.  Both give
+    the same text.
     """
-    # id of each list under a column -> the list; the ids of lists held in more than one place
-    lists: dict = {}
-    held_twice = set()
+    spec = f".{precision}e"
+    # per block, its values in column order (a constant as its cell's text) and its row count;
+    # id of each column -> the column; the ids of columns held in more than one place
+    table, distinct, held_twice = [], {}, set()
     for block in blocks:
+        values, lengths = [], set()
         for value in map(block.get, columns):
-            if type(value) is list:
-                if id(value) in lists:
+            if isinstance(value, list) or isinstance(value, np.ndarray) and value.ndim == 1:
+                lengths.add(len(value))
+                if id(value) in distinct:
                     held_twice.add(id(value))
-                lists[id(value)] = value
-    if precision <= 12 and sum(map(len, lists.values())) >= _MATRIX_MIN_CELLS:
-        floats = [values for values in lists.values() if _plain_floats(values)]
-        if sum(map(len, floats)) >= _MATRIX_MIN_CELLS:
-            return "".join(_matrix_rows(columns, blocks, precision, lists, floats))
-    return _joined_rows(columns, blocks, f".{precision}e", held_twice)
+                distinct[id(value)] = value
+            else:
+                value = _cell(value, spec)
+            values.append(value)
+        if len(lengths) != 1:
+            raise ValueError(f"a block needs list columns of one length, got lengths {sorted(lengths)}")
+        table.append((values, lengths.pop()))
+    header = ",".join(columns)
+    floats = [column for column in distinct.values() if isinstance(column, np.ndarray) and column.dtype == np.float64]
+    if precision <= 12 and sum(map(len, floats)) >= _MATRIX_MIN_CELLS:
+        return "".join(_matrix_rows(header, table, precision, distinct, floats))
+    return _joined_rows(header, table, spec, distinct, held_twice)
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +403,19 @@ def _ideal_block(req: SweepRequest, gains: np.ndarray) -> dict:
 
     The request checked ``M``, ``ns`` and ``eta``, and the grid's ends hold every gain, so no
     row is checked again.  A gain past the physical range keeps only its ``error`` cell: the
-    ``UnphysicalGainError`` text that the public form raises at that gain's ``lam``.
+    ``UnphysicalGainError`` text that the public form raises at that gain's ``lam``.  The
+    columns stay arrays unless a row is masked; then, holding empty and text cells, they are lists.
     """
     nodes, ns, eta = req.nodes, req.mean_photons, req.eta
     # a gain past the boundary, or one whose square overflows, reads a stand-in silently
     with np.errstate(all="ignore"):
         power, error, lam = _ideal_nla_point(nodes, ns, eta, gains)
-    block = {"probe_power": power.tolist(), "delta_alpha": error.tolist(), "p_success": 0.0}
     unphysical = np.flatnonzero(lam >= 1.0).tolist()
-    if unphysical:
-        block["p_success"] = [0.0] * len(gains)
-        block["error"] = [None] * len(gains)
+    if not unphysical:
+        return {"probe_power": power, "delta_alpha": error, "p_success": 0.0}
+    rows = len(gains)
+    block = {"probe_power": power.tolist(), "delta_alpha": error.tolist(), "p_success": [0.0] * rows}
+    block["error"] = [None] * rows
     for row in unphysical:
         for column in block.values():
             column[row] = None
@@ -436,16 +431,15 @@ def build_sensitivity_blocks(req: SweepRequest) -> list[dict]:
     gains, points = _practical_points(req)
     nodes, eta = req.nodes, req.eta
     # baselines at the practical scheme's probe power, for row-wise comparison
-    powers = [point.probe_power for point in points]
-    matched = np.array(powers)
-    no_nla = delta_alpha_entangled(nodes, matched / eta, eta).tolist()
-    product = delta_alpha_product(nodes, matched).tolist()
+    powers = np.array([point.probe_power for point in points])
+    no_nla = delta_alpha_entangled(nodes, powers / eta, eta)
+    product = delta_alpha_product(nodes, powers)
     blocks = {
         SCHEME_PRACTICAL_NLA: {
             "scissors": req.scissors,
             "probe_power": powers,
-            "delta_alpha": [point.delta_alpha for point in points],
-            "p_success": [point.p_success for point in points],
+            "delta_alpha": np.array([point.delta_alpha for point in points]),
+            "p_success": np.array([point.p_success for point in points]),
             # one engine call reads one source, so every point carries its cap and deficit
             "cutoff": points[0].cutoff,
             "trunc_deficit": points[0].trunc_deficit,
@@ -454,15 +448,15 @@ def build_sensitivity_blocks(req: SweepRequest) -> list[dict]:
         SCHEME_NO_NLA: {"probe_power": powers, "delta_alpha": no_nla, "p_success": 1.0},
         SCHEME_PRODUCT: {"probe_power": powers, "delta_alpha": product, "p_success": 1.0},
     }
-    common = {"M": nodes, "N_S": req.mean_photons, "eta": eta, "g": gains.tolist()}
+    common = {"M": nodes, "N_S": req.mean_photons, "eta": eta, "g": gains}
     return [dict(common, scheme=scheme, **blocks[scheme]) for scheme in sorted(blocks)]
 
 
 def build_nla_blocks(req: SweepRequest) -> list[dict]:
     """One block over the ascending gain grid."""
     gains, points = _practical_points(req)
-    powers = [point.probe_power for point in points]
-    return [{"g": gains.tolist(), "p_success": [point.p_success for point in points], "probe_power": powers}]
+    powers = np.array([point.probe_power for point in points])
+    return [{"g": gains, "p_success": np.array([point.p_success for point in points]), "probe_power": powers}]
 
 
 def build_bounds_blocks(req: SweepRequest) -> list[dict]:
@@ -476,8 +470,7 @@ def build_bounds_blocks(req: SweepRequest) -> list[dict]:
         delta_alpha_entangled(nodes, ns, etas),
         delta_alpha_product(nodes, ns, etas),
     )
-    # .tolist() gives plain floats, which render_csv formats on its fast path
-    return [dict(zip(BOUNDS_COLUMNS, (values.tolist() for values in columns)))]
+    return [dict(zip(BOUNDS_COLUMNS, columns))]
 
 
 def _write_output(req: SweepRequest, text: str, mode: str = "w") -> None:

@@ -75,20 +75,24 @@ def _gain(value, quantity: str = "amplitude gain") -> float:
 def _check_entries(check, values) -> None:
     """Run the float ``check`` (one of the validators above) on a float, or on every entry of an array.
 
-    Each check admits an interval, so an array passes when its least and
-    greatest entries do (a NaN is both); otherwise its entries are checked in
-    order, so the error is that of its first failing entry.
+    Each check admits an interval, so an array without a NaN passes when its
+    least and greatest entries do.  Any other array (a NaN is its least and
+    greatest entry, and hides the rest) has its entries checked in order, so
+    the error is that of its first failing entry.
     """
     if not isinstance(values, ndarray):
         check(values)
     elif values.size:
+        low = values.min()
         try:
-            check(values.min())
-            check(values.max())
+            if low == low:
+                check(low)
+                check(values.max())
+                return
         except ValueError:
-            for entry in values.ravel().tolist():
-                check(entry)
-            raise
+            pass
+        for entry in values.ravel().tolist():
+            check(entry)
 
 
 def _sqrt(value):

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import hashlib
 import math
 import os
@@ -44,17 +45,28 @@ def read(path):
 
 
 def expand(blocks):
-    """The rows of ``blocks`` as dicts: a list gives each row its own cell, any other value every row.
+    """The rows of ``blocks`` as dicts: a column gives each row its own cell, any other value every row.
 
-    An empty cell (``None``) is left out of its row.
+    A column is a list or an array, read through its ``.tolist()``.  An empty cell (``None``) is left out of its row.
     """
     out = []
     for block in blocks:
+        block = {column: value.tolist() if isinstance(value, np.ndarray) else value for column, value in block.items()}
         length = next(len(value) for value in block.values() if isinstance(value, list))
         for i in range(length):
             cells = ((column, value[i] if isinstance(value, list) else value) for column, value in block.items())
             out.append({column: cell for column, cell in cells if cell is not None})
     return out
+
+
+def assert_float_columns_are_arrays(blocks):
+    """Every column of floats in ``blocks`` is a 1-D float64 array; a list holds an empty or text cell."""
+    for block in blocks:
+        for value in block.values():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == np.float64 and value.ndim == 1
+            elif isinstance(value, list):
+                assert any(cell is None or isinstance(cell, str) for cell in value)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +206,17 @@ def test_render_csv_cell_rules():
     # every cell as a one-row list, then every cell but one list as a one-cell value
     assert render_csv(columns, [{col: [value] for col, value in row.items()}], precision=2) == want
     assert render_csv(columns, [dict(row, none=[None])], precision=2) == want
+    # every cell as a one-row array, the numbers in int64 or float64, the rest in object: each renders as in a list
+    numeric = {"int": None, "np_int": None, "float": None, "np_float": None}
+    arrays = {col: np.array([value], dtype=numeric.get(col, object)) for col, value in row.items()}
+    assert [arrays[col].dtype for col in columns] == [object, object] + [np.int64] * 2 + [np.float64] * 2 + [object] * 4
+    assert render_csv(columns, [arrays], precision=2) == want
+    assert render_csv(columns, [dict(row, np_int=np.array([-7]))], precision=2) == want
     # a numeric cell is never quoted, whatever the precision renders
     for value in (1.5, -2.0e300, float("inf"), float("nan"), np.int64(10**12)):
-        cell = render_csv(("x",), [{"x": [value]}], precision=6).splitlines()[1]
-        assert '"' not in cell and cell
+        for column in ([value], np.array([value]), np.array([value], dtype=object)):
+            cell = render_csv(("x",), [{"x": column}], precision=6).splitlines()[1]
+            assert '"' not in cell and cell
 
 
 CELLS = [
@@ -245,42 +264,51 @@ def test_the_matrix_kernel_formats_every_float_as_format_does(precision):
 
 @pytest.mark.parametrize("precision", [0, 3, 10, 12, 13, 17])
 def test_a_large_table_renders_as_the_per_cell_join(monkeypatch, precision):
-    # the table's distinct plain-float lists exceed the threshold, so up to
-    # precision 12 render_csv writes byte matrices; above it it joins cells
+    # the table's distinct float64 arrays exceed the threshold, so up to
+    # precision 12 render_csv writes byte matrices; above it, and for the same
+    # table of lists, it joins cells
     routes = []
     matrix_rows = cli._matrix_rows
     monkeypatch.setattr(cli, "_matrix_rows", lambda *args: routes.append(args[2]) or matrix_rows(*args))
-    values = _kernel_values(precision)
+    values = np.array(_kernel_values(precision))
     mixed = [CELLS[i % len(CELLS)] for i in range(len(values))]
+    bounds = [dict(zip(cli.BOUNDS_COLUMNS, (values, values[::-1], np.roll(values, -1), -values, values)))]
     layouts = [
-        [dict(zip(cli.BOUNDS_COLUMNS, (values, values[::-1], values[1:] + values[:1], [-v for v in values], values)))],
+        bounds,
         [
             {"a": values, "b": mixed, "c": "x,y", "d": None},
-            {"a": values[::-1], "b": values, "c": 3, "e": [str(v) for v in values]},
-            {"b": mixed[:5], "c": [1.5, -0.0, None, 2.0, 1e300], "d": np.float64(-0.0)},
-            {"a": [], "c": "empty block"},
+            {"a": values[::-1], "b": values, "c": 3, "e": [str(v) for v in values.tolist()]},
+            {"b": mixed[:5], "c": [1.5, -0.0, None, 2.0, 1e300], "d": np.float64(-0.0), "e": np.arange(5)},
+            {"a": np.array([]), "c": "empty block"},
         ],
+        [{column: value.tolist() for column, value in bounds[0].items()}],
     ]
     assert 2 * len(values) >= cli._MATRIX_MIN_CELLS
     for blocks in layouts:
         columns = tuple(dict.fromkeys(column for block in blocks for column in block)) + ("missing",)
         assert render_csv(columns, blocks, precision) == _per_cell_join(columns, blocks, precision)
-    assert routes == ([precision] * len(layouts) if precision <= 12 else [])
+    assert routes == ([precision] * 2 if precision <= 12 else [])
 
 
 def test_render_csv_equals_the_per_cell_join():
-    # plain-float columns skip _cell's type tests; every cell must still render as _cell renders it
+    # float64 arrays skip _cell's type tests; every cell must still render as _cell renders it
     columns = ("a", "b", "c", "d", "missing")
     rows = [{col: CELLS[(i + j) % len(CELLS)] for j, col in enumerate(columns[:-1])} for i in range(len(CELLS))]
-    floats = [1.5, -2.0e-300, 0.0, -0.0, 1e300, float("inf"), float("-inf"), float("nan")]
+    floats = [1.5, -2.0e-300, 0.0, -0.0, 1e300, float("inf"), float("-inf"), float("nan"), 5e-324, -2.5e-320]
+    array = np.array(floats)
     layouts = [
         # one block of mixed lists, then one block per row
         [{col: [row[col] for row in rows] for col in columns[:-1]}],
         [{col: [value] for col, value in row.items()} for row in rows],
-        # plain-float lists on the fast path, beside a mixed one
+        # plain-float lists, then float64 arrays on the fast path, beside a mixed list
         [{"a": floats, "b": floats[::-1], "c": [None] * len(floats), "d": [str(v) for v in floats]}],
+        [{"a": array, "b": array[::-1], "c": [None] * len(floats), "d": [str(v) for v in floats]}],
         # the same, long enough for the matrix route
-        [{"a": floats * 80, "b": floats[::-1] * 80, "c": [None] * 640, "d": [str(v) for v in floats] * 80}],
+        [{"a": np.tile(array, 80), "b": np.tile(array[::-1], 80), "c": [None] * 800, "d": list(map(str, floats)) * 80}],
+        # int64 and object arrays, cell by cell; then an empty array, and one block per row of arrays
+        [{"a": np.arange(-5, 5), "b": np.array(CELLS[:10], object), "c": array, "d": np.array(CELLS[10:20], object)}],
+        [{"a": np.array([]), "b": np.array([], dtype=object), "c": "empty block"}, {"a": array, "d": np.int64(-7)}],
+        [{col: np.array([value], dtype=object) for col, value in row.items()} for row in rows],
     ]
     for precision in (0, 3, 12, 17):
         for blocks in layouts:
@@ -296,13 +324,13 @@ def test_render_csv_formats_a_shared_list_once_on_the_matrix_route(monkeypatch):
 
 
 def _check_a_shared_list_is_formatted_once(monkeypatch, repeat):
-    # a list in several blocks is formatted once and read by each; 0.0 and
+    # a column in several blocks is formatted once and read by each; 0.0 and
     # -0.0 in it stay apart, and NaN renders as nan.  On the matrix route the
-    # plain-float lists go through the kernel, each once, and through no _cells
-    shared = [0.0, -0.0, float("nan"), 2.5] * repeat
+    # float64 arrays go through the kernel, each once, and through no _cells
+    shared = np.array([0.0, -0.0, float("nan"), 2.5] * repeat)
     mixed = [np.float64(-0.0), np.int64(3), None, "x,y"] * repeat
     blocks = [
-        {"a": shared, "b": [1.0, 2.0, 3.0, 4.0] * repeat, "c": "first"},
+        {"a": shared, "b": np.array([1.0, 2.0, 3.0, 4.0] * repeat), "c": "first"},
         {"a": shared, "b": shared, "c": mixed},
         {"b": mixed, "c": np.float64(-0.0), "d": np.int64(-7)},
     ]
@@ -323,11 +351,16 @@ def _check_a_shared_list_is_formatted_once(monkeypatch, repeat):
     assert [line.split(",")[0] for line in lines[1:5]] == ["0.000e+00", "-0.000e+00", "nan", "2.500e+00"]
 
 
+class _Label(str, enum.Enum):
+    PLAIN = "plain"
+
+
 def test_render_csv_repeats_a_one_cell_value_over_its_block():
-    # a value that is not a list fills every row of its block; a column a block lacks is empty
+    # a value that is neither a list nor a 1-D array fills every row of its block, a str
+    # subclass and a 0-d array too; a column a block lacks is empty
     blocks = [
         {"g": [1.0, 2.0, 3.0], "M": 4, "eta": 0.5, "p": np.float64(1.0), "n": np.int64(2), "s": "a,b"},
-        {"g": [4.0], "M": 5},
+        {"g": np.array([4.0]), "M": 5, "eta": np.array(0.25), "s": _Label.PLAIN},
     ]
     text = render_csv(("s", "M", "eta", "g", "p", "n", "empty"), blocks, 3)
     assert text == (
@@ -335,8 +368,13 @@ def test_render_csv_repeats_a_one_cell_value_over_its_block():
         '"a,b",4,5.000e-01,1.000e+00,1.000e+00,2,\n'
         '"a,b",4,5.000e-01,2.000e+00,1.000e+00,2,\n'
         '"a,b",4,5.000e-01,3.000e+00,1.000e+00,2,\n'
-        ",5,,4.000e+00,,,\n"
+        "plain,5,2.500e-01,4.000e+00,,,\n"
     )
+    assert text == _per_cell_join(("s", "M", "eta", "g", "p", "n", "empty"), blocks, 3)
+    # the same on the matrix route
+    blocks[1]["g"] = np.arange(2000.0)
+    text = render_csv(("s", "M", "eta", "g", "p", "n", "empty"), blocks, 3)
+    assert text.endswith("plain,5,2.500e-01,1.999e+03,,,\n")
     assert text == _per_cell_join(("s", "M", "eta", "g", "p", "n", "empty"), blocks, 3)
 
 
@@ -345,10 +383,12 @@ def test_render_csv_repeats_a_one_cell_value_over_its_block():
     [
         {"a": [1.0, 2.0], "b": [1.0]},
         {"a": [1.0], "b": [], "c": 3.0},
+        {"a": [1.0], "b": np.array([]), "c": 3.0},
+        {"a": np.array([1.0, 2.0]), "b": np.array([1])},
         {"a": 1.0, "b": "x"},
         {},
     ],
-    ids=["two-and-one", "one-and-none", "no-list", "empty"],
+    ids=["two-and-one", "one-and-none", "one-and-empty-array", "two-and-one-arrays", "no-list", "empty"],
 )
 def test_render_csv_refuses_a_block_without_one_row_count(block):
     # zip would silently cut the longer lists; a block of one-cell values has no row count
@@ -357,11 +397,12 @@ def test_render_csv_refuses_a_block_without_one_row_count(block):
 
 
 def test_render_csv_memory_stays_within_four_times_its_text():
-    # the non-shared lists are formatted as their rows are joined, so a large
-    # table does not hold every formatted cell beside its lines and its text
+    # a large table of float64 arrays, as the bounds command builds it, is
+    # written in byte-matrix chunks: it does not hold every formatted cell
+    # beside its lines and its text
     steps = 50_000
     etas = np.linspace(0.1, 1.0, steps)
-    block = dict(zip(cli.BOUNDS_COLUMNS, (np.sqrt(etas * k).tolist() for k in range(1, 6))))
+    block = dict(zip(cli.BOUNDS_COLUMNS, (np.sqrt(etas * k) for k in range(1, 6))))
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -538,7 +579,9 @@ def test_sensitivity_csv_equals_the_row_route(capsys, flags):
     want += [",".join(cli._cell(row.get(col), spec) for col in SENSITIVITY_COLUMNS) for row in rows]
     assert main(["sweep-sensitivity", *flags]) == 0
     assert capsys.readouterr().out == "\n".join(want) + "\n"
-    assert expand(build_sensitivity_blocks(req)) == rows
+    blocks = build_sensitivity_blocks(req)
+    assert_float_columns_are_arrays(blocks)
+    assert expand(blocks) == rows
     errors = sum("error" in row for row in rows)
     if "40" in flags:
         assert errors == 4
@@ -672,7 +715,11 @@ def test_a_sweep_makes_one_engine_call_for_its_whole_grid(monkeypatch, command):
 
     monkeypatch.setattr(cli, "simulate_practical", recording)
     req = SweepRequest(command=command, g_steps=5, g_max=2.2)
-    rows = expand((build_sensitivity_blocks if command == "sweep-sensitivity" else build_nla_blocks)(req))
+    blocks = (build_sensitivity_blocks if command == "sweep-sensitivity" else build_nla_blocks)(req)
+    # no ideal-NLA row is masked below g = 2.2, so no column is a list
+    assert_float_columns_are_arrays(blocks)
+    assert not any(isinstance(value, list) for block in blocks for value in block.values())
+    rows = expand(blocks)
     assert len(calls) == 1 and calls[0].tolist() == req.gain_grid().tolist()
     cfg = dict(nodes=4, mean_photons=0.04, eta=0.5, scheme=SCHEME_PRACTICAL_NLA, cutoff=8)
     practical = [row for row in rows if row.get("scheme", SCHEME_PRACTICAL_NLA) == SCHEME_PRACTICAL_NLA]
@@ -766,10 +813,12 @@ def test_bounds_rows_monotone_and_tight_at_unity():
 @pytest.mark.parametrize("ns", [0.0, 0.04, 3.0])
 @pytest.mark.parametrize("nodes", [1, 4, 7])
 def test_bounds_rows_equal_the_scalar_closed_forms(nodes, ns, steps):
-    # the grid is evaluated as arrays; every cell must be the public scalar
-    # form's float, bit for bit
+    # the grid is evaluated as arrays, and each column stays a float64 array;
+    # every cell, read through .tolist(), must be the public scalar form's float, bit for bit
     req = SweepRequest(command="bounds", nodes=nodes, mean_photons=ns, eta_min=1e-6, eta_max=1.0, eta_steps=steps)
-    rows = expand(build_bounds_blocks(req))
+    blocks = build_bounds_blocks(req)
+    assert all(type(column) is np.ndarray and column.dtype == np.float64 for column in blocks[0].values())
+    rows = expand(blocks)
     assert [row["eta"] for row in rows] == np.linspace(1e-6, 1.0, steps).tolist()
     for row in rows:
         eta = row["eta"]

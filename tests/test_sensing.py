@@ -217,16 +217,25 @@ def test_brightness_is_the_correctly_rounded_square():
     assert sensing._brightness_factor(photons).tolist() == want
 
 
+def test_an_array_holding_a_nan_is_checked_entry_by_entry():
+    # a NaN is an array's least and greatest entry, so its ends would hide an entry past the floats
+    with pytest.raises(ValueError, match="^mean photon number inf is too large"):
+        sensing._brightness_factor(np.array([1.0, math.nan, math.inf]))
+    # a NaN itself passes the brightness check, as on a float: the ideal form's stand-in rows hold it
+    factors = sensing._brightness_factor(np.array([1.0, math.nan]))
+    assert factors[0] == sensing._brightness_factor(1.0) and math.isnan(factors[1])
+
+
 @pytest.mark.parametrize("steps", [41, 1000])
 def test_bounds_rows_check_no_row(monkeypatch, steps):
     # one call of each of the four public closed forms, each checking the
-    # whole eta grid at once; no row is checked on its own
+    # whole eta grid at once, the block's eta column itself; no row is checked on its own
     req = cli.SweepRequest(command="bounds", eta_steps=steps)
     calls = _count_scenario_checks(monkeypatch)
     [block] = cli.build_bounds_blocks(req)
     assert [len(column) for column in block.values()] == [steps] * 5
     assert len(calls) == 4
-    assert all(etas.tolist() == block["eta"] for _, _, etas in calls)
+    assert all(etas is block["eta"] for _, _, etas in calls)
 
 
 @pytest.mark.parametrize("steps", [41, 1000])
