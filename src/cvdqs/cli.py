@@ -15,11 +15,20 @@ scheme is simulated, the ideal scheme is evaluated at the same gain with its
 own probe power, and the two amplifier-free baselines are evaluated *at the
 practical scheme's probe power* so that scheme comparisons line up row by
 row.  Cells that do not apply to a scheme stay empty.
+
+Command line: ``cvdqs COMMAND [--KEY VALUE | --KEY=VALUE]...``, read in one
+pass over ``argv`` (``build_request``) from the ``_COMMANDS`` and
+``_SETTINGS`` tables.  A flag may be cut to a unique prefix, an exact flag
+winning over the longer ones it prefixes; flags override the config file.
+Every usage error takes one route: a malformed command line, a bad config
+file or an unusable scenario raises ``UsageError`` (the engine's refusals
+raise ``ValueError`` or ``TruncationError``), and ``main`` prints it as one
+``error: ...`` line and returns 2.  Only ``-h``/``--help`` raises
+``SystemExit``, with code 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -553,35 +562,89 @@ def load_config_file(path: str) -> dict:
         raise UsageError(f"cannot read config {path!r}: {exc}") from exc
 
 
-@lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; ``parse_args`` leaves it unchanged, so one serves every call."""
-    shared = argparse.ArgumentParser(add_help=False)
-    for key, (name, kind, help_text) in _SETTINGS.items():
-        flag = "--" + key.replace("_", "-")
-        shared.add_argument(flag, type=kind, dest=name, metavar=key.upper(), help=help_text)
-    shared.add_argument("--config", type=str, default=None, help="key = value config file")
+# flag -> (field name, value type, help), in --help order; a setting's flag is
+# "--" and its config key with "_" as "-", and its value is named by the key
+_FLAGS = {"--" + key.replace("_", "-"): setting for key, setting in _SETTINGS.items()}
+_FLAGS["--config"] = ("config", str, "key = value config file")
+_FLAGS["--help"] = ("help", None, "show this help and exit")
 
-    parser = argparse.ArgumentParser(
-        prog="cvdqs",
-        description="Distributed-quantum-sensing sweeps with noiseless-linear-amplifier repeaters",
+
+def _help_text() -> str:
+    """The ``--help`` text: every command and every flag, from ``_COMMANDS`` and ``_FLAGS``."""
+    commands = [(command, help_text) for command, (help_text, _) in _COMMANDS.items()]
+    flags = [
+        (f"{flag} {flag[2:].replace('-', '_').upper()}" if kind else f"-h, {flag}", help_text or "")
+        for flag, (_, kind, help_text) in _FLAGS.items()
+    ]
+    width = 2 + max(len(left) for left, _ in commands + flags)
+    return "\n".join(
+        [
+            "usage: cvdqs COMMAND [--KEY VALUE | --KEY=VALUE]...",
+            "",
+            "Distributed-quantum-sensing sweeps with noiseless-linear-amplifier repeaters",
+            "",
+            "commands:",
+            *(f"  {left:<{width}}{right}".rstrip() for left, right in commands),
+            "",
+            "flags (every command takes every flag, and a unique prefix of one):",
+            *(f"  {left:<{width}}{right}".rstrip() for left, right in flags),
+            "",
+        ]
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _) in _COMMANDS.items():
-        sub.add_parser(command, parents=[shared], help=help_text)
-    return parser
+
+
+def _flag(token: str) -> str:
+    """The flag ``token`` names: itself if it is one, else the one flag it is a prefix of; ``-h`` is ``--help``."""
+    if token in _FLAGS:
+        return token
+    if token == "-h":
+        return "--help"
+    matches = [flag for flag in _FLAGS if flag.startswith(token)] if token.startswith("--") and token != "--" else []
+    if len(matches) == 1:
+        return matches[0]
+    if matches:
+        raise UsageError(f"ambiguous flag {token}: could match {', '.join(matches)}")
+    raise UsageError(f"unknown flag {token}")
 
 
 def build_request(argv) -> SweepRequest:
-    args = vars(_build_parser().parse_args(argv))
-    config_path = args["config"] or os.environ.get(CONFIG_ENV_VAR)
-    values: dict = {}
-    if config_path:
-        values.update(load_config_file(config_path))
-    for name, _, _ in _SETTINGS.values():
-        if args[name] is not None:
-            values[name] = args[name]
-    return SweepRequest(command=args["command"], **values)
+    """The request of ``argv``: a command, then ``--key VALUE`` or ``--key=VALUE`` pairs.
+
+    A flag's value has its setting's type, and the last one given wins; flags
+    override the ``--config`` file, or else the one ``CVDQS_CONFIG`` names.
+    ``-h``/``--help`` prints the help and raises ``SystemExit(0)``; any other
+    malformed ``argv`` raises ``UsageError``.
+    """
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    command = next(tokens, None)
+    if command in ("-h", "--help"):
+        sys.stdout.write(_help_text())
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        given = f"unknown command {command!r}" if command else "no command"
+        raise UsageError(f"{given}; choose from {', '.join(_COMMANDS)}")
+    flags: dict = {}
+    for token in tokens:
+        if not token.startswith("-"):
+            raise UsageError(f"unexpected argument {token!r}")
+        flag, equals, value = token.partition("=")
+        flag = _flag(flag)
+        name, kind, _ = _FLAGS[flag]
+        if kind is None:
+            sys.stdout.write(_help_text())
+            raise SystemExit(0)
+        if not equals:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"{flag} needs a value")
+        try:
+            flags[name] = kind(value)
+        except ValueError as exc:
+            raise UsageError(f"{flag}: invalid {kind.__name__} value {value!r}") from exc
+    config_path = flags.pop("config", None) or os.environ.get(CONFIG_ENV_VAR)
+    values = load_config_file(config_path) if config_path else {}
+    values.update(flags)
+    return SweepRequest(command=command, **values)
 
 
 def main(argv=None) -> int:

@@ -639,12 +639,17 @@ def test_scissors_beyond_the_float_range_exit_two(tmp_path):
 
 
 def test_help_works_twice(capsys):
-    # the parser is built once and reused; printing help must leave it usable
-    for _ in range(2):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep-nla", "--help"])
-        assert exc.value.code == 0
-        assert "--scissors SCISSORS" in capsys.readouterr().out
+    # the top-level help and each command's list every command and every flag,
+    # exit 0, and leave the next parse working
+    for argv in (["--help"], ["-h"], *([command, "--help"] for command in cli._COMMANDS)):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            assert all(command in out for command in cli._COMMANDS)
+            assert all(f"{_flag_of(key)} {key.upper()}" in out for key in cli._SETTINGS)
+            assert "--config CONFIG" in out
     assert main(["bounds", "--eta-steps", "3"]) == 0
 
 
@@ -1144,3 +1149,107 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, key, flag, text):
     assert key in capsys.readouterr().err
     assert main(["bounds", "--config", _config(tmp_path, f"{key} = {text}\n")]) == 2
     assert key in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# command-line grammar: a command, then --key VALUE or --key=VALUE pairs
+# ---------------------------------------------------------------------------
+
+def _flag_of(key):
+    return "--" + key.replace("_", "-")
+
+
+def _values(key):
+    """Two distinct values of setting ``key`` that differ from its default and pass the request's checks."""
+    name, kind, _ = cli._SETTINGS[key]
+    default = getattr(SweepRequest(command="bounds"), name)
+    if kind is str:
+        return "a.csv", "b.csv"
+    if kind is int:
+        return default + 1, default + 2
+    # the next two floats up from the default, or down where the request refuses those (eta_max = 1)
+    for towards in (math.inf, -math.inf):
+        first = math.nextafter(default, towards)
+        second = math.nextafter(first, towards)
+        try:
+            SweepRequest(command="bounds", **{name: second})
+        except UsageError:
+            continue
+        return first, second
+    raise AssertionError(f"no float next to {key}'s default {default} passes the request's checks")
+
+
+@pytest.fixture
+def no_config_env(monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+
+
+@pytest.mark.parametrize("key", cli._SETTINGS)
+def test_every_flag_form_and_config_line_give_the_request(tmp_path, no_config_env, key):
+    name = cli._SETTINGS[key][0]
+    value, _ = _values(key)
+    want = SweepRequest(command="bounds", **{name: value})
+    flag = _flag_of(key)
+    assert cli.build_request(["bounds", flag, str(value)]) == want
+    assert cli.build_request(["bounds", f"{flag}={value}"]) == want
+    assert cli.build_request(["bounds", "--config", _config(tmp_path, f"{key} = {value}\n")]) == want
+
+
+@pytest.mark.parametrize("key", cli._SETTINGS)
+def test_flags_override_config_file_and_env(tmp_path, monkeypatch, key):
+    name = cli._SETTINGS[key][0]
+    value, other = _values(key)
+    env = tmp_path / "env.conf"
+    env.write_text(f"{key} = {other}\n", encoding="utf-8")
+    monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(env))
+    given = tmp_path / "given.conf"
+    given.write_text(f"{key} = {other}\n", encoding="utf-8")
+    assert getattr(cli.build_request(["bounds"]), name) == other
+    assert getattr(cli.build_request(["bounds", _flag_of(key), str(value)]), name) == value
+    argv = ["bounds", "--config", str(given), _flag_of(key), str(value)]
+    assert getattr(cli.build_request(argv), name) == value
+    # --config replaces the environment's file, so a key it lacks keeps its default
+    given.write_text("", encoding="utf-8")
+    assert cli.build_request(["bounds", "--config", str(given)]) == SweepRequest(command="bounds")
+
+
+@pytest.mark.parametrize("key", cli._SETTINGS)
+def test_shortest_unique_prefix_names_its_flag(no_config_env, key):
+    flag = _flag_of(key)
+    prefix = next(
+        flag[:end] for end in range(3, len(flag) + 1)
+        if flag[:end] == flag or [f for f in cli._FLAGS if f.startswith(flag[:end])] == [flag]
+    )
+    value, _ = _values(key)
+    assert cli.build_request(["bounds", prefix, str(value)]) == cli.build_request(["bounds", flag, str(value)])
+
+
+def test_exact_flag_beats_prefix(no_config_env):
+    assert cli.build_request(["bounds", "--eta", "0.7"]) == SweepRequest(command="bounds", eta=0.7)
+    assert cli.build_request(["bounds", "--cut", "6"]) == SweepRequest(command="bounds", cutoff=6)
+    assert cli.build_request(["bounds", "--eta-s=3"]) == SweepRequest(command="bounds", eta_steps=3)
+
+
+# (argv, the flag, command or argument its error names)
+MALFORMED = [
+    (["sweep-nla", "--g-m", "2"], "--g-m"),
+    (["sweep-nla", "--nope", "1"], "--nope"),
+    (["sweep-nla", "--M"], "--M"),
+    (["sweep-nla", "--M", "--eta", "0.5"], "--M"),
+    (["sweep-nla", "--M", "x"], "--M"),
+    (["sweep-nla", "--cut=x"], "--cutoff"),
+    (["sweep-nla", "stray"], "stray"),
+    (["frobnicate"], "frobnicate"),
+    (["--M", "4"], "--M"),
+    ([], "command"),
+]
+
+
+@pytest.mark.parametrize("argv, named", MALFORMED, ids=[" ".join(argv) or "no-command" for argv, _ in MALFORMED])
+def test_malformed_argv_is_one_usage_error_line(capsys, no_config_env, argv, named):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert "Traceback" not in captured.err
